@@ -94,14 +94,25 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
+def _read_text(path: str, flag: str) -> str:
+    """A whole input file as text; bytes that are not UTF-8 are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParsicompactError(
+            f"{flag} {path}: not UTF-8 text (byte {exc.start})"
+        ) from None
+
+
 def _load_matrix(cfg: RunConfig) -> CharacterMatrix:
     if not cfg.input:
         raise ParsicompactError("this command needs --input FASTA")
-    with open(cfg.input, encoding="utf-8") as fh:
-        try:
-            matrix = parse_fasta(fh, allow_ambiguity=cfg.allow_ambiguity)
-        except AmbiguousSymbolError as exc:
-            raise AmbiguousSymbolError(f"{exc} (flag: --allow-ambiguity)") from None
+    text = _read_text(cfg.input, "--input")
+    try:
+        matrix = parse_fasta(text, allow_ambiguity=cfg.allow_ambiguity)
+    except AmbiguousSymbolError as exc:
+        raise AmbiguousSymbolError(f"{exc} (flag: --allow-ambiguity)") from None
     if cfg.columns is not None:
         matrix = restrict_columns(matrix, cfg.columns)
     if cfg.subset is not None:
@@ -116,8 +127,7 @@ def _load_tree(cfg: RunConfig):
         raise ParsicompactError("score needs --tree (Newick file or literal)")
     text = cfg.tree
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(text, "--tree")
     elif "(" not in text and ";" not in text:
         raise ParsicompactError(f"--tree: no such file and not Newick text: {cfg.tree}")
     return parse_newick(text.strip())

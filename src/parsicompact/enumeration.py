@@ -13,6 +13,10 @@ Two searches share the branch-and-bound skeleton:
 Adding a species can never lower the MP-cost, so a partial tree's cost is
 an admissible bound and strictly-worse partial trees are pruned.  Equal
 cost always expands: the searches must surface every co-optimal tree.
+Child costs come from one directional sweep per expanded tree
+(:meth:`Scorer.growth_costs`), which costs every growth move in O(1)
+big-int operations instead of rescoring each child; only the tree each
+depth-first run starts from is scored in full.
 
 T(n, m) counts mixed trees with n labelled and m unlabelled nodes; the
 growth moves produce each mixed tree exactly once, which the tests
@@ -102,8 +106,9 @@ class SearchRecord:
 
     incumbents holds every minimum-cost tree found (canonical key ->
     private tree copy); for the mixed search, most_compact narrows that
-    to the minimum node count.  visited counts scored expansions
-    (partial and complete), generated counts complete trees reached,
+    to the minimum node count.  visited counts trees reached (each
+    depth-first run's start tree plus every child of an expanded tree,
+    partial or complete), generated counts complete trees reached,
     pruned counts subtrees cut by the cost bound, duplicates counts
     canonical-key repeats skipped when dedup is on (always 0 in
     practice: the growth moves are duplicate-free).
@@ -152,11 +157,6 @@ class SearchRecord:
             return None
         pool = self.most_compact or self.incumbents
         return min(t.num_nodes for t in pool.values())
-
-
-def lower_bound(partial_cost: int) -> int:
-    """Admissible bound: a partial tree's cost survives every completion."""
-    return partial_cost
 
 
 def order_species(matrix: CharacterMatrix, mode: str = "input") -> list[str]:
@@ -272,9 +272,10 @@ class _Search:
     def _expand(self, tree: MixedTree, k: int):
         rec = self.record
         name = self.order[k]
-        scorer_cost = self.scorer.cost
         complete = k + 1 == len(self.order)
-        for move in self.moves(tree):
+        moves = self.moves(tree)
+        costs = self.scorer.growth_costs(tree, moves, name)
+        for move, cost in zip(moves, costs):
             token = self.apply(tree, move, name)
             rec.visited += 1
             if self.dedup:
@@ -284,7 +285,6 @@ class _Search:
                     tree.undo_growth(token)
                     continue
                 self.seen.add(key)
-            cost = scorer_cost(tree)
             if complete:
                 rec.generated += 1
                 rec._offer(cost, tree)

@@ -176,7 +176,7 @@ class Scorer:
     """Word-parallel scoring engine bound to one character matrix.
 
     Reusable across many trees; enumeration keeps a single instance and
-    calls :meth:`cost` in its inner loop.
+    calls :meth:`growth_costs` once per tree it expands.
     """
 
     __slots__ = ("matrix", "g", "low", "alpha", "fill", "shifts", "m", "vmask")
@@ -326,6 +326,19 @@ class Scorer:
                 b &= ~c
         return alpha & ~b
 
+    def _combine(self, sets):
+        """VU set and local cost of an unlabelled node receiving ``sets``."""
+        if len(sets) == 1:
+            return sets[0], 0
+        if len(sets) == 2:
+            a, b = sets
+            inter = a & b
+            ne = self._fold(inter)
+            both = ne * self.fill
+            return (inter & both) | ((a | b) & ~both), self.m - ne.bit_count()
+        vu, _vl, local = self._count_many(sets, False)
+        return vu, local
+
     # -- top-down pass ---------------------------------------------------------
 
     def _top_down(self, vu, vl, pre, parent):
@@ -349,6 +362,83 @@ class Scorer:
         if root is None:
             root = self.pick_root(tree)
         return self._bottom_up(tree, root, False)[0]
+
+    def growth_costs(self, tree: MixedTree, moves, name: str) -> list[int]:
+        """MP-cost of every tree that one growth move of ``name`` makes.
+
+        ``moves`` holds ("r1" | "r2", edge) and ("r3" | "r4", node) pairs,
+        named after the MixedTree growth rules; the result lists one cost
+        per move, in order, and the tree is left untouched.
+
+        One directional sweep replaces a rescore per child.  Write D(u->v)
+        for the VU set of the side of edge (u, v) holding u.  The bottom-up
+        pass gives D(u->parent); a preorder pass gives D(parent->u) from
+        the parent's label, or else from the parent's other incoming sets.
+        An edge (u, v) acts as an unlabelled node receiving D(u->v) and
+        D(v->u), so with x the new species, |s| the number of characters
+        whose x-state lies in s (x has one state per character), and an
+        unlabelled node (or edge) receiving d sets with local cost L and
+        combine VV, each child costs the parent's cost plus:
+
+        * r1 on an edge, r3 on an unlabelled node (hang x): m - |VV|;
+        * r3 on a node labelled y: m - |y|;
+        * r2 on an edge, r4 on a node (label it x): d*m - L - sum of |D|.
+
+        Both follow from one fact: an edge into a side with set D costs
+        that side's minimum plus one per character whose state misses D.
+        """
+        x = self.vmask.get(name)
+        if x is None:
+            raise MissingSpeciesError(f"species {name!r} not in the matrix")
+        root = self.pick_root(tree)
+        cost, up, _vl, pre, parent = self._bottom_up(tree, root, False)
+        adj = tree.adj
+        label = tree.label
+        vmask = self.vmask
+        combine = self._combine
+        down = [0] * len(adj)
+        into: dict[int, list[int]] = {}
+        for p in pre:
+            par = parent[p]
+            kids = [v for v in adj[p] if v != par]
+            if not kids:
+                continue
+            if label[p] is not None:
+                fixed = vmask[label[p]]
+                for c in kids:
+                    down[c] = fixed
+                continue
+            sets = [up[c] for c in kids]
+            if par >= 0:
+                sets.append(down[p])
+            into[p] = sets
+            for i, c in enumerate(kids):
+                down[c] = combine(sets[:i] + sets[i + 1:])[0]
+
+        m = self.m
+        at_node: dict[int, tuple[int, int]] = {}
+        out = []
+        for kind, site in moves:
+            if kind == "r1" or kind == "r2":
+                u, v = site
+                c = v if parent[v] == u else u
+                sets = (up[c], down[c])
+                vv, local = combine(sets)
+            elif kind == "r3" and label[site] is not None:
+                out.append(cost + m - (vmask[label[site]] & x).bit_count())
+                continue
+            else:
+                sets = into[site]
+                got = at_node.get(site)
+                if got is None:
+                    got = at_node[site] = combine(sets)
+                vv, local = got
+            if kind == "r1" or kind == "r3":
+                out.append(cost + m - (vv & x).bit_count())
+            else:
+                hits = sum((s & x).bit_count() for s in sets)
+                out.append(cost + len(sets) * m - local - hits)
+        return out
 
     def score(self, tree: MixedTree, root: int | None = None) -> ScoreResult:
         """Full pass: cost plus VU/VL/VV for every node."""

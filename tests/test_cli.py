@@ -129,6 +129,21 @@ def test_bad_newick_fails_cleanly(capsys, fasta):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("which", ["--input", "--tree"])
+def test_undecodable_input_fails_cleanly(capsys, fasta, tmp_path, which):
+    bad = tmp_path / "bad.txt"
+    if which == "--input":
+        bad.write_bytes(b">a\nAC\xff\n>b\nAG\n")
+        argv = ["compact", "--input", str(bad), "--threads", "1"]
+    else:
+        bad.write_bytes(b"((S1,S2),\xff);\n")
+        argv = ["score", "--input", fasta, "--tree", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {which} ") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
 def test_bad_threads_fails_cleanly(capsys, fasta):
     code, _, err = run(capsys, "search-mixed", "--input", fasta, "--threads", "0")
     assert code == 1 and "error:" in err

@@ -1,5 +1,6 @@
 """Counting recurrences and exhaustive search behavior."""
 
+import hashlib
 import math
 import random
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     CharacterMatrix,
+    Scorer,
+    brute_force_best_fit,
     closed_form_estimate,
     count_cubic,
     count_mixed,
@@ -22,6 +25,8 @@ from parsicompact import (
     random_matrix,
     score_unrooted,
 )
+from parsicompact.enumeration import _Search
+from conftest import random_mixed_tree
 
 TOTALS = [1, 1, 4, 32, 396, 6692, 143816]
 
@@ -188,3 +193,66 @@ def test_counters_are_consistent():
     assert record.pruned <= record.visited
     assert record.duplicates == 0
     assert record.min_nodes == min(t.num_nodes for t in record.most_compact.values())
+
+
+def test_sweep_costs_every_growth_move_exactly():
+    # Trees grown by random moves carry polytomies, labelled internal
+    # nodes and degree-2 labelled nodes; every move of both searches must
+    # cost what a full rescore (and, when small, the oracle) says.
+    rng = random.Random(2024)
+    shapes = {"polytomy": 0, "labelled internal": 0, "labelled degree 2": 0}
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        matrix = random_matrix(n, rng.randint(1, 6), rng.randint(2, 4),
+                               seed=rng.randrange(1 << 30))
+        *placed, name = matrix.names
+        tree = random_mixed_tree(placed, rng)
+        for u in tree.iter_nodes():
+            d = tree.degree(u)
+            if tree.label[u] is None and d > 3:
+                shapes["polytomy"] += 1
+            if tree.label[u] is not None and d >= 2:
+                shapes["labelled internal"] += 1
+                shapes["labelled degree 2"] += d == 2
+        scorer = Scorer(matrix)
+        for kind in ("cubic", "mixed"):
+            moves = _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree)
+            costs = scorer.growth_costs(tree, moves, name)
+            assert len(costs) == len(moves)
+            for move, got in zip(moves, costs):
+                token = _Search.apply(tree, move, name)
+                assert got == scorer.cost(tree), (kind, move)
+                if tree.n_unlabelled <= 4:
+                    assert got == brute_force_best_fit(tree, matrix).mp_cost
+                tree.undo_growth(token)
+                checked += 1
+    assert all(shapes.values()), shapes
+    assert checked > 2000
+
+
+def _keys_digest(record):
+    keys = sorted(key.data for key in record.incumbents)
+    return hashlib.sha256(b"\n".join(keys)).hexdigest()[:16]
+
+
+# (n, m, states, seed) -> visited, pruned, generated, cost, MP trees, key digest.
+# The visit order is part of the search's contract: these values come from
+# the rescore-per-child search the directional sweep replaced.
+PINNED = [
+    (enumerate_cubic, (8, 12, 4, 3), (1791, 509, 1100, 18, 1, "ee2ce81bb233963f")),
+    (enumerate_cubic, (8, 20, 4, 21), (1447, 699, 594, 30, 16, "0137d6b96cfcda51")),
+    (enumerate_cubic, (7, 15, 3, 5), (143, 69, 54, 14, 2, "c58fc0212c47c5ff")),
+    (enumerate_mixed, (6, 10, 4, 7), (2405, 297, 1971, 11, 113, "a11c417004414aa6")),
+    (enumerate_mixed, (6, 12, 4, 31), (4222, 78, 3900, 11, 150, "3832142b420a193c")),
+    (enumerate_mixed, (6, 8, 2, 4), (1159, 162, 929, 7, 36, "04f271e7657fba64")),
+]
+
+
+@pytest.mark.parametrize("runner, shape, want", PINNED)
+def test_search_counters_are_pinned(runner, shape, want):
+    n, m, states, seed = shape
+    record = runner(evolved_matrix(n, m, states, seed=seed), threads=1)
+    got = (record.visited, record.pruned, record.generated,
+           record.incumbent_cost, len(record.incumbents), _keys_digest(record))
+    assert got == want
