@@ -59,7 +59,6 @@ class RunConfig:
     order: str = "input"
     format: str = "tsv"
     no_prune: bool = False
-    no_memo: bool = False
     oracle_check: bool = False
     allow_ambiguity: bool = False
     trees_out: str | None = None
@@ -301,7 +300,6 @@ def cmd_compact(cfg: RunConfig) -> int:
         matrix,
         order=cfg.order,
         threads=cfg.threads,
-        no_memo=cfg.no_memo,
         oracle_check=cfg.oracle_check,
         on_progress=_progress_printer(cfg),
     )
@@ -362,7 +360,6 @@ def cmd_bench(cfg: RunConfig) -> int:
                 sub,
                 order=cfg.order,
                 threads=cfg.threads,
-                no_memo=cfg.no_memo,
                 oracle_check=cfg.oracle_check,
             )
             t_cteeca = (time.monotonic() - t0) * 1000.0
@@ -486,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compact", help="cubic MP search plus full contraction")
     _add_common(p, search=True)
-    p.add_argument("--no-memo", action="store_true",
-                   help="re-explore repeated contraction states instead of memoizing")
     p.add_argument("--oracle-check", action="store_true",
                    help="shadow-check every contraction's root sets against a rescore")
     p.set_defaults(func=cmd_compact)
@@ -497,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--no-memo", action="store_true")
     p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(func=cmd_bench)
 

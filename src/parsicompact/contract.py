@@ -6,12 +6,26 @@ nodes.  Contracting such an edge preserves the MP-cost and removes one
 node; the merged node's root set is the per-character intersection of
 the endpoints' root sets.
 
-Contractibility is not preserved under reordering (an edge can stop or
-start being zero-min-cost after another contraction), so the search
-branches over every currently contractible edge at every step.  States
-are memoized by canonical key: each distinct intermediate tree is
-expanded once and the number of contraction orders reaching each result
-is recovered afterwards by path counting over the resulting DAG.
+The tree reached from a start tree T by contracting a set S of T's edges
+is T/S, whatever the order of the contractions; the order only decides
+which edges are contractible on the way.  (Contraction never makes an
+edge contractible that was not before; that is tested, but the search
+does not rely on it: every newly built state gets a full scan for its
+contractible edges.)  So the search names each child by the bitmask of
+T's edges contracted to reach it and builds it once per start tree:
+
+* once per (start tree, edge set) -- copy, contract, rescore, the checks
+  below, and the canonical key;
+* once per distinct state -- the scan for contractible edges, and the
+  Newick text of a terminal state;
+* once per arc, i.e. per contraction order step -- the contraction count,
+  the DAG arc, and the check that the built child's root set at the
+  node holding the contracted edge is the intersection of the parent's
+  sets at its two endpoints (O(1) when the child is already built).
+
+States are memoized by canonical key across start trees: each distinct
+tree is expanded once, and the number of contraction orders reaching
+each result is recovered afterwards by path counting over the DAG.
 
 After a contraction the remaining nodes' root sets are refreshed with a
 two-pass rescore rooted at the merged node (linear in tree size, the
@@ -24,8 +38,7 @@ is carried over directly.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .charmatrix import CharacterMatrix
 from .enumeration import SearchRecord, enumerate_cubic
@@ -34,27 +47,35 @@ from .parsimony import Scorer
 from .tree import CanonicalKey, MixedTree
 
 
-@dataclass
 class ContractionState:
-    """A tree mid-contraction, with current root sets and candidate edges."""
+    """A tree mid-contraction, with current root sets and candidate edges.
 
-    tree: MixedTree
-    vv: list[int]
-    zero_edges: list[tuple[int, int]]
-    applied: int
-    mp_cost: int
-    scorer: Scorer
+    ``merged`` is the node the last contraction made (None for a start
+    tree).  ``zero_edges`` is scanned on first read.
+    """
+
+    __slots__ = ("tree", "vv", "applied", "mp_cost", "scorer", "merged", "_zero_edges")
+
+    def __init__(self, tree, vv, applied, mp_cost, scorer, merged=None):
+        self.tree: MixedTree = tree
+        self.vv: list[int] = vv
+        self.applied: int = applied
+        self.mp_cost: int = mp_cost
+        self.scorer: Scorer = scorer
+        self.merged: int | None = merged
+        self._zero_edges: list[tuple[int, int]] | None = None
+
+    @property
+    def zero_edges(self) -> list[tuple[int, int]]:
+        if self._zero_edges is None:
+            self._zero_edges = zero_min_cost_edges(self)
+        return self._zero_edges
 
     @classmethod
     def from_tree(cls, tree: MixedTree, matrix: CharacterMatrix) -> "ContractionState":
         scorer = Scorer(matrix)
         res = scorer.score(tree)
-        vv = [0] * len(tree.adj)
-        for u, ns in res.node_sets.items():
-            vv[u] = ns.vv
-        state = cls(tree, vv, [], 0, res.mp_cost, scorer)
-        state.zero_edges = zero_min_cost_edges(state)
-        return state
+        return cls(tree, res.vv, 0, res.mp_cost, scorer)
 
 
 def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
@@ -83,9 +104,9 @@ def contract_and_update(
 ) -> ContractionState:
     """Contract a zero-min-cost edge and refresh every root set.
 
-    The merged node's root set equals the intersection of the endpoints'
-    root sets; the rest are recomputed by a rescore rooted at the merged
-    node.  With ``oracle_check`` the refreshed sets are compared against
+    The merged node (the child's ``merged``) has the intersection of the
+    endpoints' root sets as its root set; the rest are recomputed by a
+    rescore rooted at the merged node.  With ``oracle_check`` the refreshed sets are compared against
     an independent rescore from a different root (they must agree
     set-for-set, and the cost must be unchanged).
     """
@@ -101,9 +122,7 @@ def contract_and_update(
     t2 = tree.copy()
     w = t2.contract_edge(u, v)
     res = sc.score(t2, root=w)
-    vv2 = [0] * len(t2.adj)
-    for x, ns in res.node_sets.items():
-        vv2[x] = ns.vv
+    vv2 = res.vv
     if vv2[w] != meet:
         raise ParsicompactError(
             "merged-node root set differs from the endpoint intersection"
@@ -114,9 +133,7 @@ def contract_and_update(
         )
     if oracle_check:
         _shadow_check(t2, w, vv2, state.mp_cost, sc)
-    new = ContractionState(t2, vv2, [], state.applied + 1, state.mp_cost, sc)
-    new.zero_edges = zero_min_cost_edges(new)
-    return new
+    return ContractionState(t2, vv2, state.applied + 1, state.mp_cost, sc, w)
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):
@@ -162,13 +179,12 @@ class CompactResultSet:
 
 
 class CompactSearcher:
-    """DFS over contraction orders with a canonical-key memo shared
-    across start trees (distinct cubic MP-trees can contract into the
-    same intermediate state)."""
+    """Contraction search over the edge sets of each start tree, with a
+    canonical-key memo shared across start trees (distinct cubic MP-trees
+    can contract into the same intermediate state)."""
 
-    def __init__(self, matrix: CharacterMatrix, memo: bool = True, oracle_check: bool = False):
+    def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False):
         self.matrix = matrix
-        self.memo = memo
         self.oracle_check = oracle_check
         self.index: dict[CanonicalKey, int] = {}
         self.keys: list[CanonicalKey] = []
@@ -178,7 +194,6 @@ class CompactSearcher:
         self.newick: list[str | None] = []
         self.source_ids: list[int] = []
         self.contractions = 0
-        self._raw_hits: Counter = Counter()
 
     def _intern(self, key: CanonicalKey, state: ContractionState):
         sid = self.index.get(key)
@@ -198,39 +213,63 @@ class CompactSearcher:
         state = ContractionState.from_tree(tree, self.matrix)
         sid, fresh = self._intern(state.tree.canonical_key(), state)
         self.source_ids.append(sid)
-        if fresh or not self.memo:
+        if fresh:
             self._expand(state, sid)
         return state.mp_cost
 
-    def _expand(self, state: ContractionState, sid: int):
-        if not state.zero_edges:
-            if not self.memo:
-                self._raw_hits[sid] += 1
-            return
-        for edge in state.zero_edges:
-            child = contract_and_update(state, edge, self.oracle_check)
-            self.contractions += 1
-            cid, fresh = self._intern(child.tree.canonical_key(), child)
-            if self.memo:
-                self.children[sid].append(cid)
-                if fresh:
-                    self._expand(child, cid)
-            else:
-                self._expand(child, cid)
+    def _expand(self, source: ContractionState, source_id: int):
+        """Contract, depth first, every reachable edge set of one start tree.
+
+        Every state on the stack was interned fresh, so it was built from
+        this start tree: ``mask`` is the set of its edges contracted to
+        reach it, and ``rep`` maps each start-tree node to the node that
+        now holds it.  ``built`` maps a mask to the child built for it;
+        another order reaching the same mask reuses that child.
+        """
+        ends = list(source.tree.iter_edges())
+        built: dict[int, tuple[int, list[int], list[int]]] = {}
+        stack = [(source, source_id, 0, list(range(len(source.tree.adj))))]
+        while stack:
+            state, sid, mask, rep = stack.pop()
+            bit_of = {}
+            for i, (a, b) in enumerate(ends):
+                if not mask >> i & 1:
+                    x, y = rep[a], rep[b]
+                    bit_of[(x, y) if x < y else (y, x)] = i
+            arcs = self.children[sid]
+            for edge in state.zero_edges:
+                u, v = edge
+                i = bit_of[edge]
+                to = mask | 1 << i
+                self.contractions += 1
+                got = built.get(to)
+                if got is None:
+                    child = contract_and_update(state, edge, self.oracle_check)
+                    w = child.merged
+                    crep = [w if r == u or r == v else r for r in rep]
+                    cid, fresh = self._intern(child.tree.canonical_key(), child)
+                    built[to] = (cid, child.vv, crep)
+                    if fresh:
+                        stack.append((child, cid, to, crep))
+                else:
+                    # The check contract_and_update makes on the merged node.
+                    cid, vv, crep = got
+                    if vv[crep[ends[i][0]]] != state.vv[u] & state.vv[v]:
+                        raise ParsicompactError(
+                            "merged-node root set differs from the endpoint intersection"
+                        )
+                arcs.append(cid)
 
     def finalize(self) -> CompactResultSet:
         total = len(self.keys)
-        if self.memo:
-            arrivals = [0] * total
-            for s in self.source_ids:
-                arrivals[s] += 1
-            for sid in sorted(range(total), key=lambda i: -self.node_count[i]):
-                a = arrivals[sid]
-                if a:
-                    for c in self.children[sid]:
-                        arrivals[c] += a
-        else:
-            arrivals = [self._raw_hits.get(i, 0) for i in range(total)]
+        arrivals = [0] * total
+        for s in self.source_ids:
+            arrivals[s] += 1
+        for sid in sorted(range(total), key=lambda i: -self.node_count[i]):
+            a = arrivals[sid]
+            if a:
+                for c in self.children[sid]:
+                    arrivals[c] += a
         terminals = [i for i in range(total) if self.terminal[i]]
         best = min((self.node_count[i] for i in terminals), default=None)
         trees = {}
@@ -253,12 +292,11 @@ def compact_search(
     tree: MixedTree,
     matrix: CharacterMatrix,
     *,
-    no_memo: bool = False,
     oracle_check: bool = False,
 ) -> CompactResultSet:
     """All minimum-node-count trees reachable from one tree by
     cost-preserving contractions, over every contraction order."""
-    searcher = CompactSearcher(matrix, memo=not no_memo, oracle_check=oracle_check)
+    searcher = CompactSearcher(matrix, oracle_check=oracle_check)
     cost = searcher.add_source(tree)
     out = searcher.finalize()
     out.mp_cost = cost
@@ -270,7 +308,6 @@ def most_compact_pipeline(
     *,
     order: str = "input",
     threads: int = 1,
-    no_memo: bool = False,
     oracle_check: bool = False,
     on_progress=None,
     progress_interval: int = 100_000,
@@ -284,7 +321,7 @@ def most_compact_pipeline(
         on_progress=on_progress,
         progress_interval=progress_interval,
     )
-    searcher = CompactSearcher(matrix, memo=not no_memo, oracle_check=oracle_check)
+    searcher = CompactSearcher(matrix, oracle_check=oracle_check)
     for key in sorted(cubic.incumbents, key=lambda k: k.data):
         searcher.add_source(cubic.incumbents[key])
     out = searcher.finalize()

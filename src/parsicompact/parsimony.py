@@ -127,13 +127,26 @@ class FitAssignment:
 
 
 class ScoreResult:
-    """MP-cost plus per-node sets; produced by the scoring entry points."""
+    """MP-cost plus per-node sets; produced by the scoring entry points.
 
-    def __init__(self, mp_cost, root, node_sets, _arrays=None):
+    After a full pass, ``vv`` lists every node's root set by node id (0
+    at ids not in the tree), and ``node_sets`` is built on first read.
+    """
+
+    def __init__(self, mp_cost, root, node_sets=None, _arrays=None, vv=None):
         self.mp_cost = mp_cost
         self.root = root
-        self.node_sets = node_sets
+        self._node_sets = node_sets
         self._arrays = _arrays
+        self.vv = vv
+
+    @property
+    def node_sets(self) -> dict[int, NodeSets]:
+        if self._node_sets is None:
+            matrix, _tree, pre, _parent, vu, vl = self._arrays
+            vv = self.vv
+            self._node_sets = {u: NodeSets(matrix, vu[u], vl[u], vv[u]) for u in pre}
+        return self._node_sets
 
     def extract_fit(self) -> FitAssignment:
         """One deterministic optimal fit (lowest state index on ties)."""
@@ -268,6 +281,9 @@ class Scorer:
                 if need_vl:
                     vl[u] = ((a ^ b) & both) | (alpha & ~union & ~both)
             elif len(kids) == 1:
+                if par < 0:
+                    # An unlabelled root with one neighbour is a leaf.
+                    raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
                 c0 = vu[kids[0]]
                 vu[u] = c0
                 if need_vl:
@@ -446,8 +462,7 @@ class Scorer:
             root = self.pick_root(tree)
         cost, vu, vl, pre, parent = self._bottom_up(tree, root, True)
         vv = self._top_down(vu, vl, pre, parent)
-        sets = {u: NodeSets(self.matrix, vu[u], vl[u], vv[u]) for u in pre}
-        return ScoreResult(cost, root, sets, (self.matrix, tree, pre, parent, vu, vl))
+        return ScoreResult(cost, root, None, (self.matrix, tree, pre, parent, vu, vl), vv)
 
 
 # -- module-level operations ----------------------------------------------------

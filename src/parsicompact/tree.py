@@ -15,6 +15,7 @@ isomorphism regardless of node numbering or display rooting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AlreadyLabelledError,
@@ -380,10 +381,12 @@ class MixedTree:
     # -- canonical form and Newick I/O -----------------------------------------
 
     def _centers(self) -> list[int]:
-        nodes = list(self.iter_nodes())
+        adj = self.adj
+        alive = self.alive
+        nodes = [u for u in range(len(adj)) if alive[u]]
         if len(nodes) <= 2:
             return nodes
-        deg = {u: len(self.adj[u]) for u in nodes}
+        deg = [len(nbrs) for nbrs in adj]
         layer = [u for u in nodes if deg[u] == 1]
         remaining = len(nodes)
         while remaining > 2:
@@ -391,7 +394,7 @@ class MixedTree:
             nxt = []
             for u in layer:
                 deg[u] = 0
-                for v in self.adj[u]:
+                for v in adj[u]:
                     if deg[v] > 1:
                         deg[v] -= 1
                         if deg[v] == 1:
@@ -399,23 +402,51 @@ class MixedTree:
             layer = nxt
         return layer
 
-    def _node_atom(self, u: int) -> str:
-        name = self.label[u]
-        return "" if name is None else _quote_name(name)
+    def _code(self, v: int, kids: list[str]) -> str:
+        """Code of node v over its children's codes (sorts ``kids``)."""
+        name = self.label[v]
+        atom = "" if name is None else _quote_name(name)
+        if not kids:
+            return atom
+        kids.sort()
+        return "(" + ",".join(kids) + ")" + atom
 
-    def _rooted_code(self, root: int) -> str:
-        def code(v: int, parent: int | None) -> str:
-            kids = [code(c, v) for c in self.adj[v] if c != parent]
-            if not kids:
-                return self._node_atom(v)
-            kids.sort()
-            return "(" + ",".join(kids) + ")" + self._node_atom(v)
+    def _rooted_codes(self, root: int) -> list[str | None]:
+        """Code of every node's subtree with the tree hung from ``root``.
 
-        return code(root, None)
+        Iterative, so the depth of a tree is not bounded by the
+        interpreter's recursion limit.
+        """
+        adj = self.adj
+        parent = [-1] * len(adj)
+        order = [root]
+        for v in order:
+            p = parent[v]
+            for c in adj[v]:
+                if c != p:
+                    parent[c] = v
+                    order.append(c)
+        code: list[str | None] = [None] * len(adj)
+        node_code = self._code
+        for v in reversed(order):
+            p = parent[v]
+            code[v] = node_code(v, [code[c] for c in adj[v] if c != p])
+        return code
 
     def canonical_key(self) -> CanonicalKey:
         """Serialization equal for two trees iff they are label-isomorphic."""
-        best = min(self._rooted_code(c) for c in self._centers())
+        centers = self._centers()
+        a = centers[0]
+        code = self._rooted_codes(a)
+        best = code[a]
+        if len(centers) == 2:
+            # Two centers are adjacent; hung from b instead, only the two
+            # centers' codes change.
+            b = centers[1]
+            adj = self.adj
+            rest = self._code(a, [code[c] for c in adj[a] if c != b])
+            other = self._code(b, [code[c] for c in adj[b] if c != a] + [rest])
+            best = min(best, other)
         return CanonicalKey((best + ";").encode())
 
     def write_newick(self, root: int | None = None) -> str:
@@ -428,9 +459,10 @@ class MixedTree:
             return self.canonical_key().as_text()
         if not self.alive[root]:
             raise TreeStructureError(f"no node {root}")
-        return self._rooted_code(root) + ";"
+        return self._rooted_codes(root)[root] + ";"
 
 
+@lru_cache(maxsize=1 << 16)
 def _quote_name(name: str) -> str:
     if name and not any(ch in "(),:;'[] \t\n" for ch in name):
         return name
@@ -481,50 +513,48 @@ def parse_newick(text: str) -> MixedTree:
             i += 1
         return text[start:i] if i > start else None
 
-    def parse_subtree() -> int:
-        nonlocal i
-        skip_ws()
-        if i >= n:
-            error("unexpected end of input", i)
-        if text[i] == "(":
-            open_pos = i
-            i += 1
-            children = [parse_subtree()]
-            skip_ws()
-            while i < n and text[i] == ",":
-                i += 1
-                children.append(parse_subtree())
-                skip_ws()
-            if i >= n or text[i] != ")":
-                error("expected ',' or ')'", i)
-            i += 1
-            name = parse_name()
-            skip_ws()
-            if i < n and text[i] == ":":
-                error("branch lengths are not supported", i)
-            try:
-                node = tree.add_node(name)
-            except DuplicateLabelError:
-                error(f"species {name!r} appears twice", open_pos)
-            for c in children:
-                tree.add_edge(node, c)
-            if name is None and len(children) == 0:
-                error("unlabelled leaf", open_pos)
-            return node
-        name_pos = i
-        name = parse_name()
-        if name is None:
-            error(f"expected a node, found {text[i]!r}", i)
+    def finish_node(name, pos) -> int:
         skip_ws()
         if i < n and text[i] == ":":
             error("branch lengths are not supported", i)
         try:
             return tree.add_node(name)
         except DuplicateLabelError:
-            error(f"species {name!r} appears twice", name_pos)
+            error(f"species {name!r} appears twice", pos)
 
-    skip_ws()
-    root = parse_subtree()
+    # One frame (position of "(", child nodes) per open parenthesis; an
+    # explicit stack, so nesting depth is not bounded by the recursion
+    # limit.  A node is added when its subtree closes, children first.
+    open_groups: list[tuple[int, list[int]]] = []
+    root = None
+    while root is None:
+        skip_ws()
+        if i >= n:
+            error("unexpected end of input", i)
+        if text[i] == "(":
+            open_groups.append((i, []))
+            i += 1
+            continue
+        name_pos = i
+        name = parse_name()
+        if name is None:
+            error(f"expected a node, found {text[i]!r}", i)
+        node = finish_node(name, name_pos)
+        while open_groups:
+            open_groups[-1][1].append(node)
+            skip_ws()
+            if i < n and text[i] == ",":
+                i += 1
+                break
+            if i >= n or text[i] != ")":
+                error("expected ',' or ')'", i)
+            i += 1
+            open_pos, children = open_groups.pop()
+            node = finish_node(parse_name(), open_pos)
+            for c in children:
+                tree.add_edge(node, c)
+        else:
+            root = node
     skip_ws()
     if i >= n or text[i] != ";":
         error("expected ';'", i)

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from parsicompact import evolved_matrix, mp_cost, parse_newick, parse_fasta, write_fasta
+from parsicompact import (
+    evolved_matrix, mp_cost, parse_fasta, parse_newick, random_matrix, write_fasta,
+)
 from parsicompact.cli import BENCH_COLUMNS, main
 
 
@@ -185,6 +187,24 @@ def test_bench_rejects_oversized_range(capsys, fasta):
     code, _, err = run(capsys, "bench", "--input", fasta, "--threads", "1",
                        "--min-n", "4", "--max-n", "9", "--trials", "1")
     assert code == 1 and "exceeds" in err
+
+
+def test_deep_caterpillar_scores_cleanly(capsys, tmp_path):
+    # 2,000 nested groups: far past the interpreter's recursion limit.
+    matrix = random_matrix(2000, 3, 2, seed=5)
+    path = tmp_path / "deep.fasta"
+    path.write_text(write_fasta(matrix))
+    text = "S1"
+    for i in range(2, matrix.n + 1):
+        text = f"({text},S{i})"
+    text += ";"
+    code, out, err = run(capsys, "score", "--input", str(path), "--tree", text,
+                         "--format", "json")
+    assert code == 0 and err == ""
+    row = json.loads(out)
+    assert row["tree_nodes"] == 2 * matrix.n - 1
+    assert row["mp_cost"] == mp_cost(parse_newick(text), matrix)
+    assert parse_newick(row["tree"]).canonical_key() == parse_newick(text).canonical_key()
 
 
 def test_console_script_entry_point():

@@ -227,6 +227,33 @@ def test_scoring_errors():
         mp_cost(MixedTree(), m)
 
 
+@pytest.mark.parametrize("leaf_first", [True, False])
+def test_unlabelled_leaf_is_rejected_under_any_numbering(leaf_first):
+    # Star w(a,b,c) plus an unlabelled leaf x hung on a.  Whichever of x
+    # and w gets the lower id (and so becomes the scoring root), the
+    # tree is rejected.
+    m = CharacterMatrix.from_rows([("a", "A"), ("b", "A"), ("c", "B"), ("d", "B")])
+    tree = MixedTree()
+    if leaf_first:
+        x = tree.add_node()
+        w = tree.add_node()
+    else:
+        w = tree.add_node()
+        x = tree.add_node()
+    a = tree.add_node("a")
+    for v in (a, tree.add_node("b"), tree.add_node("c")):
+        tree.add_edge(w, v)
+    tree.add_edge(a, x)
+    assert Scorer.pick_root(tree) == min(x, w)
+    sc = Scorer(m)
+    with pytest.raises(UnlabelledLeafError):
+        sc.cost(tree)
+    with pytest.raises(UnlabelledLeafError):
+        sc.score(tree)
+    with pytest.raises(UnlabelledLeafError):
+        sc.growth_costs(tree, [("r3", w)], "d")
+
+
 def test_oracle_cap():
     m = random_matrix(7, 5, 4, seed=2)
     tree = random_mixed_tree(m.names, random.Random(0))

@@ -189,6 +189,19 @@ def test_quoted_names_round_trip():
     assert again.canonical_key() == tree.canonical_key()
 
 
+def test_deep_caterpillar_round_trips():
+    # Nesting 2,500 deep, past the interpreter's recursion limit.
+    text = "x0"
+    for i in range(1, 2500):
+        text = f"({text},x{i})"
+    tree = parse_newick(text + ";")
+    assert tree.num_nodes == 4999 and tree.n_labelled == 2500
+    key = tree.canonical_key()
+    again = parse_newick(key.as_text())
+    assert again.canonical_key() == key
+    assert snapshot(again) == snapshot(tree)
+
+
 def test_parse_rejects_malformed():
     for bad in [
         "(a,b;",            # unbalanced
