@@ -82,14 +82,26 @@ class BenchRow:
 
 
 def _resolve_threads(value: int | None) -> int:
+    """Worker processes for the search: --threads, else the environment, else 1.
+
+    The default is serial because the process pool is measured slower:
+    each worker prunes against its own incumbent only, so it visits more
+    trees than the single search does.
+    """
+    source = "--threads"
     if value is None:
         env = os.environ.get("PARSICOMPACT_THREADS")
-        if env:
+        if not env:
+            return 1
+        source = "PARSICOMPACT_THREADS"
+        try:
             value = int(env)
-        else:
-            value = os.cpu_count() or 1
+        except ValueError:
+            raise ParsicompactError(
+                f"{source} must be an integer, got {env!r}"
+            ) from None
     if value < 1:
-        raise ParsicompactError(f"--threads must be >= 1, got {value}")
+        raise ParsicompactError(f"{source} must be >= 1, got {value}")
     return value
 
 
@@ -443,7 +455,8 @@ def _add_common(sub, *, matrix=True, search=False):
     )
     if search:
         sub.add_argument("--threads", type=int, default=None,
-                         help="worker count (default: PARSICOMPACT_THREADS or CPU count)")
+                         help="worker processes for the search (default: "
+                              "PARSICOMPACT_THREADS, else 1)")
         sub.add_argument("--order", choices=["input", "diverse"], default="input",
                          help="species insertion order for the search")
         sub.add_argument("--trees-out", help="also write the result trees to this Newick file")

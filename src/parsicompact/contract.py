@@ -54,12 +54,11 @@ class ContractionState:
     tree).  ``zero_edges`` is scanned on first read.
     """
 
-    __slots__ = ("tree", "vv", "applied", "mp_cost", "scorer", "merged", "_zero_edges")
+    __slots__ = ("tree", "vv", "mp_cost", "scorer", "merged", "_zero_edges")
 
-    def __init__(self, tree, vv, applied, mp_cost, scorer, merged=None):
+    def __init__(self, tree, vv, mp_cost, scorer, merged=None):
         self.tree: MixedTree = tree
         self.vv: list[int] = vv
-        self.applied: int = applied
         self.mp_cost: int = mp_cost
         self.scorer: Scorer = scorer
         self.merged: int | None = merged
@@ -75,7 +74,7 @@ class ContractionState:
     def from_tree(cls, tree: MixedTree, matrix: CharacterMatrix) -> "ContractionState":
         scorer = Scorer(matrix)
         res = scorer.score(tree)
-        return cls(tree, res.vv, 0, res.mp_cost, scorer)
+        return cls(tree, res.vv, res.mp_cost, scorer)
 
 
 def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
@@ -133,7 +132,7 @@ def contract_and_update(
         )
     if oracle_check:
         _shadow_check(t2, w, vv2, state.mp_cost, sc)
-    return ContractionState(t2, vv2, state.applied + 1, state.mp_cost, sc, w)
+    return ContractionState(t2, vv2, state.mp_cost, sc, w)
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):

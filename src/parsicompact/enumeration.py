@@ -16,7 +16,15 @@ cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one directional sweep per expanded tree
 (:meth:`Scorer.growth_costs`), which costs every growth move in O(1)
 big-int operations instead of rescoring each child; only the tree each
-depth-first run starts from is scored in full.
+depth-first run starts from is scored in full.  Only the children that
+survive the bound are applied to the tree (and undone): a child priced
+above the incumbent is counted -- visited, plus pruned, or generated
+when complete -- but never built.  Building and undoing an edge move
+re-appends that edge to both endpoints' adjacency lists, which orders
+every later move list, so a skipped edge move still makes that one
+change (:meth:`MixedTree.requeue_edge`) and the visit order is the
+same as if every child were built.  With dedup on, every child is
+built, since each needs its canonical key.
 
 T(n, m) counts mixed trees with n labelled and m unlabelled nodes; the
 growth moves produce each mixed tree exactly once, which the tests
@@ -108,10 +116,12 @@ class SearchRecord:
     private tree copy); for the mixed search, most_compact narrows that
     to the minimum node count.  visited counts trees reached (each
     depth-first run's start tree plus every child of an expanded tree,
-    partial or complete), generated counts complete trees reached,
-    pruned counts subtrees cut by the cost bound, duplicates counts
-    canonical-key repeats skipped when dedup is on (always 0 in
-    practice: the growth moves are duplicate-free).
+    partial or complete, including the children priced above the
+    incumbent and therefore never built), generated counts complete
+    trees reached (built or not), pruned counts subtrees cut by the
+    cost bound; only the children that survive the bound are built.
+    duplicates counts canonical-key repeats skipped when dedup is on
+    (always 0 in practice: the growth moves are duplicate-free).
     """
 
     incumbent_cost: int | None = None
@@ -273,30 +283,41 @@ class _Search:
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
+        # A child priced above the incumbent can be neither offered nor
+        # (with pruning on) expanded, so it is counted without being
+        # built.  dedup must build every child to key it.
+        may_skip = not self.dedup and (complete or not self.no_prune)
         moves = self.moves(tree)
         costs = self.scorer.growth_costs(tree, moves, name)
         for move, cost in zip(moves, costs):
-            token = self.apply(tree, move, name)
             rec.visited += 1
-            if self.dedup:
-                key = tree.canonical_key()
-                if key in self.seen:
-                    rec.duplicates += 1
-                    tree.undo_growth(token)
-                    continue
-                self.seen.add(key)
-            if complete:
-                rec.generated += 1
-                rec._offer(cost, tree)
-            elif (
-                self.no_prune
-                or rec.incumbent_cost is None
-                or cost <= rec.incumbent_cost
-            ):
-                self._expand(tree, k + 1)
+            best = rec.incumbent_cost
+            if may_skip and best is not None and cost > best:
+                if complete:
+                    rec.generated += 1
+                else:
+                    rec.pruned += 1
+                # Building and undoing an edge move would have re-appended
+                # the edge, which orders later move lists.
+                if move[0] in ("r1", "r2"):
+                    tree.requeue_edge(*move[1])
             else:
-                rec.pruned += 1
-            tree.undo_growth(token)
+                token = self.apply(tree, move, name)
+                if self.dedup:
+                    key = tree.canonical_key()
+                    if key in self.seen:
+                        rec.duplicates += 1
+                        tree.undo_growth(token)
+                        continue
+                    self.seen.add(key)
+                if complete:
+                    rec.generated += 1
+                    rec._offer(cost, tree)
+                elif self.no_prune or best is None or cost <= best:
+                    self._expand(tree, k + 1)
+                else:
+                    rec.pruned += 1
+                tree.undo_growth(token)
             if self.on_progress and rec.visited % self.interval < 1:
                 self.on_progress(rec)
 

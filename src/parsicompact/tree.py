@@ -282,6 +282,24 @@ class MixedTree:
         else:
             raise ValueError(f"unknown growth token {token!r}")
 
+    def requeue_edge(self, u: int, v: int):
+        """Move v to the end of adj[u] and u to the end of adj[v].
+
+        This is the net effect on the tree of grow_rule_1 or grow_rule_2
+        on edge (u, v) followed by :meth:`undo_growth`: the undo re-appends
+        the subdivided edge, which decides the order of later move lists.
+        Everything else (labels, counters, the node ids the next
+        :meth:`add_node` calls return) ends up as it was, and rules 3 and 4
+        undo without a trace, so a search may skip building a child and
+        call this instead.
+        """
+        at_u = self.adj[u]
+        at_u.remove(v)
+        at_u.append(v)
+        at_v = self.adj[v]
+        at_v.remove(u)
+        at_v.append(u)
+
     # -- structural edits ------------------------------------------------------
 
     def split_node(self, node: int, moved_neighbors: tuple[int, int]) -> int:

@@ -1,10 +1,14 @@
 """Command-line behavior: formats, determinism, failure modes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parsicompact import (
     evolved_matrix, mp_cost, parse_fasta, parse_newick, random_matrix, write_fasta,
@@ -151,6 +155,27 @@ def test_bad_threads_fails_cleanly(capsys, fasta):
     assert code == 1 and "error:" in err
 
 
+def test_search_is_serial_by_default(capsys, fasta, monkeypatch):
+    monkeypatch.delenv("PARSICOMPACT_THREADS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default run started a process pool")
+
+    monkeypatch.setattr("parsicompact.enumeration.multiprocessing.Pool", no_pool)
+    for command in ("compact", "search-cubic", "search-mixed"):
+        code, out, err = run(capsys, command, "--input", fasta)
+        assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_bad_threads_env_fails_cleanly(capsys, fasta, monkeypatch, value):
+    monkeypatch.setenv("PARSICOMPACT_THREADS", value)
+    code, out, err = run(capsys, "compact", "--input", fasta)
+    assert code == 1 and out == ""
+    assert err.startswith("error: PARSICOMPACT_THREADS ") and err.count("\n") == 1
+
+
 def test_threads_env_fallback(capsys, fasta, monkeypatch):
     monkeypatch.setenv("PARSICOMPACT_THREADS", "2")
     code, out, _ = run(capsys, "search-mixed", "--input", fasta)
@@ -219,3 +244,77 @@ def test_console_script_entry_point():
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+# Uniform bytes mostly stop at the UTF-8 check, so the strategies also
+# draw near-valid inputs: well-formed records or trees over a small name
+# set, and token soups that mix the syntax with whitespace, line breaks
+# and bytes that are not UTF-8 or decode to odd code points.
+_ODD = [b" ", b"\t", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x00",
+        b"\xc2\x85", b"\xc2\xa0", b"\xe2\x80\xa8", b"\xc3\xa9", b"\xff"]
+_NAMES = st.sampled_from([b"S1", b"S2", b"S3", b"S4", b"X", b"", b"'S 1'", b"S1 x"])
+_SEQS = st.lists(st.sampled_from([b"A", b"C", b"G", b"T", b"-", b"?", b"N"] + _ODD),
+                 max_size=6).map(b"".join)
+_FASTA_RECORDS = st.lists(st.tuples(_NAMES, _SEQS), max_size=5).map(
+    lambda recs: b"".join(b">" + name + b"\n" + seq + b"\n" for name, seq in recs))
+_SUBTREES = st.recursive(
+    _NAMES,
+    lambda kids: st.tuples(st.lists(kids, min_size=1, max_size=3), _NAMES).map(
+        lambda t: b"(" + b",".join(t[0]) + b")" + t[1]),
+    max_leaves=8,
+)
+_NEWICK_TREES = st.tuples(_SUBTREES, st.sampled_from([b";", b";\n", b"", b" ;;"])).map(
+    b"".join)
+_FASTA_TOKENS = st.sampled_from([b">", b">S1", b">S2", b"\n", b"A", b"GT", b"-"] + _ODD)
+_NEWICK_TOKENS = st.sampled_from(
+    [b"(", b")", b",", b";", b":0.1", b"'", b"[", b"]", b"S1", b"S2", b"S3"] + _ODD)
+
+
+def _fuzz_bytes(valid, tokens):
+    return st.one_of(
+        st.binary(max_size=48),
+        valid,
+        st.lists(tokens, max_size=24).map(b"".join),
+    )
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_result_or_one_line_error(code, out, err):
+    # An exception other than the handled ones propagates out of main()
+    # and fails the test, so reaching here already means no traceback.
+    if code == 0:
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_fuzz_bytes(_FASTA_RECORDS, _FASTA_TOKENS))
+def test_compact_on_arbitrary_fasta_bytes(tmp_path_factory, data):
+    # Five species at most keeps every accepted input a quick search.
+    assume(data.count(b">") <= 5)
+    path = tmp_path_factory.mktemp("fuzz") / "in.fasta"
+    path.write_bytes(data)
+    code, out, err = _run_quietly(
+        ["compact", "--input", str(path), "--threads", "1", "--format", "json"])
+    _assert_result_or_one_line_error(code, out, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_fuzz_bytes(_NEWICK_TREES, _NEWICK_TOKENS))
+def test_score_on_arbitrary_newick_bytes(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    fasta = folder / "four.fasta"
+    fasta.write_text(write_fasta(evolved_matrix(4, 5, 3, seed=2)))
+    tree = folder / "in.nwk"
+    tree.write_bytes(data)
+    code, out, err = _run_quietly(
+        ["score", "--input", str(fasta), "--tree", str(tree), "--format", "json"])
+    _assert_result_or_one_line_error(code, out, err)

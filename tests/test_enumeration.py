@@ -107,6 +107,7 @@ def test_pruning_preserves_the_optimum_set(seed):
     assert pruned.incumbent_cost == full.incumbent_cost
     assert set(pruned.incumbents) == set(full.incumbents)
     assert pruned.visited <= full.visited
+    assert full.pruned == 0 and full.generated == count_total_mixed(n)
 
 
 def test_incumbents_all_have_optimal_cost_and_valid_shape():
@@ -256,3 +257,60 @@ def test_search_counters_are_pinned(runner, shape, want):
     got = (record.visited, record.pruned, record.generated,
            record.incumbent_cost, len(record.incumbents), _keys_digest(record))
     assert got == want
+
+
+def _arena_state(tree):
+    alive = list(tree.iter_nodes())
+    return ({u: list(tree.adj[u]) for u in alive},
+            {u: tree.label[u] for u in alive},
+            dict(tree._where), tree.n_labelled, tree.n_unlabelled)
+
+
+def _next_ids(tree, count=3):
+    probe = tree.copy()
+    return [probe.add_node() for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
+    # The search skips building a priced-out child and calls requeue_edge
+    # instead, so the tree must end up exactly as apply + undo leaves it:
+    # same adjacency order, labels, counters and next node ids.
+    rng = random.Random(seed)
+    matrix = random_matrix(rng.randint(2, 8), 2, 2, seed=seed)
+    tree = random_mixed_tree(matrix.names, rng)
+    if rng.random() < 0.5:
+        # A contraction frees two nodes, so the next ids come off the
+        # free list rather than off the end of the arena.
+        edges = [(u, v) for u, v in tree.iter_edges()
+                 if tree.label[u] is None or tree.label[v] is None]
+        if edges:
+            tree.contract_edge(*rng.choice(edges))
+    for kind in ("cubic", "mixed"):
+        for move in _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree):
+            built, skipped = tree.copy(), tree.copy()
+            built.undo_growth(_Search.apply(built, move, "new"))
+            if move[0] in ("r1", "r2"):
+                skipped.requeue_edge(*move[1])
+            assert _arena_state(built) == _arena_state(skipped), move
+            assert _next_ids(built) == _next_ids(skipped), move
+
+
+def _search_trace(matrix, kind, build_every_child):
+    search = _Search(matrix, list(matrix.names), kind, False, False, None, 1 << 30)
+    # The dedup path applies and undoes every child to key it, so it is
+    # the reference for a search that skips the priced-out ones.
+    search.dedup = build_every_child
+    tree, k = search.start_tree()
+    search.run(tree, k)
+    rec = search.record
+    shapes = [{u: list(t.adj[u]) for u in t.iter_nodes()} for t in rec.incumbents.values()]
+    return rec.visited, rec.pruned, rec.generated, list(rec.incumbents), shapes
+
+
+@pytest.mark.parametrize("kind", ["cubic", "mixed"])
+def test_skipping_priced_out_children_keeps_the_visit_order(kind):
+    for seed in range(6):
+        matrix = evolved_matrix(6, 10, 4, seed=seed)
+        assert _search_trace(matrix, kind, False) == _search_trace(matrix, kind, True)
