@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .charmatrix import CharacterMatrix, parse_fasta, restrict_columns, subsample_species
 from .contract import most_compact_pipeline
 from .enumeration import (
+    _log_closed_form,
     closed_form_estimate,
     count_cubic,
     count_mixed,
@@ -31,7 +34,7 @@ from .enumeration import (
     enumerate_mixed,
 )
 from .errors import AmbiguousSymbolError, ParsicompactError
-from .parsimony import brute_force_best_fit, score_mixed_constrained
+from .parsimony import brute_force_best_fit, score_unrooted
 from .tree import parse_newick
 
 BENCH_COLUMNS = [
@@ -66,19 +69,6 @@ class RunConfig:
     max_n: int = 8
     trials: int = 10
     progress: bool = False
-
-
-@dataclass
-class BenchRow:
-    n: int
-    mtea_time_ms: float
-    cteeca_time_ms: float
-    compact_mixed_mp_trees: float
-    cubic_mp_trees: float
-    contracted_cubic_mp_trees_raw: float
-    contracted_cubic_mp_trees_dedup: float
-    mean_contractions: float
-    mp_cost: float
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -164,7 +154,7 @@ def _verified_newicks(trees, matrix, want_cost):
         reparsed = parse_newick(text)
         if reparsed.canonical_key() != key:
             raise ParsicompactError(f"serialization drift for {text}")
-        got = score_mixed_constrained(reparsed, matrix).mp_cost
+        got = score_unrooted(reparsed, matrix).mp_cost
         if got != want_cost:
             raise ParsicompactError(
                 f"emitted tree rescored to {got}, expected {want_cost}: {text}"
@@ -202,7 +192,7 @@ def cmd_score(cfg: RunConfig) -> int:
     matrix = _load_matrix(cfg)
     tree = _load_tree(cfg)
     t0 = time.monotonic()
-    result = score_mixed_constrained(tree, matrix)
+    result = score_unrooted(tree, matrix)
     elapsed = (time.monotonic() - t0) * 1000.0
     if cfg.oracle_check:
         oracle = brute_force_best_fit(tree, matrix)
@@ -230,28 +220,53 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
+@contextmanager
+def _long_int_text():
+    """Lift the interpreter's cap on int-to-decimal conversion, if it has one.
+
+    Exact tree counts pass the default cap of 4,300 digits near n = 1,290.
+    They are computed here, not read from input, so printing them whole
+    is safe.
+    """
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:
+        yield
+        return
+    cap = get_cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def cmd_count(cfg: RunConfig) -> int:
     if cfg.min_n < 1 or cfg.max_n < cfg.min_n:
         raise ParsicompactError(f"bad n range {cfg.min_n}..{cfg.max_n}")
     rows = []
-    for n in range(cfg.min_n, cfg.max_n + 1):
-        total = count_total_mixed(n)
-        estimate = closed_form_estimate(n) if n >= 2 else float("nan")
-        by_m = ",".join(str(count_mixed(n, m)) for m in range(max(n - 1, 1)))
-        rows.append(
-            {
-                "n": n,
-                "total_mixed": total,
-                "closed_form_estimate": f"{estimate:.6g}",
-                "estimate_over_exact": f"{estimate / total:.6g}",
-                "cubic_count": count_cubic(n) if n >= 3 else 1,
-                "t_n_m": by_m,
-            }
-        )
-    if cfg.format == "json":
-        _emit_json(rows)
-    else:
-        _emit_tsv(list(rows[0]), rows)
+    with _long_int_text():
+        for n in range(cfg.min_n, cfg.max_n + 1):
+            total = count_total_mixed(n)
+            if n >= 2:
+                estimate = closed_form_estimate(n)
+                ratio = math.exp(_log_closed_form(n) - math.log(total))
+            else:
+                estimate = ratio = float("nan")
+            by_m = ",".join(str(count_mixed(n, m)) for m in range(max(n - 1, 1)))
+            rows.append(
+                {
+                    "n": n,
+                    "total_mixed": total,
+                    "closed_form_estimate": f"{estimate:.6g}",
+                    "estimate_over_exact": f"{ratio:.6g}",
+                    "cubic_count": count_cubic(n) if n >= 3 else 1,
+                    "t_n_m": by_m,
+                }
+            )
+        if cfg.format == "json":
+            _emit_json(rows)
+        else:
+            _emit_tsv(list(rows[0]), rows)
     return 0
 
 
@@ -354,6 +369,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     seed = cfg.seed if cfg.seed is not None else 0
     if cfg.min_n < 2 or cfg.max_n < cfg.min_n:
         raise ParsicompactError(f"bad n range {cfg.min_n}..{cfg.max_n}")
+    if cfg.trials < 1:
+        raise ParsicompactError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.max_n > matrix.n:
         raise ParsicompactError(
             f"--max-n {cfg.max_n} exceeds the {matrix.n} species available"
@@ -361,7 +378,6 @@ def cmd_bench(cfg: RunConfig) -> int:
     rows = []
     for n in range(cfg.min_n, cfg.max_n + 1):
         sums = {c: 0.0 for c in BENCH_COLUMNS[1:]}
-        mtea_total = cteeca_total = 0.0
         for trial in range(cfg.trials):
             sub = subsample_species(matrix, n, seed + trial)
             t0 = time.monotonic()
@@ -384,8 +400,6 @@ def cmd_bench(cfg: RunConfig) -> int:
                 raise ParsicompactError(
                     f"most compact tree sets disagree at n={n} trial={trial}"
                 )
-            mtea_total += t_mtea
-            cteeca_total += t_cteeca
             sums["mtea_time_ms"] += t_mtea
             sums["cteeca_time_ms"] += t_cteeca
             sums["compact_mixed_mp_trees"] += len(mixed.most_compact)
@@ -400,36 +414,21 @@ def cmd_bench(cfg: RunConfig) -> int:
                     f"cteeca={t_cteeca:.0f}ms cost={pipe.mp_cost}",
                     file=sys.stderr,
                 )
-        k = cfg.trials
-        rows.append(
-            BenchRow(
-                n=n,
-                mtea_time_ms=round(sums["mtea_time_ms"] / k, 1),
-                cteeca_time_ms=round(sums["cteeca_time_ms"] / k, 1),
-                compact_mixed_mp_trees=round(sums["compact_mixed_mp_trees"] / k, 1),
-                cubic_mp_trees=round(sums["cubic_mp_trees"] / k, 1),
-                contracted_cubic_mp_trees_raw=round(
-                    sums["contracted_cubic_mp_trees_raw"] / k, 1
-                ),
-                contracted_cubic_mp_trees_dedup=round(
-                    sums["contracted_cubic_mp_trees_dedup"] / k, 1
-                ),
-                mean_contractions=round(sums["mean_contractions"] / k, 2),
-                mp_cost=round(sums["mp_cost"] / k, 1),
-            )
-        )
-        if cteeca_total:
+        row = {"n": n}
+        for c, total in sums.items():
+            row[c] = round(total / cfg.trials, 2 if c == "mean_contractions" else 1)
+        rows.append(row)
+        mtea, cteeca = sums["mtea_time_ms"], sums["cteeca_time_ms"]
+        if cteeca:
             print(
-                f"n={n}: contraction/search time ratio "
-                f"{cteeca_total / mtea_total:.3f} "
-                f"(speedup {mtea_total / cteeca_total:.1f}x)",
+                f"n={n}: contraction/search time ratio {cteeca / mtea:.3f} "
+                f"(speedup {mtea / cteeca:.1f}x)",
                 file=sys.stderr,
             )
-    dicts = [vars(r) for r in rows]
     if cfg.format == "json":
-        _emit_json(dicts)
+        _emit_json(rows)
     else:
-        _emit_tsv(BENCH_COLUMNS, dicts)
+        _emit_tsv(BENCH_COLUMNS, rows)
     return 0
 
 

@@ -142,8 +142,8 @@ def _shadow_check(tree, w, vv, want_cost, scorer):
         raise ParsicompactError(
             f"shadow rescore cost {res.mp_cost} != maintained cost {want_cost}"
         )
-    for x, ns in res.node_sets.items():
-        if ns.vv != vv[x]:
+    for x in tree.iter_nodes():
+        if res.vv[x] != vv[x]:
             raise ParsicompactError(
                 f"maintained root set at node {x} differs from full rescore"
             )

@@ -44,31 +44,40 @@ from .tree import CanonicalKey, MixedTree
 
 
 class TreeCountTable:
-    """Memoized big-integer table of mixed-tree counts T(n, m)."""
+    """Big-integer table of mixed-tree counts T(n, m), filled row by row.
+
+    Row n holds T(n, m) for m = 0..max(n-2, 0), and T(n, m) =
+    (m+n-3) T(n-1, m-1) + (2n+2m-3) T(n-1, m) + (m+1) T(n-1, m+1), with
+    T = 0 outside a row.  A missing row is computed iteratively from the
+    nearest lower row held, and only the rows asked for are kept, so a
+    cold row needs neither deep recursion nor the memory of every row
+    below it.
+    """
 
     def __init__(self):
-        self._memo = {(1, 0): 1}
+        self._rows: dict[int, list[int]] = {1: [1]}
+
+    def _row(self, n: int) -> list[int]:
+        row = self._rows.get(n)
+        if row is None:
+            k = max(k for k in self._rows if k < n)
+            row = self._rows[k]
+            while k < n:
+                k += 1
+                p = [0, *row, 0, 0]
+                row = [
+                    (m + k - 3) * p[m] + (2 * k + 2 * m - 3) * p[m + 1] + (m + 1) * p[m + 2]
+                    for m in range(k - 1)
+                ]
+            self._rows[n] = row
+        return row
 
     def count(self, n: int, m: int) -> int:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        if n == 1:
-            return 1 if m == 0 else 0
-        if m < 0 or m > n - 2:
+        if m < 0 or m > max(n - 2, 0):
             return 0
-        key = (n, m)
-        got = self._memo.get(key)
-        if got is None:
-            a = m + n - 3 if m > 0 else 0
-            b = 2 * n + 2 * m - 3
-            c = m + 1 if n > m + 2 else 0
-            got = (
-                a * self.count(n - 1, m - 1)
-                + b * self.count(n - 1, m)
-                + c * self.count(n - 1, m + 1)
-            )
-            self._memo[key] = got
-        return got
+        return self._row(n)[m]
 
 
 _TABLE = TreeCountTable()
@@ -96,14 +105,27 @@ def count_cubic(n: int) -> int:
     return out
 
 
+def _log_closed_form(n: int) -> float:
+    """Natural log of the closed-form estimate of count_total_mixed(n).
+
+    The estimate is n^(n-2) / (sqrt(2) e^(n/2) (2 - e^(1/2))^(n-3/2));
+    in log space it stays finite long after the estimate itself
+    overflows a float.
+    """
+    return (
+        (n - 2) * math.log(n)
+        - 0.5 * math.log(2)
+        - n / 2
+        - (n - 1.5) * math.log(2 - math.exp(0.5))
+    )
+
+
 def closed_form_estimate(n: int) -> float:
-    """Analytic approximation of count_total_mixed for n >= 2."""
+    """Analytic approximation of count_total_mixed for n >= 2 (inf past floats)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     try:
-        return n ** (n - 2) / (
-            math.sqrt(2) * math.exp(n / 2) * (2 - math.exp(0.5)) ** (n - 1.5)
-        )
+        return math.exp(_log_closed_form(n))
     except OverflowError:
         return math.inf
 

@@ -49,16 +49,8 @@ class AlreadyLabelledError(TreeStructureError):
     """Target node carries a label and cannot take another."""
 
 
-class SplitUnderflowError(TreeStructureError):
-    """Split requested on a node of degree < 4."""
-
-
 class LabelCollisionError(TreeStructureError):
     """Both endpoints of a contraction edge are labelled."""
-
-
-class NotInternalError(TreeStructureError):
-    """Operation requires an internal node but got a leaf."""
 
 
 class NewickParseError(ParsicompactError):
@@ -75,10 +67,6 @@ class NewickParseError(ParsicompactError):
 
 class EmptyTreeError(ParsicompactError):
     """Scoring requested on a tree with no nodes."""
-
-
-class NotBinaryError(ParsicompactError):
-    """Fitch scoring requires a full binary rooted tree."""
 
 
 class UnlabelledLeafError(ParsicompactError):

@@ -1,11 +1,14 @@
 """Small-parsimony scoring for mixed trees.
 
-Fitch handles rooted full binary leaf-labelled trees; the general scorer
-handles multifurcating trees with species labels on arbitrary nodes
-(fixed-state internal nodes) and computes, per node, the upper set VU
-(states reaching the subtree minimum), the lower set VL (states exactly
-one mutation worse), and after a top-down pass the root set VV (states
-appearing in at least one globally optimal fit).
+One engine, :class:`Scorer`, scores every tree the package handles:
+unrooted, multifurcating, with species labels on any node (a labelled
+internal node is a fixed-state ancestor).  A full pass computes, per
+node, the upper set VU (states reaching the subtree minimum), the lower
+set VL (states exactly one mutation worse), and after a top-down pass
+the root set VV (states appearing in at least one globally optimal
+fit).  :func:`score_unrooted` is the one-call convenience over
+``Scorer(matrix).score``; :func:`brute_force_best_fit` is the
+independent exhaustive oracle the tests compare against.
 
 All per-character state sets for one node are packed into a single
 Python int, one power-of-two-wide flag group per character, so every
@@ -27,26 +30,10 @@ from .errors import (
     ArityMismatchError,
     EmptyTreeError,
     MissingSpeciesError,
-    NotBinaryError,
     OracleTooLargeError,
-    TreeStructureError,
     UnlabelledLeafError,
 )
-from .tree import MixedTree, RootedView
-
-
-def pack_sets(matrix: CharacterMatrix, per_char: list[set[int]]) -> int:
-    """Pack one state-index set per character into the flag-group int."""
-    if len(per_char) != matrix.m:
-        raise ArityMismatchError(f"{len(per_char)} sets for {matrix.m} characters")
-    g = matrix.group_width
-    packed = 0
-    for c, states in enumerate(per_char):
-        for s in states:
-            if not 0 <= s < matrix.alphabets[c].size:
-                raise ValueError(f"state {s} outside alphabet {c}")
-            packed |= 1 << (c * g + s)
-    return packed
+from .tree import MixedTree
 
 
 def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], ...]:
@@ -72,24 +59,13 @@ class NodeSets:
 
     __slots__ = ("matrix", "vu", "vl", "vv")
 
-    def __init__(self, matrix: CharacterMatrix, vu: int, vl: int, vv: int | None = None):
+    def __init__(self, matrix: CharacterMatrix, vu: int, vl: int, vv: int):
         self.matrix = matrix
         self.vu = vu
         self.vl = vl
         self.vv = vv
 
-    @classmethod
-    def from_sets(cls, matrix, vu, vl=None, vv=None):
-        return cls(
-            matrix,
-            pack_sets(matrix, vu),
-            pack_sets(matrix, vl) if vl is not None else 0,
-            pack_sets(matrix, vv) if vv is not None else None,
-        )
-
-    def _tuple(self, packed) -> tuple[StateSet, ...] | None:
-        if packed is None:
-            return None
+    def _tuple(self, packed) -> tuple[StateSet, ...]:
         return tuple(
             StateSet(c, members)
             for c, members in enumerate(unpack_sets(self.matrix, packed))
@@ -109,8 +85,6 @@ class NodeSets:
 
     def vv_symbols(self, c: int) -> set[str]:
         """Root-set states of character c, as symbols."""
-        if self.vv is None:
-            raise TreeStructureError("VV not computed (run the top-down pass)")
         alpha = self.matrix.alphabets[c]
         return {alpha.symbols[s] for s in unpack_sets(self.matrix, self.vv)[c]}
 
@@ -127,18 +101,18 @@ class FitAssignment:
 
 
 class ScoreResult:
-    """MP-cost plus per-node sets; produced by the scoring entry points.
+    """MP-cost plus per-node sets, as :meth:`Scorer.score` returns them.
 
-    After a full pass, ``vv`` lists every node's root set by node id (0
-    at ids not in the tree), and ``node_sets`` is built on first read.
+    ``vv`` lists every node's root set by node id (0 at ids not in the
+    tree), and ``node_sets`` is built on first read.
     """
 
-    def __init__(self, mp_cost, root, node_sets=None, _arrays=None, vv=None):
+    def __init__(self, mp_cost, root, vv, arrays):
         self.mp_cost = mp_cost
         self.root = root
-        self._node_sets = node_sets
-        self._arrays = _arrays
         self.vv = vv
+        self._arrays = arrays
+        self._node_sets = None
 
     @property
     def node_sets(self) -> dict[int, NodeSets]:
@@ -150,8 +124,6 @@ class ScoreResult:
 
     def extract_fit(self) -> FitAssignment:
         """One deterministic optimal fit (lowest state index on ties)."""
-        if self._arrays is None:
-            raise TreeStructureError("fit extraction needs a full scoring pass")
         matrix, tree, pre, parent, vu, vl = self._arrays
         g = matrix.group_width
         fill = (1 << g) - 1
@@ -462,115 +434,25 @@ class Scorer:
             root = self.pick_root(tree)
         cost, vu, vl, pre, parent = self._bottom_up(tree, root, True)
         vv = self._top_down(vu, vl, pre, parent)
-        return ScoreResult(cost, root, None, (self.matrix, tree, pre, parent, vu, vl), vv)
+        return ScoreResult(cost, root, vv, (self.matrix, tree, pre, parent, vu, vl))
 
 
 # -- module-level operations ----------------------------------------------------
 
 
-def fitch_score(view: RootedView, matrix: CharacterMatrix) -> ScoreResult:
-    """Intersection-else-union scoring of a rooted full binary tree.
-
-    Internal nodes must be unlabelled with exactly two children.  The
-    returned node sets carry the classic Fitch set as VU (no VL/VV).
-    """
-    tree = view.tree
-    sc = Scorer(matrix)
-    fold = sc._fold
-    fill = sc.fill
-    m = sc.m
-    vu: dict[int, int] = {}
-    cost = 0
-    for u in view.postorder:
-        kids = view.children[u]
-        name = tree.label[u]
-        if not kids:
-            if name is None:
-                raise UnlabelledLeafError(f"unlabelled leaf {u}")
-            x = matrix.value_mask.get(name)
-            if x is None:
-                raise MissingSpeciesError(f"species {name!r} not in the matrix")
-            vu[u] = x
-            continue
-        if len(kids) != 2:
-            raise NotBinaryError(f"node {u} has {len(kids)} children, need exactly 2")
-        if name is not None:
-            raise TreeStructureError(
-                "this scorer handles leaf labels only; use the general scorer "
-                "for trees with labelled internal nodes"
-            )
-        a, b = vu[kids[0]], vu[kids[1]]
-        inter = a & b
-        ne = fold(inter)
-        cost += m - ne.bit_count()
-        both = ne * fill
-        vu[u] = (inter & both) | ((a | b) & ~both)
-    sets = {u: NodeSets(matrix, vu[u], 0, None) for u in view.postorder}
-    return ScoreResult(cost, view.root, sets)
-
-
-def hartigan_bottom_up(view: RootedView, matrix: CharacterMatrix):
-    """Bottom-up pass on an arbitrary rooted view.
-
-    Returns (mp_cost, {node: NodeSets}) with VU/VL filled and VV unset.
-    """
-    if view.tree.num_nodes == 0:
-        raise EmptyTreeError("cannot score an empty tree")
-    sc = Scorer(matrix)
-    cost, vu, vl, pre, _parent = sc._bottom_up(view.tree, view.root, True)
-    return cost, {u: NodeSets(matrix, vu[u], vl[u]) for u in pre}
-
-
-def hartigan_top_down(view: RootedView, bottom) -> dict[int, NodeSets]:
-    """Top-down pass filling VV from a bottom-up result.
-
-    ``bottom`` is the (cost, sets) pair or the sets dict itself.  Returns a
-    new {node: NodeSets} with VV populated.
-    """
-    sets = bottom[1] if isinstance(bottom, tuple) else bottom
-    matrix = next(iter(sets.values())).matrix
-    sc = Scorer(matrix)
-    size = len(view.tree.adj)
-    vu = [0] * size
-    vl = [0] * size
-    for u, ns in sets.items():
-        vu[u] = ns.vu
-        vl[u] = ns.vl
-    pre = list(view.preorder())
-    parent = [-1] * size
-    for u in pre:
-        p = view.parent[u]
-        parent[u] = -1 if p is None else p
-    vv = sc._top_down(vu, vl, pre, parent)
-    return {u: NodeSets(matrix, vu[u], vl[u], vv[u]) for u in sets}
-
-
 def score_unrooted(tree: MixedTree, matrix: CharacterMatrix, root: int | None = None) -> ScoreResult:
-    """Score an unrooted mixed tree; the result is root-independent.
+    """Score an unrooted mixed tree: ``Scorer(matrix).score(tree, root)``.
 
-    Roots at the lowest-id unlabelled node when one exists (else a
-    labelled node) and runs both passes.
+    The cost is root-independent.  Without ``root`` the pass roots at the
+    lowest-id unlabelled node when one exists (else a labelled node).
+    Internal species labels are held fixed: a labelled node contributes,
+    per character, one mutation for each neighbouring subtree that
+    cannot reach the node's state for free.  Code that scores many trees
+    against one matrix keeps a :class:`Scorer` instead.
     """
     if tree.num_nodes == 0:
         raise EmptyTreeError("cannot score an empty tree")
     return Scorer(matrix).score(tree, root)
-
-
-def score_mixed_constrained(tree: MixedTree, matrix: CharacterMatrix) -> ScoreResult:
-    """Score with internal species labels held fixed (live phylogeny).
-
-    Same engine as :func:`score_unrooted`; a labelled node contributes,
-    per character, one mutation for each child subtree that cannot reach
-    the node's state for free.
-    """
-    return score_unrooted(tree, matrix)
-
-
-def mp_cost(tree: MixedTree, matrix: CharacterMatrix) -> int:
-    """Cost-only convenience wrapper."""
-    if tree.num_nodes == 0:
-        raise EmptyTreeError("cannot score an empty tree")
-    return Scorer(matrix).cost(tree)
 
 
 def min_cost_edge(u_sets: NodeSets, v_sets: NodeSets) -> int:
@@ -580,8 +462,6 @@ def min_cost_edge(u_sets: NodeSets, v_sets: NodeSets) -> int:
         raise ArityMismatchError(
             f"set tuples disagree: {mu.m}/{mu.group_width} vs {mv.m}/{mv.group_width}"
         )
-    if u_sets.vv is None or v_sets.vv is None:
-        raise TreeStructureError("min_cost_edge needs VV sets (run the top-down pass)")
     sc = Scorer(mu)
     return mu.m - sc._fold(u_sets.vv & v_sets.vv).bit_count()
 

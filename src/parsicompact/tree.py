@@ -22,8 +22,6 @@ from .errors import (
     DuplicateLabelError,
     LabelCollisionError,
     NewickParseError,
-    NotInternalError,
-    SplitUnderflowError,
     TreeStructureError,
 )
 
@@ -302,27 +300,6 @@ class MixedTree:
 
     # -- structural edits ------------------------------------------------------
 
-    def split_node(self, node: int, moved_neighbors: tuple[int, int]) -> int:
-        """Pull two neighbors of a high-degree node onto a new unlabelled node.
-
-        Reduces degree(node) by 1; the new node has degree 3.  Returns the
-        new node's id.
-        """
-        a, b = moved_neighbors
-        if self.degree(node) < 4:
-            raise SplitUnderflowError(
-                f"node {node} has degree {self.degree(node)}, need >= 4 to split"
-            )
-        if a == b or a not in self.adj[node] or b not in self.adj[node]:
-            raise TreeStructureError("moved_neighbors must be two distinct neighbors")
-        w = self.add_node()
-        self.remove_edge(node, a)
-        self.remove_edge(node, b)
-        self.add_edge(w, a)
-        self.add_edge(w, b)
-        self.add_edge(node, w)
-        return w
-
     def contract_edge(self, u: int, v: int) -> int:
         """Merge edge (u, v) into a single node; returns the merged node's id.
 
@@ -350,28 +327,6 @@ class MixedTree:
         if name is not None:
             self._set_label(w, name)
         return w
-
-    def move_internal_label_to_leaf(self, node: int) -> int:
-        """Demote an internal label to a fresh leaf hung off a spliced node.
-
-        One incident edge (node, x) becomes node - k - x with k unlabelled,
-        and the label moves to a new leaf under k.  Adds 2 nodes.  Returns
-        the new leaf id.
-        """
-        if self.degree(node) < 2:
-            raise NotInternalError(f"node {node} is a leaf")
-        if self.label[node] is None:
-            raise TreeStructureError(f"node {node} carries no label")
-        name = self.label[node]
-        self._clear_label(node)
-        x = min(self.adj[node])
-        k = self.add_node()
-        self.remove_edge(node, x)
-        self.add_edge(node, k)
-        self.add_edge(k, x)
-        leaf = self.add_node(name)
-        self.add_edge(k, leaf)
-        return leaf
 
     def suppress_degree2_unlabelled(self):
         """Remove unlabelled degree-2 (and dangling unlabelled) nodes in place."""
@@ -586,44 +541,3 @@ def parse_newick(text: str) -> MixedTree:
         if tree.degree(u) <= 1 and tree.label[u] is None and tree.num_nodes > 1:
             error("tree contains an unlabelled leaf", 0)
     return tree
-
-
-def write_newick(tree: MixedTree, root: int | None = None) -> str:
-    return tree.write_newick(root)
-
-
-class RootedView:
-    """Orientation of a MixedTree away from a chosen root.
-
-    Precomputes parent pointers, child lists, and a postorder node
-    sequence; scoring walks these instead of re-deriving direction.
-    """
-
-    __slots__ = ("tree", "root", "parent", "children", "postorder")
-
-    def __init__(self, tree: MixedTree, root: int):
-        if not tree.alive[root]:
-            raise TreeStructureError(f"no node {root}")
-        self.tree = tree
-        self.root = root
-        parent: dict[int, int | None] = {root: None}
-        children: dict[int, list[int]] = {}
-        post: list[int] = []
-        stack = [(root, False)]
-        while stack:
-            u, done = stack.pop()
-            if done:
-                post.append(u)
-                continue
-            stack.append((u, True))
-            kids = [v for v in tree.adj[u] if v != parent[u]]
-            children[u] = kids
-            for v in kids:
-                parent[v] = u
-                stack.append((v, False))
-        self.parent = parent
-        self.children = children
-        self.postorder = post
-
-    def preorder(self):
-        return reversed(self.postorder)

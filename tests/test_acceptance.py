@@ -11,6 +11,7 @@ import time
 from parsicompact import (
     CharacterMatrix,
     ContractionState,
+    Scorer,
     brute_force_best_fit,
     contract_and_update,
     count_cubic,
@@ -20,7 +21,6 @@ from parsicompact import (
     enumerate_mixed,
     evolved_matrix,
     most_compact_pipeline,
-    mp_cost,
     parse_newick,
     random_matrix,
     score_unrooted,
@@ -59,10 +59,10 @@ def test_criterion_2_root_invariance_and_degree2_suppression():
         assert len(costs) == 1, f"trial {trial}: root-dependent cost {costs}"
         cost = costs.pop()
         messy = subdivide_with_unlabelled(tree.copy(), rng, rng.randint(1, 3))
-        assert mp_cost(messy, matrix) == cost
+        assert Scorer(matrix).cost(messy) == cost
         messy.suppress_degree2_unlabelled()
         assert messy.canonical_key() == tree.canonical_key()
-        assert mp_cost(messy, matrix) == cost
+        assert Scorer(matrix).cost(messy) == cost
     print("criterion 2: 100/100 trees root-invariant, suppression cost-safe")
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_contraction_cost_laws_on_100_mp_trees():
                     continue
                 worse = tree.copy()
                 worse.contract_edge(u, v)
-                assert mp_cost(worse, matrix) > state.mp_cost, \
+                assert Scorer(matrix).cost(worse) > state.mp_cost, \
                     f"edge ({u},{v}) did not raise cost"
                 raised += 1
             trees_checked += 1

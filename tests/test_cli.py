@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parsicompact import (
-    evolved_matrix, mp_cost, parse_fasta, parse_newick, random_matrix, write_fasta,
+    Scorer, evolved_matrix, parse_fasta, parse_newick, random_matrix, write_fasta,
 )
 from parsicompact.cli import BENCH_COLUMNS, main
 
@@ -77,6 +78,23 @@ def test_count_values(capsys):
     assert rows[1][at["t_n_m"]] == "16,13,3"
 
 
+@pytest.mark.parametrize("n", [133, 1500])
+def test_count_large_n(capsys, n):
+    # At 133 the exact count no longer converts to a float.  At 1500 a
+    # cold row lies deeper than the recursion limit, and the counts pass
+    # the interpreter's 4,300-digit cap on int-to-str conversion.
+    get_cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    cap = get_cap()
+    code, out, err = run(capsys, "count", "--min-n", str(n), "--max-n", str(n))
+    assert (code, err) == (0, "")
+    header, row = (line.split("\t") for line in out.strip().split("\n"))
+    values = dict(zip(header, row))
+    assert values["n"] == str(n)
+    ratio = float(values["estimate_over_exact"])
+    assert math.isfinite(ratio) and 0.9 < ratio < 1.1
+    assert get_cap() == cap
+
+
 def test_search_mixed_and_compact_agree(capsys, fasta):
     code, mixed_out, _ = run(capsys, "search-mixed", "--input", fasta,
                              "--threads", "1", "--format", "json")
@@ -97,7 +115,7 @@ def test_emitted_trees_rescore_to_reported_cost(capsys, fasta):
     data = json.loads(out)
     matrix = parse_fasta(open(fasta).read())
     for text in data["trees"]:
-        assert mp_cost(parse_newick(text), matrix) == data["mp_cost"]
+        assert Scorer(matrix).cost(parse_newick(text)) == data["mp_cost"]
 
 
 def test_trees_out_file(capsys, fasta, tmp_path):
@@ -214,6 +232,14 @@ def test_bench_rejects_oversized_range(capsys, fasta):
     assert code == 1 and "exceeds" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_rejects_trials_below_one(capsys, fasta, trials):
+    code, out, err = run(capsys, "bench", "--input", fasta, "--threads", "1",
+                         "--min-n", "4", "--max-n", "4", "--trials", trials)
+    assert code == 1 and out == ""
+    assert err == f"error: --trials must be >= 1, got {trials}\n"
+
+
 def test_deep_caterpillar_scores_cleanly(capsys, tmp_path):
     # 2,000 nested groups: far past the interpreter's recursion limit.
     matrix = random_matrix(2000, 3, 2, seed=5)
@@ -228,7 +254,7 @@ def test_deep_caterpillar_scores_cleanly(capsys, tmp_path):
     assert code == 0 and err == ""
     row = json.loads(out)
     assert row["tree_nodes"] == 2 * matrix.n - 1
-    assert row["mp_cost"] == mp_cost(parse_newick(text), matrix)
+    assert row["mp_cost"] == Scorer(matrix).cost(parse_newick(text))
     assert parse_newick(row["tree"]).canonical_key() == parse_newick(text).canonical_key()
 
 

@@ -16,8 +16,8 @@ from parsicompact import (
     enumerate_cubic,
     enumerate_mixed,
     min_cost_edge,
+    Scorer,
     most_compact_pipeline,
-    mp_cost,
     parse_newick,
     random_matrix,
     evolved_matrix,
@@ -54,7 +54,7 @@ def test_zero_contraction_preserves_cost(seed):
         after = contract_and_update(state, edge)
         assert after.mp_cost == state.mp_cost
         assert after.tree.num_nodes == tree.num_nodes - 1
-        assert mp_cost(after.tree, matrix) == state.mp_cost
+        assert Scorer(matrix).cost(after.tree) == state.mp_cost
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +69,7 @@ def test_positive_edge_contraction_strictly_raises_cost(seed):
             continue
         worse = tree.copy()
         worse.contract_edge(u, v)
-        assert mp_cost(worse, matrix) > state.mp_cost
+        assert Scorer(matrix).cost(worse) > state.mp_cost
         with pytest.raises(IllegalContractionError):
             contract_and_update(state, (u, v))
 
@@ -218,7 +218,7 @@ def test_compact_search_single_tree():
     assert result.sources == 1
     assert result.best_node_count <= tree.num_nodes
     for text in result.trees.values():
-        assert mp_cost(parse_newick(text), matrix) == result.mp_cost
+        assert Scorer(matrix).cost(parse_newick(text)) == result.mp_cost
 
 
 def test_result_bookkeeping():

@@ -19,7 +19,6 @@ from parsicompact import (
     enumerate_cubic,
     enumerate_mixed,
     evolved_matrix,
-    mp_cost,
     order_species,
     parse_newick,
     random_matrix,
@@ -92,7 +91,7 @@ def test_tiny_instances():
     two = enumerate_mixed(m2)
     assert len(two.incumbents) == 1
     only = next(iter(two.incumbents.values()))
-    assert two.incumbent_cost == mp_cost(only, m2)
+    assert two.incumbent_cost == Scorer(m2).cost(only)
 
 
 @settings(max_examples=12, deadline=None)
@@ -118,7 +117,7 @@ def test_incumbents_all_have_optimal_cost_and_valid_shape():
         tree.validate()
         assert tree.canonical_key() == key
         assert sorted(tree.species_names()) == sorted(matrix.names)
-        assert mp_cost(tree, matrix) == record.incumbent_cost
+        assert Scorer(matrix).cost(tree) == record.incumbent_cost
     best = min(t.num_nodes for t in record.incumbents.values())
     assert {t.num_nodes for t in record.most_compact.values()} == {best}
     assert set(record.most_compact) <= set(record.incumbents)

@@ -12,21 +12,13 @@ from parsicompact import (
     EmptyTreeError,
     MissingSpeciesError,
     MixedTree,
-    NotBinaryError,
     OracleTooLargeError,
-    RootedView,
     Scorer,
-    TreeStructureError,
     UnlabelledLeafError,
     brute_force_best_fit,
-    fitch_score,
-    hartigan_bottom_up,
-    hartigan_top_down,
     min_cost_edge,
-    mp_cost,
     parse_newick,
     random_matrix,
-    score_mixed_constrained,
     score_unrooted,
 )
 from conftest import random_instance, random_mixed_tree
@@ -39,25 +31,23 @@ TWO_STATE = CharacterMatrix.from_rows(
 def test_known_interleaved_quartet():
     # Interleaved labels force two changes however the tree is rooted.
     tree = parse_newick("(((A1,B1),A2),B2);")
-    assert mp_cost(tree, TWO_STATE) == 2
+    assert Scorer(TWO_STATE).cost(tree) == 2
 
 
 def test_star_tree_cost():
     tree = parse_newick("(A2,B1,B2)A1;")
-    assert mp_cost(tree, TWO_STATE) == 2
+    assert Scorer(TWO_STATE).cost(tree) == 2
 
 
 def test_vv_can_exceed_fitch_sets():
+    # On a binary tree rooted at its degree-2 node, VU is the Fitch set.
     tree = parse_newick("(((A1,B1),A2),B2);")
     root = next(u for u in tree.iter_nodes() if tree.label[u] is None
                 and tree.degree(u) == 2)
-    view = RootedView(tree, root)
-    f = fitch_score(view, TWO_STATE)
-    bottom = hartigan_bottom_up(view, TWO_STATE)
-    full = hartigan_top_down(view, bottom)
-    assert f.mp_cost == bottom[0] == 2
+    result = score_unrooted(tree, TWO_STATE, root=root)
+    assert result.mp_cost == 2
     grew = 0
-    for node, sets in full.items():
+    for node, sets in result.node_sets.items():
         vu = sets.VU[0].members
         vv = sets.VV[0].members
         assert vu <= vv
@@ -67,8 +57,8 @@ def test_vv_can_exceed_fitch_sets():
 
 def test_identical_data_is_free():
     m = CharacterMatrix.from_rows([("a", "AAA"), ("b", "AAA"), ("c", "AAA")])
-    assert mp_cost(parse_newick("(a,b,c);"), m) == 0
-    assert mp_cost(parse_newick("((a)b)c;"), m) == 0
+    assert Scorer(m).cost(parse_newick("(a,b,c);")) == 0
+    assert Scorer(m).cost(parse_newick("((a)b)c;")) == 0
 
 
 def test_scorer_handles_all_degrees():
@@ -152,6 +142,8 @@ def test_set_containments(seed):
 
 
 def test_fitch_equals_hartigan_on_binary_leaf_trees():
+    # Fitch's setting: binary trees, species on the leaves only.  Rooted
+    # on an edge midpoint, every scoring step is the two-child recurrence.
     rng = random.Random(3)
     for _ in range(25):
         n = rng.randint(3, 8)
@@ -162,28 +154,13 @@ def test_fitch_equals_hartigan_on_binary_leaf_trees():
         for i in range(4, n + 1):
             edge = rng.choice(list(tree.iter_edges()))
             tree.grow_rule_1(edge, f"S{i}")
-        root = next(u for u in tree.iter_nodes()
-                    if tree.label[u] is None and tree.degree(u) == 3)
-        # Fitch wants a rooted binary view: root on an edge midpoint.
         u, v = next(iter(tree.iter_edges()))
         tree.remove_edge(u, v)
         mid = tree.add_node()
         tree.add_edge(u, mid)
         tree.add_edge(mid, v)
-        view = RootedView(tree, mid)
-        assert fitch_score(view, matrix).mp_cost == score_unrooted(tree, matrix).mp_cost
-
-
-def test_fitch_rejects_nonbinary_and_labelled_internals():
-    m = random_matrix(4, 2, 2, seed=1)
-    star = parse_newick("(S1,S2,S3,S4);")
-    root = next(u for u in star.iter_nodes() if star.label[u] is None)
-    with pytest.raises(NotBinaryError):
-        fitch_score(RootedView(star, root), m)
-    labelled = parse_newick("((S2,S3)S1,S4);")
-    root = next(u for u in labelled.iter_nodes() if labelled.label[u] is None)
-    with pytest.raises(TreeStructureError):
-        fitch_score(RootedView(labelled, root), m)
+        want = brute_force_best_fit(tree, matrix).mp_cost
+        assert score_unrooted(tree, matrix, root=mid).mp_cost == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,15 +193,15 @@ def test_min_cost_edge_arity_mismatch():
 def test_scoring_errors():
     m = random_matrix(3, 2, 2, seed=0)
     with pytest.raises(MissingSpeciesError):
-        mp_cost(parse_newick("(S1,S2,S9);"), m)
+        Scorer(m).cost(parse_newick("(S1,S2,S9);"))
     tree = parse_newick("(S1,S2,S3);")
     leafy = tree.copy()
     hang = leafy.add_node()
     leafy.add_edge(next(iter(leafy.iter_nodes())), hang)
     with pytest.raises(UnlabelledLeafError):
-        mp_cost(leafy, m)
+        Scorer(m).cost(leafy)
     with pytest.raises(EmptyTreeError):
-        mp_cost(MixedTree(), m)
+        Scorer(m).cost(MixedTree())
 
 
 @pytest.mark.parametrize("leaf_first", [True, False])

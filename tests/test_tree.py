@@ -11,9 +11,6 @@ from parsicompact import (
     LabelCollisionError,
     MixedTree,
     NewickParseError,
-    NotInternalError,
-    RootedView,
-    SplitUnderflowError,
     TreeStructureError,
     parse_newick,
 )
@@ -94,23 +91,17 @@ def test_rule_effects_on_counts():
 
 
 def test_split_and_contract_are_inverse():
-    t = parse_newick("(a,b,c,d)e;")
-    center = t.species_node("e")
-    before = t.canonical_key()
-    a, b = t.species_node("a"), t.species_node("b")
-    w = t.split_node(center, (a, b))
-    t.validate()
-    assert t.degree(center) == 3 and t.degree(w) == 3
-    assert t.canonical_key() != before
-    t.contract_edge(center, w)
-    t.validate()
-    assert t.canonical_key() == before
-
-
-def test_split_underflow():
-    t = parse_newick("(a,b,c)d;")
-    with pytest.raises(SplitUnderflowError):
-        t.split_node(t.species_node("d"), (t.species_node("a"), t.species_node("b")))
+    # ((a,b),c,d)e is (a,b,c,d)e with a and b split off onto a new node.
+    split = parse_newick("((a,b),c,d)e;")
+    joined = parse_newick("(a,b,c,d)e;")
+    assert split.canonical_key() != joined.canonical_key()
+    center = split.species_node("e")
+    (w,) = [u for u in split.iter_nodes() if split.label[u] is None]
+    assert split.degree(center) == 3 and split.degree(w) == 3
+    merged = split.contract_edge(center, w)
+    split.validate()
+    assert split.label[merged] == "e" and split.degree(merged) == 4
+    assert split.canonical_key() == joined.canonical_key()
 
 
 def test_contract_label_rules():
@@ -124,17 +115,6 @@ def test_contract_label_rules():
     t = parse_newick("((a,b)x,c)y;")
     with pytest.raises(LabelCollisionError):
         t.contract_edge(t.species_node("x"), t.species_node("y"))
-
-
-def test_move_internal_label_to_leaf():
-    t = parse_newick("(a,b,c)x;")
-    n0 = t.num_nodes
-    t.move_internal_label_to_leaf(t.species_node("x"))
-    t.validate()
-    assert t.num_nodes == n0 + 2
-    assert t.degree(t.species_node("x")) == 1
-    with pytest.raises(NotInternalError):
-        t.move_internal_label_to_leaf(t.species_node("x"))
 
 
 def test_suppress_degree2_unlabelled():
@@ -230,24 +210,6 @@ def test_polytomy_and_internal_labels_parse():
     assert t.degree(t.species_node("g")) == 3
     assert t.degree(t.species_node("d")) == 4
     assert t.n_unlabelled == 0
-
-
-def test_rooted_view_orders():
-    tree = parse_newick("((a,b)c,(d,e))f;")
-    root = tree.species_node("f")
-    view = RootedView(tree, root)
-    post = view.postorder
-    pre = list(view.preorder())
-    assert sorted(post) == sorted(tree.iter_nodes()) == sorted(pre)
-    seen = set()
-    for u in post:
-        for child in view.children[u]:
-            assert child in seen
-        seen.add(u)
-    assert pre[0] == root and post[-1] == root
-    for u in tree.iter_nodes():
-        if u != root:
-            assert u in view.children[view.parent[u]]
 
 
 def test_species_node_missing():
