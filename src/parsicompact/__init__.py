@@ -21,7 +21,6 @@ from .charmatrix import (
 from .contract import (
     CompactResultSet,
     ContractionState,
-    compact_search,
     contract_and_update,
     most_compact_pipeline,
     zero_min_cost_edges,
@@ -40,7 +39,6 @@ from .enumeration import (
 from .errors import (
     AlphabetTooLargeError,
     AmbiguousSymbolError,
-    ArityMismatchError,
     BadColumnRangeError,
     BadSubsetSizeError,
     DuplicateLabelError,
@@ -65,7 +63,6 @@ from .parsimony import (
     Scorer,
     StateSet,
     brute_force_best_fit,
-    min_cost_edge,
     score_unrooted,
 )
 from .tree import CanonicalKey, MixedTree, parse_newick
@@ -75,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetTooLargeError",
     "AmbiguousSymbolError",
-    "ArityMismatchError",
     "BadColumnRangeError",
     "BadSubsetSizeError",
     "CanonicalKey",
@@ -108,7 +104,6 @@ __all__ = [
     "UnlabelledLeafError",
     "brute_force_best_fit",
     "closed_form_estimate",
-    "compact_search",
     "contract_and_update",
     "count_cubic",
     "count_mixed",
@@ -116,7 +111,6 @@ __all__ = [
     "enumerate_cubic",
     "enumerate_mixed",
     "evolved_matrix",
-    "min_cost_edge",
     "most_compact_pipeline",
     "order_species",
     "parse_fasta",

@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compact", help="cubic MP search plus full contraction")
     _add_common(p, search=True)
     p.add_argument("--oracle-check", action="store_true",
-                   help="shadow-check every contraction's root sets against a rescore")
+                   help="shadow-check the root sets of every built state "
+                        "against a rescore from another root")
     p.set_defaults(func=cmd_compact)
 
     p = subs.add_parser("bench", help="seeded search-vs-contraction benchmark table")

@@ -6,26 +6,39 @@ nodes.  Contracting such an edge preserves the MP-cost and removes one
 node; the merged node's root set is the per-character intersection of
 the endpoints' root sets.
 
-The tree reached from a start tree T by contracting a set S of T's edges
-is T/S, whatever the order of the contractions; the order only decides
-which edges are contractible on the way.  (Contraction never makes an
-edge contractible that was not before; that is tested, but the search
-does not rely on it: every newly built state gets a full scan for its
-contractible edges.)  So the search names each child by the bitmask of
-T's edges contracted to reach it and builds it once per start tree:
+Every state of the search is an X-tree: each unlabelled node has degree
+3 or more (a cubic tree's leaves are labelled, and contraction only
+merges nodes).  An X-tree is fixed, up to label-preserving isomorphism,
+by its set of splits, the species bipartitions its edges induce
+(Buneman 1971; Semple & Steel, *Phylogenetics*, 2003, Thm 3.5.2), and
+contracting an edge removes exactly that edge's split.  So the search
+names a state by its split set: each split gets one bit in a registry,
+a state's key is the OR of its splits' bits, and a child's key is its
+parent's key with the contracted edge's bit cleared.  A node is named
+by its signature, the OR of its edges' bits; the two endpoints of an
+edge share only that edge's bit, and the merged node's signature is
+the XOR of theirs.
 
-* once per (start tree, edge set) -- copy, contract, rescore, the checks
-  below, and the canonical key;
-* once per distinct state -- the scan for contractible edges, and the
-  Newick text of a terminal state;
-* once per arc, i.e. per contraction order step -- the contraction count,
-  the DAG arc, and the check that the built child's root set at the
-  node holding the contracted edge is the intersection of the parent's
-  sets at its two endpoints (O(1) when the child is already built).
+One memo, keyed by split set, holds every state's root sets by node
+signature.  The work splits two ways:
 
-States are memoized by canonical key across start trees: each distinct
-tree is expanded once, and the number of contraction orders reaching
-each result is recovered afterwards by path counting over the DAG.
+* once per distinct state -- copy, contract, rescore with its checks,
+  the scan for contractible edges, and, for a state with none, its
+  canonical Newick text;
+* once per arc, i.e. per contraction order step -- the contraction
+  count and, when the child is already in the memo, the check that its
+  root set at the merged node is the intersection of the parent's sets
+  at the two endpoints.  The child's key is looked up before the child
+  is built, so a state reached again is never rebuilt.
+
+The number of contraction orders is counted in closed form.  A most
+compact tree X is reachable from a start tree T exactly when every split
+of X is a split of T: X is then T/S, where S is the set of T's edges
+whose splits X lacks.  Every order of S is a valid path, because
+cost-preserving edge sets are downward closed (contraction never lowers
+the cost, and T/S costs what T does) and no node of X holds two labels.
+So X is reached from T by k! orders, k = |S| being the number of edges
+T has beyond X's, and ``raw_count`` sums k! over those pairs (X, T).
 
 After a contraction the remaining nodes' root sets are refreshed with a
 two-pass rescore rooted at the merged node (linear in tree size, the
@@ -33,16 +46,19 @@ same bound the update traversal is supposed to meet).  A per-node local
 update rule using only the old root sets is not sound: a state can stay
 optimal at a node through a different parent state than the one that
 justified it before, so only the merged node's set (the intersection)
-is carried over directly.
+is carried over directly.  Contraction never makes an edge contractible
+that was not before; that is tested, but the search does not rely on
+it: every newly built state gets a full scan for its contractible edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .charmatrix import CharacterMatrix
 from .enumeration import SearchRecord, enumerate_cubic
-from .errors import IllegalContractionError, ParsicompactError
+from .errors import IllegalContractionError, ParsicompactError, TreeStructureError
 from .parsimony import Scorer
 from .tree import CanonicalKey, MixedTree
 
@@ -154,9 +170,11 @@ class CompactResultSet:
     """Most compact trees found, plus bookkeeping of the exploration.
 
     trees maps canonical key -> canonical Newick text of each
-    minimum-node-count tree.  raw_count is the number of contraction
-    orders (summed over all start trees) that arrive at those trees;
-    len(trees) is the dedup count.
+    minimum-node-count tree; len(trees) is the dedup count.  raw_count
+    is the number of contraction orders, summed over all start trees,
+    that arrive at those trees: k! for each pair (X, T) of a result X and
+    a start tree T whose splits include X's, with k the number of edges
+    T has beyond X's.
     """
 
     best_node_count: int | None
@@ -177,129 +195,131 @@ class CompactResultSet:
         return self.contractions / self.sources if self.sources else 0.0
 
 
+def tree_splits(tree: MixedTree, species: dict[str, int]) -> list[tuple[int, int, int]]:
+    """(u, v, split) for every edge (u, v) of the tree.
+
+    The split is the bitmask, over the species numbered by ``species``,
+    of the edge's side that does not hold species 0.
+    """
+    order, parent = tree.hang(next(tree.iter_nodes()))
+    below = [0] * len(tree.adj)
+    full = (1 << len(species)) - 1
+    out = []
+    for u in reversed(order):
+        name = tree.label[u]
+        if name is not None:
+            below[u] |= 1 << species[name]
+        p = parent[u]
+        if p >= 0:
+            side = below[u]
+            below[p] |= side
+            out.append((p, u, side ^ full if side & 1 else side))
+    return out
+
+
 class CompactSearcher:
-    """Contraction search over the edge sets of each start tree, with a
-    canonical-key memo shared across start trees (distinct cubic MP-trees
-    can contract into the same intermediate state)."""
+    """Contraction search over every order of every start tree, with one
+    memo of states keyed by split set (distinct start trees can contract
+    into the same state).
+
+    Start trees must be X-trees that carry every species of the matrix,
+    as the cubic MP-trees the pipeline feeds are; any other is refused.
+    """
 
     def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False):
         self.matrix = matrix
         self.oracle_check = oracle_check
-        self.index: dict[CanonicalKey, int] = {}
-        self.keys: list[CanonicalKey] = []
-        self.children: list[list[int]] = []
-        self.node_count: list[int] = []
-        self.terminal: list[bool] = []
-        self.newick: list[str | None] = []
-        self.source_ids: list[int] = []
+        self.species = {name: i for i, name in enumerate(matrix.names)}
+        self.bit: dict[int, int] = {}  # split -> its bit
+        self.holders: dict[int, int] = {}  # split bit -> start trees holding it
+        self.by_edges: dict[int, int] = {}  # edge count -> start trees with it
+        self.memo: dict[int, dict[int, int]] = {}  # key -> root set by signature
+        self.final: list[tuple[int, int, str]] = []  # (nodes, key, Newick)
+        self.sources = 0
         self.contractions = 0
 
-    def _intern(self, key: CanonicalKey, state: ContractionState):
-        sid = self.index.get(key)
-        if sid is not None:
-            return sid, False
-        sid = len(self.keys)
-        self.index[key] = sid
-        self.keys.append(key)
-        self.children.append([])
-        self.node_count.append(state.tree.num_nodes)
-        term = not state.zero_edges
-        self.terminal.append(term)
-        self.newick.append(state.tree.write_newick() if term else None)
-        return sid, True
-
     def add_source(self, tree: MixedTree) -> int:
+        """Contract one start tree in every order; returns its MP-cost."""
         state = ContractionState.from_tree(tree, self.matrix)
-        sid, fresh = self._intern(state.tree.canonical_key(), state)
-        self.source_ids.append(sid)
-        if fresh:
-            self._expand(state, sid)
+        if tree.n_labelled < len(self.species) or any(
+            tree.label[u] is None and len(tree.adj[u]) < 3 for u in tree.iter_nodes()
+        ):
+            raise TreeStructureError(
+                "start tree is not an X-tree on every species of the matrix"
+            )
+        me = 1 << self.sources
+        self.sources += 1
+        sig = [0] * len(tree.adj)
+        key = 0
+        for u, v, split in tree_splits(tree, self.species):
+            b = self.bit.setdefault(split, 1 << len(self.bit))
+            key |= b
+            sig[u] |= b
+            sig[v] |= b
+            self.holders[b] = self.holders.get(b, 0) | me
+        edges = key.bit_count()
+        self.by_edges[edges] = self.by_edges.get(edges, 0) | me
+        if key not in self.memo:
+            self._store(key, state, sig)
+            self._expand(state, sig, key)
         return state.mp_cost
 
-    def _expand(self, source: ContractionState, source_id: int):
-        """Contract, depth first, every reachable edge set of one start tree.
+    def _store(self, key: int, state: ContractionState, sig: list[int]):
+        alive = state.tree.alive
+        vv = state.vv
+        self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if alive[x]}
+        if not state.zero_edges:
+            self.final.append((state.tree.num_nodes, key, state.tree.write_newick()))
 
-        Every state on the stack was interned fresh, so it was built from
-        this start tree: ``mask`` is the set of its edges contracted to
-        reach it, and ``rep`` maps each start-tree node to the node that
-        now holds it.  ``built`` maps a mask to the child built for it;
-        another order reaching the same mask reuses that child.
-        """
-        ends = list(source.tree.iter_edges())
-        built: dict[int, tuple[int, list[int], list[int]]] = {}
-        stack = [(source, source_id, 0, list(range(len(source.tree.adj))))]
+    def _expand(self, source: ContractionState, sig: list[int], key: int):
+        """Depth first from one start tree, building each state not yet
+        in the memo; ``sig`` gives each node's signature."""
+        stack = [(source, sig, key)]
         while stack:
-            state, sid, mask, rep = stack.pop()
-            bit_of = {}
-            for i, (a, b) in enumerate(ends):
-                if not mask >> i & 1:
-                    x, y = rep[a], rep[b]
-                    bit_of[(x, y) if x < y else (y, x)] = i
-            arcs = self.children[sid]
+            state, sig, key = stack.pop()
+            vv = state.vv
             for edge in state.zero_edges:
                 u, v = edge
-                i = bit_of[edge]
-                to = mask | 1 << i
+                merged = sig[u] ^ sig[v]
+                to = key ^ (sig[u] & sig[v])
                 self.contractions += 1
-                got = built.get(to)
-                if got is None:
+                sets = self.memo.get(to)
+                if sets is None:
                     child = contract_and_update(state, edge, self.oracle_check)
-                    w = child.merged
-                    crep = [w if r == u or r == v else r for r in rep]
-                    cid, fresh = self._intern(child.tree.canonical_key(), child)
-                    built[to] = (cid, child.vv, crep)
-                    if fresh:
-                        stack.append((child, cid, to, crep))
-                else:
+                    csig = sig + [0] * (len(child.tree.adj) - len(sig))
+                    csig[child.merged] = merged
+                    self._store(to, child, csig)
+                    stack.append((child, csig, to))
+                elif sets.get(merged) != vv[u] & vv[v]:
                     # The check contract_and_update makes on the merged node.
-                    cid, vv, crep = got
-                    if vv[crep[ends[i][0]]] != state.vv[u] & state.vv[v]:
-                        raise ParsicompactError(
-                            "merged-node root set differs from the endpoint intersection"
-                        )
-                arcs.append(cid)
+                    raise ParsicompactError(
+                        "merged-node root set differs from the endpoint intersection"
+                    )
 
     def finalize(self) -> CompactResultSet:
-        total = len(self.keys)
-        arrivals = [0] * total
-        for s in self.source_ids:
-            arrivals[s] += 1
-        for sid in sorted(range(total), key=lambda i: -self.node_count[i]):
-            a = arrivals[sid]
-            if a:
-                for c in self.children[sid]:
-                    arrivals[c] += a
-        terminals = [i for i in range(total) if self.terminal[i]]
-        best = min((self.node_count[i] for i in terminals), default=None)
+        best = min((nodes for nodes, _, _ in self.final), default=None)
+        everyone = (1 << self.sources) - 1
         trees = {}
         raw = 0
-        for i in terminals:
-            if self.node_count[i] == best:
-                trees[self.keys[i]] = self.newick[i]
-                raw += arrivals[i]
+        for nodes, key, text in self.final:
+            if nodes != best:
+                continue
+            trees[CanonicalKey(text.encode())] = text
+            held = everyone  # the start trees holding every split of this tree
+            while key:
+                low = key & -key
+                held &= self.holders[low]
+                key ^= low
+            for edges, group in self.by_edges.items():
+                raw += (held & group).bit_count() * factorial(edges - nodes + 1)
         return CompactResultSet(
             best_node_count=best,
             trees=trees,
-            explored_states=total,
+            explored_states=len(self.memo),
             raw_count=raw,
             contractions=self.contractions,
-            sources=len(self.source_ids),
+            sources=self.sources,
         )
-
-
-def compact_search(
-    tree: MixedTree,
-    matrix: CharacterMatrix,
-    *,
-    oracle_check: bool = False,
-) -> CompactResultSet:
-    """All minimum-node-count trees reachable from one tree by
-    cost-preserving contractions, over every contraction order."""
-    searcher = CompactSearcher(matrix, oracle_check=oracle_check)
-    cost = searcher.add_source(tree)
-    out = searcher.finalize()
-    out.mp_cost = cost
-    return out
 
 
 def most_compact_pipeline(

@@ -77,10 +77,6 @@ class MissingSpeciesError(ParsicompactError):
     """Tree references a species name absent from the matrix."""
 
 
-class ArityMismatchError(ParsicompactError):
-    """State-set tuples come from matrices with different character counts."""
-
-
 class OracleTooLargeError(ParsicompactError):
     """Brute-force enumeration would exceed the configured cap."""
 

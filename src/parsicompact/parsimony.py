@@ -27,7 +27,6 @@ from itertools import product
 
 from .charmatrix import CharacterMatrix
 from .errors import (
-    ArityMismatchError,
     EmptyTreeError,
     MissingSpeciesError,
     OracleTooLargeError,
@@ -455,17 +454,6 @@ def score_unrooted(tree: MixedTree, matrix: CharacterMatrix, root: int | None = 
     return Scorer(matrix).score(tree, root)
 
 
-def min_cost_edge(u_sets: NodeSets, v_sets: NodeSets) -> int:
-    """Minimum mutations on an edge: one per character with disjoint VV."""
-    mu, mv = u_sets.matrix, v_sets.matrix
-    if mu.m != mv.m or mu.group_width != mv.group_width:
-        raise ArityMismatchError(
-            f"set tuples disagree: {mu.m}/{mu.group_width} vs {mv.m}/{mv.group_width}"
-        )
-    sc = Scorer(mu)
-    return mu.m - sc._fold(u_sets.vv & v_sets.vv).bit_count()
-
-
 class OracleResult:
     """Exhaustive per-character optimum over all unlabelled-node assignments."""
 
@@ -475,12 +463,6 @@ class OracleResult:
         self._fixed = fixed
         self._optima = per_char_optima
         self.matrix = matrix
-
-    def fit_count(self) -> int:
-        total = 1
-        for opts in self._optima:
-            total *= len(opts)
-        return total
 
     def iter_fits(self, limit: int | None = None):
         """Yield optimal FitAssignments (cartesian product across characters)."""

@@ -384,12 +384,9 @@ class MixedTree:
         kids.sort()
         return "(" + ",".join(kids) + ")" + atom
 
-    def _rooted_codes(self, root: int) -> list[str | None]:
-        """Code of every node's subtree with the tree hung from ``root``.
-
-        Iterative, so the depth of a tree is not bounded by the
-        interpreter's recursion limit.
-        """
+    def hang(self, root: int) -> tuple[list[int], list[int]]:
+        """Nodes in breadth-first order from ``root``, and each one's parent
+        (-1 if none); iterative, so depth is not bounded by recursion."""
         adj = self.adj
         parent = [-1] * len(adj)
         order = [root]
@@ -399,6 +396,12 @@ class MixedTree:
                 if c != p:
                     parent[c] = v
                     order.append(c)
+        return order, parent
+
+    def _rooted_codes(self, root: int) -> list[str | None]:
+        """Code of every node's subtree with the tree hung from ``root``."""
+        adj = self.adj
+        order, parent = self.hang(root)
         code: list[str | None] = [None] * len(adj)
         node_code = self._code
         for v in reversed(order):

@@ -11,12 +11,11 @@ from parsicompact import (
     CharacterMatrix,
     ContractionState,
     IllegalContractionError,
-    compact_search,
     contract_and_update,
     enumerate_cubic,
     enumerate_mixed,
-    min_cost_edge,
     Scorer,
+    TreeStructureError,
     most_compact_pipeline,
     parse_newick,
     random_matrix,
@@ -24,7 +23,8 @@ from parsicompact import (
     score_unrooted,
     zero_min_cost_edges,
 )
-from conftest import random_instance
+from parsicompact.contract import CompactSearcher, tree_splits
+from conftest import random_instance, random_mixed_tree, subdivide_with_unlabelled
 
 
 def make_state(seed):
@@ -36,12 +36,13 @@ def make_state(seed):
 @given(seed=st.integers(0, 10**6))
 def test_zero_edges_match_direct_min_cost(seed):
     matrix, tree, state = make_state(seed)
-    result = score_unrooted(tree, matrix)
+    sets = score_unrooted(tree, matrix).node_sets
     want = set()
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
-        if min_cost_edge(result.node_sets[u], result.node_sets[v]) == 0:
+        su, sv = sets[u].VV, sets[v].VV
+        if all(su[c].members & sv[c].members for c in range(matrix.m)):
             want.add((min(u, v), max(u, v)))
     assert {tuple(sorted(e)) for e in zero_min_cost_edges(state)} == want
 
@@ -182,8 +183,12 @@ def test_pipeline_matches_every_contraction_order():
             terminals.append((state.tree.num_nodes, state.tree.canonical_key()))
         return sum(1 + walk(contract_and_update(state, e), terminals) for e in edges)
 
-    for seed in range(4):
-        matrix = evolved_matrix(5, 5, 4, seed=seed)
+    # Identical data and the low-divergence fixture add many states
+    # reached from more than one cubic tree.
+    matrices = [evolved_matrix(5, 5, 4, seed=seed) for seed in range(4)]
+    matrices.append(CharacterMatrix.from_rows([(f"S{i}", "A") for i in range(1, 6)]))
+    matrices.append(evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05))
+    for matrix in matrices:
         terminals = []
         steps = 0
         for tree in enumerate_cubic(matrix).incumbents.values():
@@ -197,15 +202,17 @@ def test_pipeline_matches_every_contraction_order():
         assert result.contractions <= steps
 
 
-def test_identical_data_contracts_to_all_fully_labelled_trees():
-    matrix = CharacterMatrix.from_rows([(f"S{i}", "A") for i in range(1, 5)])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_identical_data_contracts_to_all_fully_labelled_trees(n):
+    matrix = CharacterMatrix.from_rows([(f"S{i}", "A") for i in range(1, n + 1)])
     result = most_compact_pipeline(matrix)
     assert result.mp_cost == 0
-    assert result.best_node_count == 4
-    assert result.dedup_count == 16  # every mixed tree without unlabelled nodes
+    assert result.best_node_count == n
+    # Every mixed tree without unlabelled nodes: Cayley's n**(n-2).
+    assert result.dedup_count == n ** (n - 2)
     for text in result.trees.values():
         tree = parse_newick(text)
-        assert tree.n_unlabelled == 0 and tree.num_nodes == 4
+        assert tree.n_unlabelled == 0 and tree.num_nodes == n
 
 
 def test_compact_search_single_tree():
@@ -213,12 +220,38 @@ def test_compact_search_single_tree():
     cubic = enumerate_cubic(matrix)
     first = min(cubic.incumbents, key=lambda k: k.data)
     tree = cubic.incumbents[first]
-    result = compact_search(tree, matrix)
-    assert result.mp_cost == cubic.incumbent_cost
+    searcher = CompactSearcher(matrix)
+    assert searcher.add_source(tree) == cubic.incumbent_cost
+    result = searcher.finalize()
     assert result.sources == 1
     assert result.best_node_count <= tree.num_nodes
     for text in result.trees.values():
-        assert Scorer(matrix).cost(parse_newick(text)) == result.mp_cost
+        assert Scorer(matrix).cost(parse_newick(text)) == cubic.incumbent_cost
+
+
+def split_set(tree, names):
+    species = {name: i for i, name in enumerate(names)}
+    return frozenset(split for _u, _v, split in tree_splits(tree, species))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(4, 5))
+def test_equal_split_sets_iff_equal_canonical_keys(seed, n):
+    # Random X-trees (every unlabelled node comes from rule 1, so has
+    # degree 3 or more) on few species, so that equal trees occur.
+    rng = random.Random(seed)
+    names = [f"S{i}" for i in range(n)]
+    by_key = {}
+    by_splits = {}
+    for _ in range(120):
+        tree = random_mixed_tree(rng.sample(names, n), rng)
+        key = tree.canonical_key()
+        splits = split_set(tree, names)
+        assert by_key.setdefault(key, splits) == splits
+        assert by_splits.setdefault(splits, key) == key
+        # The same tree with other node numbers has the same splits.
+        assert split_set(parse_newick(key.as_text()), names) == splits
+    assert len(by_key) == len(by_splits) < 120
 
 
 def test_result_bookkeeping():
@@ -257,3 +290,12 @@ def test_contraction_counters_are_pinned(shape, want):
     got = (result.explored_states, result.contractions, result.raw_count,
            result.best_node_count, digest.hexdigest()[:16])
     assert got == want
+
+
+def test_searcher_refuses_start_trees_that_are_not_x_trees():
+    matrix = random_matrix(4, 3, 2, seed=0)
+    subdivided = subdivide_with_unlabelled(
+        parse_newick("((S1,S2),S3,S4);"), random.Random(0), 1)
+    for tree in (subdivided, parse_newick("(S1,S2,S3);")):
+        with pytest.raises(TreeStructureError):
+            CompactSearcher(matrix).add_source(tree)

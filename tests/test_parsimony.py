@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsicompact import (
-    ArityMismatchError,
     CharacterMatrix,
     EmptyTreeError,
     MissingSpeciesError,
@@ -16,7 +15,6 @@ from parsicompact import (
     Scorer,
     UnlabelledLeafError,
     brute_force_best_fit,
-    min_cost_edge,
     parse_newick,
     random_matrix,
     score_unrooted,
@@ -161,33 +159,6 @@ def test_fitch_equals_hartigan_on_binary_leaf_trees():
         tree.add_edge(mid, v)
         want = brute_force_best_fit(tree, matrix).mp_cost
         assert score_unrooted(tree, matrix, root=mid).mp_cost == want
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_min_cost_edge_definition(seed):
-    matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    if tree.num_edges == 0:
-        return
-    result = score_unrooted(tree, matrix)
-    for u, v in tree.iter_edges():
-        su, sv = result.node_sets[u], result.node_sets[v]
-        md = min_cost_edge(su, sv)
-        disjoint = sum(
-            not (su.VV[c].members & sv.VV[c].members) for c in range(matrix.m)
-        )
-        assert md == disjoint
-
-
-def test_min_cost_edge_arity_mismatch():
-    m1 = random_matrix(3, 2, 2, seed=0)
-    m2 = random_matrix(3, 5, 2, seed=0)
-    t = parse_newick("(S1,S2,S3);")
-    a = score_unrooted(t, m1).node_sets
-    b = score_unrooted(t, m2).node_sets
-    nodes = list(t.iter_nodes())
-    with pytest.raises(ArityMismatchError):
-        min_cost_edge(a[nodes[0]], b[nodes[1]])
 
 
 def test_scoring_errors():
