@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     CharacterMatrix,
+    ContractionState,
     EmptyTreeError,
+    IllegalContractionError,
     MissingSpeciesError,
     MixedTree,
     OracleTooLargeError,
     Scorer,
     UnlabelledLeafError,
     brute_force_best_fit,
+    contract_and_update,
     parse_newick,
     random_matrix,
     score_unrooted,
@@ -159,6 +162,31 @@ def test_fitch_equals_hartigan_on_binary_leaf_trees():
         tree.add_edge(mid, v)
         want = brute_force_best_fit(tree, matrix).mp_cost
         assert score_unrooted(tree, matrix, root=mid).mp_cost == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_min_cost_edge_definition(seed):
+    # An edge's min cost is one unit per character whose VV member sets
+    # are disjoint: zero puts it among the contraction candidates, and a
+    # positive value is the figure contract_and_update refuses it with.
+    matrix, tree = random_instance(seed, max_n=6, max_m=4)
+    if tree.num_edges == 0:
+        return
+    result = score_unrooted(tree, matrix)
+    state = ContractionState.from_tree(tree, matrix)
+    zero = {frozenset(e) for e in state.zero_edges}
+    for u, v in tree.iter_edges():
+        if tree.label[u] is not None and tree.label[v] is not None:
+            continue
+        su, sv = result.node_sets[u], result.node_sets[v]
+        disjoint = sum(
+            not (su.VV[c].members & sv.VV[c].members) for c in range(matrix.m)
+        )
+        assert (frozenset((u, v)) in zero) == (disjoint == 0)
+        if disjoint:
+            with pytest.raises(IllegalContractionError, match=f"min-cost {disjoint},"):
+                contract_and_update(state, (u, v))
 
 
 def test_scoring_errors():
