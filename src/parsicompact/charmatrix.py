@@ -105,8 +105,9 @@ class CharacterMatrix:
         self._build_packed()
 
     def _build_packed(self):
-        # Power-of-two group width keeps the scoring engine's OR-fold
-        # cascade (shifts 1, 2, 4, ...) from leaking bits across groups.
+        # Each group is the widest alphabet rounded up to a power of two.
+        # The scoring engine's fold needs only room for every state: its
+        # carry stays inside a group of any width.
         widest = max(a.size for a in self.alphabets)
         g = 1 << (widest - 1).bit_length() if widest > 1 else 1
         self.group_width = g

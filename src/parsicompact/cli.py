@@ -283,7 +283,9 @@ def _cmd_search(cfg: RunConfig, kind: str) -> int:
     )
     elapsed = (time.monotonic() - t0) * 1000.0
     best = record.most_compact if kind == "mixed" else record.incumbents
+    t0 = time.monotonic()
     newicks = _verified_newicks(best, matrix, record.incumbent_cost)
+    emit_ms = (time.monotonic() - t0) * 1000.0
     _write_trees(cfg, newicks)
     row = {
         "n": matrix.n,
@@ -306,6 +308,7 @@ def _cmd_search(cfg: RunConfig, kind: str) -> int:
     elif cfg.format == "json":
         row["trees"] = newicks
         row["time_ms"] = elapsed
+        row["emit_ms"] = emit_ms
         _emit_json(row)
     else:
         _emit_tsv(list(row), [row])
@@ -321,7 +324,9 @@ def cmd_search_mixed(cfg: RunConfig) -> int:
 
 
 def cmd_compact(cfg: RunConfig) -> int:
+    t0 = time.monotonic()
     matrix = _load_matrix(cfg)
+    load_ms = (time.monotonic() - t0) * 1000.0
     t0 = time.monotonic()
     result = most_compact_pipeline(
         matrix,
@@ -331,7 +336,9 @@ def cmd_compact(cfg: RunConfig) -> int:
         on_progress=_progress_printer(cfg),
     )
     elapsed = (time.monotonic() - t0) * 1000.0
+    t0 = time.monotonic()
     newicks = _verified_newicks(result.trees, matrix, result.mp_cost)
+    emit_ms = (time.monotonic() - t0) * 1000.0
     _write_trees(cfg, newicks)
     cubic = result.cubic_record
     row = {
@@ -358,6 +365,10 @@ def cmd_compact(cfg: RunConfig) -> int:
         row["trees"] = newicks
         row["mean_contractions"] = result.mean_contractions
         row["time_ms"] = elapsed
+        row["load_ms"] = load_ms
+        row["cubic_ms"] = result.cubic_ms
+        row["contract_ms"] = result.contract_ms
+        row["emit_ms"] = emit_ms
         _emit_json(row)
     else:
         _emit_tsv(list(row), [row])

@@ -18,6 +18,13 @@ children whose VU contains s, an unlabelled node costs
 sum(children costs) + (#children - max num), a node fixed to state x
 costs sum(children costs) + #children whose VU misses x, and forcing any
 state s costs exactly (max num - num(s)) above the node minimum.
+
+Which character groups of a set are non-empty is read in constant time
+by one carry through each group (:meth:`Scorer._fold`).  A node
+receiving two sets combines by their intersection and union, one
+receiving three by the closed form of :meth:`Scorer._three` over the
+pairwise and triple intersections, and only four or more sets go
+through bit-sliced counters.
 """
 
 from __future__ import annotations
@@ -163,23 +170,31 @@ class Scorer:
     calls :meth:`growth_costs` once per tree it expands.
     """
 
-    __slots__ = ("matrix", "g", "low", "alpha", "fill", "shifts", "m", "vmask")
+    __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
 
     def __init__(self, matrix: CharacterMatrix):
         self.matrix = matrix
         g = matrix.group_width
-        self.g = g
-        self.low = matrix.group_low
+        low = matrix.group_low
         self.alpha = matrix.alpha_all
         self.fill = (1 << g) - 1
-        self.shifts = [1 << k for k in range((g - 1).bit_length())]
+        # The fold's constants: each group's top bit, and each group's
+        # g-1 low bits all set.
+        self.top = g - 1
+        self.high = low << self.top
+        self.carry = low * ((1 << self.top) - 1)
         self.m = matrix.m
         self.vmask = matrix.value_mask
 
     def _fold(self, x: int) -> int:
-        for s in self.shifts:
-            x |= x >> s
-        return x & self.low
+        """Bit 0 of each character group of ``x`` set iff any bit of it is.
+
+        Adding ``carry`` to a group's g-1 low bits carries into the group's
+        top bit exactly when one of them is set, and never past it.  The hot
+        loops of :meth:`_bottom_up` and :meth:`growth_costs` inline this.
+        """
+        carry = self.carry
+        return ((((x & carry) + carry) | x) & self.high) >> self.top
 
     # -- traversal ---------------------------------------------------------
 
@@ -214,43 +229,52 @@ class Scorer:
     # -- bottom-up pass ------------------------------------------------------
 
     def _bottom_up(self, tree, root, need_vl):
-        """Return (cost, vu, vl, pre, parent); vl is zeros if not requested."""
+        """Return (cost, vu, vl, pre, parent, kids); vl is zeros if not requested.
+
+        ``kids[u]`` lists u's children in adjacency order (None at ids
+        not in the tree).
+        """
         pre, parent = self._preorder(tree, root)
         size = len(tree.adj)
         vu = [0] * size
         vl = [0] * size
+        kids_of = [None] * size
         adj = tree.adj
         label = tree.label
         vmask = self.vmask
-        fold = self._fold
         alpha = self.alpha
         fill = self.fill
+        carry = self.carry
+        high = self.high
+        top = self.top
         m = self.m
         cost = 0
         for u in reversed(pre):
             name = label[u]
             par = parent[u]
-            kids = [v for v in adj[u] if v != par]
+            kids = kids_of[u] = [v for v in adj[u] if v != par]
             if name is not None:
                 x = vmask.get(name)
                 if x is None:
                     raise MissingSpeciesError(f"species {name!r} not in the matrix")
                 vu[u] = x
+                # x holds one state per character, so each bit of
+                # vu[c] & x is one character that reaches x for free.
                 for c in kids:
-                    cost += m - fold(vu[c] & x).bit_count()
+                    cost += m - (vu[c] & x).bit_count()
             elif not kids:
                 raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
             elif len(kids) == 2:
                 a = vu[kids[0]]
                 b = vu[kids[1]]
-                inter = a & b
-                ne = fold(inter)
+                meet = a & b
+                ne = ((((meet & carry) + carry) | meet) & high) >> top
                 cost += m - ne.bit_count()
                 both = ne * fill
                 union = a | b
-                vu[u] = (inter & both) | (union & ~both)
+                vu[u] = meet | (union & ~both)
                 if need_vl:
-                    vl[u] = ((a ^ b) & both) | (alpha & ~union & ~both)
+                    vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
             elif len(kids) == 1:
                 if par < 0:
                     # An unlabelled root with one neighbour is a leaf.
@@ -259,15 +283,48 @@ class Scorer:
                 vu[u] = c0
                 if need_vl:
                     vl[u] = alpha & ~c0
+            elif len(kids) == 3:
+                vu[u], u_vl, local = self._three(vu[kids[0]], vu[kids[1]], vu[kids[2]])
+                if need_vl:
+                    vl[u] = u_vl
+                cost += local
             else:
-                u_vu, u_vl, dcost = self._count_many([vu[c] for c in kids], need_vl)
+                u_vu, u_vl, local = self._count_many([vu[c] for c in kids], need_vl)
                 vu[u] = u_vu
                 vl[u] = u_vl
-                cost += dcost
-        return cost, vu, vl, pre, parent
+                cost += local
+        return cost, vu, vl, pre, parent, kids_of
+
+    def _three(self, a, b, c):
+        """VU, VL and local cost of an unlabelled node receiving a, b and c.
+
+        f3 = a & b & c holds the states with num(s) = 3, and f2, the union
+        of the pairwise intersections, those with num(s) >= 2.  A
+        character's max num K is 3 where f3 is non-empty, else 2 where f2
+        is, else 1.  That last step holds only when each of a, b and c is
+        non-empty in every character, as every VU set and every D set
+        (see :meth:`growth_costs`) is.  The local cost, the sum of 3 - K,
+        is then 2m minus the characters where f3 is non-empty minus those
+        where f2 is.
+        """
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        ab = a & b
+        f3 = ab & c
+        f2 = ab | ((a | b) & c)
+        union = a | b | c
+        n3 = ((((f3 & carry) + carry) | f3) & high) >> top
+        n2 = ((((f2 & carry) + carry) | f2) & high) >> top
+        e3 = n3 * fill
+        e2 = n2 * fill
+        vu = f3 | (f2 & ~e3) | (union & ~e2)
+        vl = ((f2 ^ f3) & e3) | ((union ^ f2) & (e2 ^ e3)) | (self.alpha & ~(union | e2))
+        return vu, vl, 2 * self.m - n3.bit_count() - n2.bit_count()
 
     def _count_many(self, masks, need_vl):
-        """VU/VL/cost for a node with 3+ children, via bit-sliced counters."""
+        """VU/VL/cost for a node with 4+ children, via bit-sliced counters."""
         slices: list[int] = []
         for x in masks:
             carry = x
@@ -314,16 +371,16 @@ class Scorer:
         return alpha & ~b
 
     def _combine(self, sets):
-        """VU set and local cost of an unlabelled node receiving ``sets``."""
-        if len(sets) == 1:
-            return sets[0], 0
+        """VU set and local cost of an unlabelled node receiving 2+ ``sets``."""
         if len(sets) == 2:
             a, b = sets
-            inter = a & b
-            ne = self._fold(inter)
-            both = ne * self.fill
-            return (inter & both) | ((a | b) & ~both), self.m - ne.bit_count()
-        vu, _vl, local = self._count_many(sets, False)
+            meet = a & b
+            ne = self._fold(meet)
+            return meet | ((a | b) & ~(ne * self.fill)), self.m - ne.bit_count()
+        if len(sets) == 3:
+            vu, _vl, local = self._three(*sets)
+        else:
+            vu, _vl, local = self._count_many(sets, False)
         return vu, local
 
     # -- top-down pass ---------------------------------------------------------
@@ -359,13 +416,14 @@ class Scorer:
 
         One directional sweep replaces a rescore per child.  Write D(u->v)
         for the VU set of the side of edge (u, v) holding u.  The bottom-up
-        pass gives D(u->parent); a preorder pass gives D(parent->u) from
-        the parent's label, or else from the parent's other incoming sets.
-        An edge (u, v) acts as an unlabelled node receiving D(u->v) and
-        D(v->u), so with x the new species, |s| the number of characters
-        whose x-state lies in s (x has one state per character), and an
-        unlabelled node (or edge) receiving d sets with local cost L and
-        combine VV, each child costs the parent's cost plus:
+        pass gives D(u->parent) and each node's children; a preorder pass
+        over those children gives D(parent->u) from the parent's label, or
+        else from the parent's other incoming sets.  An edge (u, v) acts as
+        an unlabelled node receiving D(u->v) and D(v->u), so with x the new
+        species, |s| the number of characters whose x-state lies in s (x
+        has one state per character), and an unlabelled node (or edge)
+        receiving d sets with local cost L and combine VV, each child costs
+        the parent's cost plus:
 
         * r1 on an edge, r3 on an unlabelled node (hang x): m - |VV|;
         * r3 on a node labelled y: m - |y|;
@@ -373,21 +431,24 @@ class Scorer:
 
         Both follow from one fact: an edge into a side with set D costs
         that side's minimum plus one per character whose state misses D.
+        Two sets combine inline, three by :meth:`_three`'s closed form, and
+        only four or more through the bit-sliced counters.
         """
         x = self.vmask.get(name)
         if x is None:
             raise MissingSpeciesError(f"species {name!r} not in the matrix")
         root = self.pick_root(tree)
-        cost, up, _vl, pre, parent = self._bottom_up(tree, root, False)
-        adj = tree.adj
+        cost, up, _vl, pre, parent, kids_of = self._bottom_up(tree, root, False)
         label = tree.label
         vmask = self.vmask
-        combine = self._combine
-        down = [0] * len(adj)
-        into: dict[int, list[int]] = {}
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        m = self.m
+        down = [0] * len(up)
         for p in pre:
-            par = parent[p]
-            kids = [v for v in adj[p] if v != par]
+            kids = kids_of[p]
             if not kids:
                 continue
             if label[p] is not None:
@@ -396,42 +457,63 @@ class Scorer:
                     down[c] = fixed
                 continue
             sets = [up[c] for c in kids]
-            if par >= 0:
+            if parent[p] >= 0:
                 sets.append(down[p])
-            into[p] = sets
-            for i, c in enumerate(kids):
-                down[c] = combine(sets[:i] + sets[i + 1:])[0]
+            if len(sets) == 2:
+                down[kids[0]] = sets[1]
+                if len(kids) == 2:
+                    down[kids[1]] = sets[0]
+            elif len(sets) == 3:
+                # Each child gets the 2-set combine of the other two sets.
+                s0, s1, s2 = sets
+                for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
+                    meet = a & b
+                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                    down[c] = meet | ((a | b) & ~both)
+            else:
+                for i, c in enumerate(kids):
+                    down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
 
-        m = self.m
         at_node: dict[int, tuple[int, int]] = {}
         out = []
         for kind, site in moves:
             if kind == "r1" or kind == "r2":
                 u, v = site
                 c = v if parent[v] == u else u
-                sets = (up[c], down[c])
-                vv, local = combine(sets)
-            elif kind == "r3" and label[site] is not None:
+                a = up[c]
+                b = down[c]
+                meet = a & b
+                ne = ((((meet & carry) + carry) | meet) & high) >> top
+                if kind == "r1":
+                    vv = meet | ((a | b) & ~(ne * fill))
+                    out.append(cost + m - (vv & x).bit_count())
+                else:
+                    # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
+                    out.append(cost + m + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+                continue
+            if kind == "r3" and label[site] is not None:
                 out.append(cost + m - (vmask[label[site]] & x).bit_count())
                 continue
-            else:
-                sets = into[site]
-                got = at_node.get(site)
-                if got is None:
-                    got = at_node[site] = combine(sets)
-                vv, local = got
-            if kind == "r1" or kind == "r3":
+            got = at_node.get(site)
+            if got is None:
+                sets = [up[c] for c in kids_of[site]]
+                if parent[site] >= 0:
+                    sets.append(down[site])
+                vv, local = self._combine(sets)
+                hits = sum((s & x).bit_count() for s in sets)
+                got = at_node[site] = (vv, len(sets) * m - local - hits)
+            vv, grow_cost = got
+            if kind == "r3":
                 out.append(cost + m - (vv & x).bit_count())
             else:
-                hits = sum((s & x).bit_count() for s in sets)
-                out.append(cost + len(sets) * m - local - hits)
+                out.append(cost + grow_cost)
         return out
 
     def score(self, tree: MixedTree, root: int | None = None) -> ScoreResult:
         """Full pass: cost plus VU/VL/VV for every node."""
         if root is None:
             root = self.pick_root(tree)
-        cost, vu, vl, pre, parent = self._bottom_up(tree, root, True)
+        cost, vu, vl, pre, parent, _kids = self._bottom_up(tree, root, True)
         vv = self._top_down(vu, vl, pre, parent)
         return ScoreResult(cost, root, vv, (self.matrix, tree, pre, parent, vu, vl))
 

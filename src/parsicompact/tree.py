@@ -137,10 +137,9 @@ class MixedTree:
                 yield u
 
     def iter_edges(self):
-        for u in self.iter_nodes():
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Every edge once, as (u, v) with u < v, in a new list."""
+        alive = self.alive
+        return [(u, v) for u, at in enumerate(self.adj) if alive[u] for v in at if u < v]
 
     def leaves(self):
         return [u for u in self.iter_nodes() if len(self.adj[u]) == 1]

@@ -47,6 +47,21 @@ def random_instance(seed: int, max_n=7, max_m=5, max_states=4):
     return matrix, tree
 
 
+def sized_matrix(sizes, rng: random.Random):
+    """A matrix of max(sizes) species whose column c has sizes[c] states.
+
+    The first sizes[c] rows take the column's states in turn, the rest
+    draw from them at random, and the rows are then shuffled.
+    """
+    symbols = "ABCDEFGH"
+    rows = [
+        (f"S{i + 1}", "".join(symbols[i] if i < k else rng.choice(symbols[:k]) for k in sizes))
+        for i in range(max(sizes))
+    ]
+    rng.shuffle(rows)
+    return CharacterMatrix.from_rows(rows)
+
+
 def subdivide_with_unlabelled(tree: MixedTree, rng: random.Random, count: int):
     """Insert `count` unlabelled degree-2 nodes on random edges, in place."""
     for _ in range(count):

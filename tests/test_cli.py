@@ -118,6 +118,44 @@ def test_emitted_trees_rescore_to_reported_cost(capsys, fasta):
         assert Scorer(matrix).cost(parse_newick(text)) == data["mp_cost"]
 
 
+# Every JSON field but the *_ms timings, as the output carried them
+# before the stage timings were added.
+JSON_FIELDS = {
+    "compact": {"n", "m", "mp_cost", "node_count", "compact_trees", "raw_arrivals",
+                "explored_states", "contractions", "mean_contractions",
+                "cubic_mp_trees", "cubic_visited", "trees"},
+    "search-cubic": {"n", "m", "mp_cost", "mp_trees", "most_compact_trees",
+                     "min_nodes", "visited", "pruned", "generated", "trees"},
+}
+JSON_FIELDS["search-mixed"] = JSON_FIELDS["search-cubic"]
+STAGE_TIMES = {
+    "compact": {"time_ms", "load_ms", "cubic_ms", "contract_ms", "emit_ms"},
+    "search-cubic": {"time_ms", "emit_ms"},
+    "search-mixed": {"time_ms", "emit_ms"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_TIMES))
+def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, command):
+    code, out, _ = run(capsys, command, "--input", fasta, "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert {k for k in got if k.endswith("_ms")} == STAGE_TIMES[command]
+    assert {k for k in got if not k.endswith("_ms")} == JSON_FIELDS[command]
+    assert all(got[k] >= 0 for k in STAGE_TIMES[command])
+    if command == "compact":
+        assert got["cubic_ms"] + got["contract_ms"] <= got["time_ms"] + 1e-6
+    # The TSV row carries the same values, and no stage time.
+    code, tsv, _ = run(capsys, command, "--input", fasta)
+    header, row = tsv.strip().split("\n")
+    for key, text in zip(header.split("\t"), row.split("\t")):
+        if key == "time_ms":
+            continue
+        want = got[key]
+        assert text == (f"{want:.2f}" if key == "mean_contractions" else str(want)), key
+    assert set(header.split("\t")) == (JSON_FIELDS[command] - {"trees"}) | {"time_ms"}
+
+
 def test_trees_out_file(capsys, fasta, tmp_path):
     dest = tmp_path / "best.nwk"
     code, out, _ = run(capsys, "search-cubic", "--input", fasta,

@@ -25,7 +25,7 @@ from parsicompact import (
     score_unrooted,
 )
 from parsicompact.enumeration import _Search
-from conftest import random_mixed_tree
+from conftest import random_mixed_tree, sized_matrix
 
 TOTALS = [1, 1, 4, 32, 396, 6692, 143816]
 
@@ -229,6 +229,32 @@ def test_sweep_costs_every_growth_move_exactly():
                 checked += 1
     assert all(shapes.values()), shapes
     assert checked > 2000
+
+
+def test_sweep_costs_every_growth_move_on_eight_symbol_data():
+    # Five to eight states in a column give 8-bit character groups, which
+    # no other test's data and no benchmark matrix reach.  Every move of
+    # both searches must cost what building the child and rescoring says.
+    rng = random.Random(88)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        sizes = [n] + [rng.randint(1, n) for _ in range(rng.randint(0, 5))]
+        matrix = sized_matrix(sizes, rng)
+        assert matrix.group_width == 8
+        *placed, name = matrix.names
+        tree = random_mixed_tree(placed, rng)
+        scorer = Scorer(matrix)
+        for kind in ("cubic", "mixed"):
+            moves = _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree)
+            costs = scorer.growth_costs(tree, moves, name)
+            assert len(costs) == len(moves)
+            for move, got in zip(moves, costs):
+                token = _Search.apply(tree, move, name)
+                assert got == scorer.cost(tree), (kind, move)
+                tree.undo_growth(token)
+                checked += 1
+    assert checked > 500
 
 
 def _keys_digest(record):

@@ -22,7 +22,8 @@ from parsicompact import (
     random_matrix,
     score_unrooted,
 )
-from conftest import random_instance, random_mixed_tree
+from parsicompact.parsimony import unpack_sets
+from conftest import random_instance, random_mixed_tree, sized_matrix
 
 TWO_STATE = CharacterMatrix.from_rows(
     [("A1", "A"), ("A2", "A"), ("B1", "B"), ("B2", "B")]
@@ -258,3 +259,51 @@ def test_scorer_reuse_across_trees():
     for _ in range(10):
         tree = random_mixed_tree(matrix.names, rng)
         assert scorer.cost(tree) == brute_force_best_fit(tree, matrix).mp_cost
+
+
+# Widest alphabet -> group width: the fold's carry crosses 0, 1, 3 and 7 bits.
+GROUP_WIDTH = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8}
+
+
+@pytest.mark.parametrize("widest", sorted(GROUP_WIDTH))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fold_flags_exactly_the_non_empty_groups(widest, data):
+    m = data.draw(st.integers(1, 12))
+    sizes = [widest] + data.draw(st.lists(st.integers(1, widest), min_size=m - 1, max_size=m - 1))
+    matrix = sized_matrix(sizes, random.Random(0))
+    g = matrix.group_width
+    assert g == GROUP_WIDTH[widest]
+    bits = data.draw(st.sets(st.integers(0, m * g - 1)))
+    x = sum(1 << b for b in bits)
+    want = sum(1 << (c * g) for c in range(m) if any(c * g <= b < (c + 1) * g for b in bits))
+    assert Scorer(matrix)._fold(x) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_three_set_closed_form_matches_num_definition(data):
+    # README "Scoring": with num(s) the number of sets holding s and
+    # K = max num, VU = {num = K}, VL = {num = K - 1} and the cost is 3 - K,
+    # per character.  The closed form covers non-empty sets only.
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    matrix = sized_matrix(sizes, random.Random(0))
+    g = matrix.group_width
+    members = [
+        [data.draw(st.sets(st.integers(0, k - 1), min_size=1)) for k in sizes]
+        for _ in range(3)
+    ]
+    packed = [sum(1 << (c * g + s) for c, got in enumerate(sets) for s in got) for sets in members]
+    want_vu, want_vl, want_cost = [], [], 0
+    for c, k in enumerate(sizes):
+        num = [sum(s in sets[c] for sets in members) for s in range(k)]
+        top = max(num)
+        want_vu.append(frozenset(s for s in range(k) if num[s] == top))
+        want_vl.append(frozenset(s for s in range(k) if num[s] == top - 1))
+        want_cost += 3 - top
+    scorer = Scorer(matrix)
+    vu, vl, cost = scorer._three(*packed)
+    assert unpack_sets(matrix, vu) == tuple(want_vu)
+    assert unpack_sets(matrix, vl) == tuple(want_vl)
+    assert cost == want_cost
+    assert (vu, vl, cost) == scorer._count_many(packed, True)
