@@ -8,7 +8,7 @@ to explain the data, minimized over all states of the unlabelled nodes.
 Species may sit on internal nodes, not just leaves.
 """
 
-from parsicompact import CharacterMatrix, parse_newick, score_unrooted
+from parsicompact import CharacterMatrix, parse_newick, score_unrooted, unpack_sets
 
 # Four species, one binary character, interleaved so that grouping the
 # A's together or the B's together always costs two changes.
@@ -32,14 +32,14 @@ print("cost with A2 ancestral:", score_unrooted(live, matrix).mp_cost)
 # every state that appears in at least one optimal fit over the whole
 # tree.  VV can be strictly larger than VU, which is what makes naive
 # local reasoning about contractions dangerous.
+symbols = matrix.alphabets[0].symbols
 for node in sorted(tree.iter_nodes()):
-    sets = result.node_sets[node]
+    vv = unpack_sets(matrix, result.vv[node])[0]
     name = tree.label[node] or f"node{node}"
-    print(f"{name:>6}  VV={sorted(sets.vv_symbols(0))}")
+    print(f"{name:>6}  VV={sorted(symbols[s] for s in vv)}")
 
 # A concrete optimal assignment of states to every node.  Its recounted
 # cost always equals the reported minimum.
 fit = result.extract_fit()
-symbols = matrix.alphabets[0].symbols
 print("one optimal fit:", {k: symbols[v[0]] for k, v in sorted(fit.states.items())})
 print("fit cost:", fit.total_cost)

@@ -38,6 +38,7 @@ from .enumeration import (
 )
 from .errors import (
     AlphabetTooLargeError,
+    AlreadyLabelledError,
     AmbiguousSymbolError,
     BadColumnRangeError,
     BadSubsetSizeError,
@@ -57,13 +58,12 @@ from .errors import (
 )
 from .parsimony import (
     FitAssignment,
-    NodeSets,
     OracleResult,
     ScoreResult,
     Scorer,
-    StateSet,
     brute_force_best_fit,
     score_unrooted,
+    unpack_sets,
 )
 from .tree import CanonicalKey, MixedTree, parse_newick
 
@@ -71,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetTooLargeError",
+    "AlreadyLabelledError",
     "AmbiguousSymbolError",
     "BadColumnRangeError",
     "BadSubsetSizeError",
@@ -89,7 +90,6 @@ __all__ = [
     "MissingSpeciesError",
     "MixedTree",
     "NewickParseError",
-    "NodeSets",
     "OracleResult",
     "OracleTooLargeError",
     "ParsicompactError",
@@ -98,7 +98,6 @@ __all__ = [
     "SearchRecord",
     "Species",
     "StateAlphabet",
-    "StateSet",
     "TreeCountTable",
     "TreeStructureError",
     "UnlabelledLeafError",
@@ -119,6 +118,7 @@ __all__ = [
     "restrict_columns",
     "score_unrooted",
     "subsample_species",
+    "unpack_sets",
     "write_fasta",
     "zero_min_cost_edges",
 ]

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .charmatrix import CharacterMatrix, parse_fasta, restrict_columns, subsample_species
 from .contract import most_compact_pipeline
@@ -48,27 +47,6 @@ BENCH_COLUMNS = [
     "mean_contractions",
     "mp_cost",
 ]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    tree: str | None = None
-    columns: int | None = None
-    subset: int | None = None
-    seed: int | None = None
-    threads: int = 1
-    order: str = "input"
-    format: str = "tsv"
-    no_prune: bool = False
-    oracle_check: bool = False
-    allow_ambiguity: bool = False
-    trees_out: str | None = None
-    min_n: int = 4
-    max_n: int = 8
-    trials: int = 10
-    progress: bool = False
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -106,31 +84,31 @@ def _read_text(path: str, flag: str) -> str:
         ) from None
 
 
-def _load_matrix(cfg: RunConfig) -> CharacterMatrix:
-    if not cfg.input:
+def _load_matrix(args: argparse.Namespace) -> CharacterMatrix:
+    if not args.input:
         raise ParsicompactError("this command needs --input FASTA")
-    text = _read_text(cfg.input, "--input")
+    text = _read_text(args.input, "--input")
     try:
-        matrix = parse_fasta(text, allow_ambiguity=cfg.allow_ambiguity)
+        matrix = parse_fasta(text, allow_ambiguity=args.allow_ambiguity)
     except AmbiguousSymbolError as exc:
         raise AmbiguousSymbolError(f"{exc} (flag: --allow-ambiguity)") from None
-    if cfg.columns is not None:
-        matrix = restrict_columns(matrix, cfg.columns)
-    if cfg.subset is not None:
-        if cfg.seed is None:
+    if args.columns is not None:
+        matrix = restrict_columns(matrix, args.columns)
+    if args.subset is not None:
+        if args.seed is None:
             raise ParsicompactError("--subset sampling requires --seed")
-        matrix = subsample_species(matrix, cfg.subset, cfg.seed)
+        matrix = subsample_species(matrix, args.subset, args.seed)
     return matrix
 
 
-def _load_tree(cfg: RunConfig):
-    if not cfg.tree:
+def _load_tree(args: argparse.Namespace):
+    if not args.tree:
         raise ParsicompactError("score needs --tree (Newick file or literal)")
-    text = cfg.tree
+    text = args.tree
     if os.path.exists(text):
         text = _read_text(text, "--tree")
     elif "(" not in text and ";" not in text:
-        raise ParsicompactError(f"--tree: no such file and not Newick text: {cfg.tree}")
+        raise ParsicompactError(f"--tree: no such file and not Newick text: {args.tree}")
     return parse_newick(text.strip())
 
 
@@ -163,16 +141,16 @@ def _verified_newicks(trees, matrix, want_cost):
     return out
 
 
-def _write_trees(cfg, newicks):
-    if cfg.trees_out:
-        with open(cfg.trees_out, "w", encoding="utf-8") as fh:
+def _write_trees(args, newicks):
+    if args.trees_out:
+        with open(args.trees_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(newicks) + "\n")
-    if cfg.format == "newick":
+    if args.format == "newick":
         sys.stdout.write("\n".join(newicks) + "\n")
 
 
-def _progress_printer(cfg):
-    if not cfg.progress:
+def _progress_printer(args):
+    if not args.progress:
         return None
 
     def show(record):
@@ -188,13 +166,13 @@ def _progress_printer(cfg):
 # -- commands --------------------------------------------------------------
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    matrix = _load_matrix(cfg)
-    tree = _load_tree(cfg)
+def cmd_score(args: argparse.Namespace) -> int:
+    matrix = _load_matrix(args)
+    tree = _load_tree(args)
     t0 = time.monotonic()
     result = score_unrooted(tree, matrix)
     elapsed = (time.monotonic() - t0) * 1000.0
-    if cfg.oracle_check:
+    if args.oracle_check:
         oracle = brute_force_best_fit(tree, matrix)
         if oracle.mp_cost != result.mp_cost:
             raise ParsicompactError(
@@ -208,10 +186,10 @@ def cmd_score(cfg: RunConfig) -> int:
         "tree_unlabelled": tree.n_unlabelled,
         "time_ms": f"{elapsed:.1f}",
     }
-    if cfg.format == "newick":
+    if args.format == "newick":
         sys.stdout.write(tree.write_newick() + "\n")
         print(f"mp_cost={result.mp_cost}", file=sys.stderr)
-    elif cfg.format == "json":
+    elif args.format == "json":
         row["tree"] = tree.write_newick()
         row["time_ms"] = elapsed
         _emit_json(row)
@@ -240,12 +218,12 @@ def _long_int_text():
         sys.set_int_max_str_digits(cap)
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if cfg.min_n < 1 or cfg.max_n < cfg.min_n:
-        raise ParsicompactError(f"bad n range {cfg.min_n}..{cfg.max_n}")
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.min_n < 1 or args.max_n < args.min_n:
+        raise ParsicompactError(f"bad n range {args.min_n}..{args.max_n}")
     rows = []
     with _long_int_text():
-        for n in range(cfg.min_n, cfg.max_n + 1):
+        for n in range(args.min_n, args.max_n + 1):
             total = count_total_mixed(n)
             if n >= 2:
                 estimate = closed_form_estimate(n)
@@ -263,30 +241,30 @@ def cmd_count(cfg: RunConfig) -> int:
                     "t_n_m": by_m,
                 }
             )
-        if cfg.format == "json":
+        if args.format == "json":
             _emit_json(rows)
         else:
             _emit_tsv(list(rows[0]), rows)
     return 0
 
 
-def _cmd_search(cfg: RunConfig, kind: str) -> int:
-    matrix = _load_matrix(cfg)
+def _cmd_search(args: argparse.Namespace, kind: str) -> int:
+    matrix = _load_matrix(args)
     runner = enumerate_cubic if kind == "cubic" else enumerate_mixed
     t0 = time.monotonic()
     record = runner(
         matrix,
-        order=cfg.order,
-        no_prune=cfg.no_prune,
-        threads=cfg.threads,
-        on_progress=_progress_printer(cfg),
+        order=args.order,
+        no_prune=args.no_prune,
+        threads=args.threads,
+        on_progress=_progress_printer(args),
     )
     elapsed = (time.monotonic() - t0) * 1000.0
-    best = record.most_compact if kind == "mixed" else record.incumbents
+    best = record.most_compact
     t0 = time.monotonic()
     newicks = _verified_newicks(best, matrix, record.incumbent_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
-    _write_trees(cfg, newicks)
+    _write_trees(args, newicks)
     row = {
         "n": matrix.n,
         "m": matrix.m,
@@ -299,13 +277,13 @@ def _cmd_search(cfg: RunConfig, kind: str) -> int:
         "generated": record.generated,
         "time_ms": f"{elapsed:.1f}",
     }
-    if cfg.format == "newick":
+    if args.format == "newick":
         print(
             f"mp_cost={record.incumbent_cost} trees={len(best)} "
             f"visited={record.visited}",
             file=sys.stderr,
         )
-    elif cfg.format == "json":
+    elif args.format == "json":
         row["trees"] = newicks
         row["time_ms"] = elapsed
         row["emit_ms"] = emit_ms
@@ -315,31 +293,31 @@ def _cmd_search(cfg: RunConfig, kind: str) -> int:
     return 0
 
 
-def cmd_search_cubic(cfg: RunConfig) -> int:
-    return _cmd_search(cfg, "cubic")
+def cmd_search_cubic(args: argparse.Namespace) -> int:
+    return _cmd_search(args, "cubic")
 
 
-def cmd_search_mixed(cfg: RunConfig) -> int:
-    return _cmd_search(cfg, "mixed")
+def cmd_search_mixed(args: argparse.Namespace) -> int:
+    return _cmd_search(args, "mixed")
 
 
-def cmd_compact(cfg: RunConfig) -> int:
+def cmd_compact(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    matrix = _load_matrix(cfg)
+    matrix = _load_matrix(args)
     load_ms = (time.monotonic() - t0) * 1000.0
     t0 = time.monotonic()
     result = most_compact_pipeline(
         matrix,
-        order=cfg.order,
-        threads=cfg.threads,
-        oracle_check=cfg.oracle_check,
-        on_progress=_progress_printer(cfg),
+        order=args.order,
+        threads=args.threads,
+        oracle_check=args.oracle_check,
+        on_progress=_progress_printer(args),
     )
     elapsed = (time.monotonic() - t0) * 1000.0
     t0 = time.monotonic()
     newicks = _verified_newicks(result.trees, matrix, result.mp_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
-    _write_trees(cfg, newicks)
+    _write_trees(args, newicks)
     cubic = result.cubic_record
     row = {
         "n": matrix.n,
@@ -355,13 +333,13 @@ def cmd_compact(cfg: RunConfig) -> int:
         "cubic_visited": cubic.visited,
         "time_ms": f"{elapsed:.1f}",
     }
-    if cfg.format == "newick":
+    if args.format == "newick":
         print(
             f"mp_cost={result.mp_cost} nodes={result.best_node_count} "
             f"trees={result.dedup_count}",
             file=sys.stderr,
         )
-    elif cfg.format == "json":
+    elif args.format == "json":
         row["trees"] = newicks
         row["mean_contractions"] = result.mean_contractions
         row["time_ms"] = elapsed
@@ -375,31 +353,31 @@ def cmd_compact(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    matrix = _load_matrix(cfg)
-    seed = cfg.seed if cfg.seed is not None else 0
-    if cfg.min_n < 2 or cfg.max_n < cfg.min_n:
-        raise ParsicompactError(f"bad n range {cfg.min_n}..{cfg.max_n}")
-    if cfg.trials < 1:
-        raise ParsicompactError(f"--trials must be >= 1, got {cfg.trials}")
-    if cfg.max_n > matrix.n:
+def cmd_bench(args: argparse.Namespace) -> int:
+    matrix = _load_matrix(args)
+    seed = args.seed if args.seed is not None else 0
+    if args.min_n < 2 or args.max_n < args.min_n:
+        raise ParsicompactError(f"bad n range {args.min_n}..{args.max_n}")
+    if args.trials < 1:
+        raise ParsicompactError(f"--trials must be >= 1, got {args.trials}")
+    if args.max_n > matrix.n:
         raise ParsicompactError(
-            f"--max-n {cfg.max_n} exceeds the {matrix.n} species available"
+            f"--max-n {args.max_n} exceeds the {matrix.n} species available"
         )
     rows = []
-    for n in range(cfg.min_n, cfg.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         sums = {c: 0.0 for c in BENCH_COLUMNS[1:]}
-        for trial in range(cfg.trials):
+        for trial in range(args.trials):
             sub = subsample_species(matrix, n, seed + trial)
             t0 = time.monotonic()
-            mixed = enumerate_mixed(sub, order=cfg.order, threads=cfg.threads)
+            mixed = enumerate_mixed(sub, order=args.order, threads=args.threads)
             t_mtea = (time.monotonic() - t0) * 1000.0
             t0 = time.monotonic()
             pipe = most_compact_pipeline(
                 sub,
-                order=cfg.order,
-                threads=cfg.threads,
-                oracle_check=cfg.oracle_check,
+                order=args.order,
+                threads=args.threads,
+                oracle_check=args.oracle_check,
             )
             t_cteeca = (time.monotonic() - t0) * 1000.0
             if mixed.incumbent_cost != pipe.mp_cost:
@@ -419,7 +397,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             sums["contracted_cubic_mp_trees_dedup"] += pipe.dedup_count
             sums["mean_contractions"] += pipe.mean_contractions
             sums["mp_cost"] += pipe.mp_cost
-            if cfg.progress:
+            if args.progress:
                 print(
                     f"... n={n} trial={trial} mtea={t_mtea:.0f}ms "
                     f"cteeca={t_cteeca:.0f}ms cost={pipe.mp_cost}",
@@ -427,7 +405,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                 )
         row = {"n": n}
         for c, total in sums.items():
-            row[c] = round(total / cfg.trials, 2 if c == "mean_contractions" else 1)
+            row[c] = round(total / args.trials, 2 if c == "mean_contractions" else 1)
         rows.append(row)
         mtea, cteeca = sums["mtea_time_ms"], sums["cteeca_time_ms"]
         if cteeca:
@@ -436,7 +414,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                 f"(speedup {mtea / cteeca:.1f}x)",
                 file=sys.stderr,
             )
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(rows)
     else:
         _emit_tsv(BENCH_COLUMNS, rows)
@@ -522,23 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "threads"):
-        cfg.threads = _resolve_threads(args.threads)
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_to_config(args))
+        if hasattr(args, "threads"):
+            args.threads = _resolve_threads(args.threads)
+        return args.func(args)
     except ParsicompactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

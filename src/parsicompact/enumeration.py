@@ -135,15 +135,18 @@ class SearchRecord:
     """Outcome of one enumeration run.
 
     incumbents holds every minimum-cost tree found (canonical key ->
-    private tree copy); for the mixed search, most_compact narrows that
-    to the minimum node count.  visited counts trees reached (each
-    depth-first run's start tree plus every child of an expanded tree,
-    partial or complete, including the children priced above the
-    incumbent and therefore never built), generated counts complete
-    trees reached (built or not), pruned counts subtrees cut by the
-    cost bound; only the children that survive the bound are built.
-    duplicates counts canonical-key repeats skipped when dedup is on
-    (always 0 in practice: the growth moves are duplicate-free).
+    private tree copy), and most_compact narrows that to the minimum
+    node count.  Every cubic tree on n species has the same node count,
+    so a cubic search's most_compact equals its incumbents.
+
+    visited counts trees reached (each depth-first run's start tree
+    plus every child of an expanded tree, partial or complete,
+    including the children priced above the incumbent and therefore
+    never built), generated counts complete trees reached (built or
+    not), pruned counts subtrees cut by the cost bound; only the
+    children that survive the bound are built.  duplicates counts
+    canonical-key repeats skipped when dedup is on (always 0 in
+    practice: the growth moves are duplicate-free).
     """
 
     incumbent_cost: int | None = None
@@ -175,7 +178,7 @@ class SearchRecord:
             for key, t in other.incumbents.items():
                 self.incumbents.setdefault(key, t)
 
-    def _finish_mixed(self):
+    def _finish(self):
         if not self.incumbents:
             return
         fewest = min(t.num_nodes for t in self.incumbents.values())
@@ -185,10 +188,9 @@ class SearchRecord:
 
     @property
     def min_nodes(self) -> int | None:
-        if not self.most_compact and not self.incumbents:
+        if not self.most_compact:
             return None
-        pool = self.most_compact or self.incumbents
-        return min(t.num_nodes for t in pool.values())
+        return min(t.num_nodes for t in self.most_compact.values())
 
 
 def order_species(matrix: CharacterMatrix, mode: str = "input") -> list[str]:
@@ -386,10 +388,7 @@ def _enumerate(matrix, kind, order, no_prune, dedup, threads, on_progress, inter
         with multiprocessing.Pool(len(chunks)) as pool:
             for part in pool.map(_worker, args):
                 record._merge(part)
-    if kind == "mixed":
-        record._finish_mixed()
-    else:
-        record.most_compact = dict(record.incumbents)
+    record._finish()
     return record
 
 

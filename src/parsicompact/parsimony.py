@@ -21,10 +21,11 @@ state s costs exactly (max num - num(s)) above the node minimum.
 
 Which character groups of a set are non-empty is read in constant time
 by one carry through each group (:meth:`Scorer._fold`).  A node
-receiving two sets combines by their intersection and union, one
-receiving three by the closed form of :meth:`Scorer._three` over the
-pairwise and triple intersections, and only four or more sets go
-through bit-sliced counters.
+receiving two sets combines by their intersection and union.  Four or
+more sets go through a threshold count (:meth:`Scorer._count_many`):
+per t, the states that at least t of the sets hold.  Three sets use
+that count unrolled, a closed form over the pairwise and triple
+intersections (:meth:`Scorer._three`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .tree import MixedTree
 
 
 def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], ...]:
+    """A packed set as one frozenset of state indices per character."""
     g = matrix.group_width
     fill = (1 << g) - 1
     out = []
@@ -50,52 +52,6 @@ def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], .
         grp = (packed >> (c * g)) & fill
         out.append(frozenset(s for s in range(matrix.alphabets[c].size) if (grp >> s) & 1))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class StateSet:
-    """Set of state indices for one character at one node."""
-
-    character_index: int
-    members: frozenset[int]
-
-
-class NodeSets:
-    """VU/VL/VV flag sets for one node, packed across all characters."""
-
-    __slots__ = ("matrix", "vu", "vl", "vv")
-
-    def __init__(self, matrix: CharacterMatrix, vu: int, vl: int, vv: int):
-        self.matrix = matrix
-        self.vu = vu
-        self.vl = vl
-        self.vv = vv
-
-    def _tuple(self, packed) -> tuple[StateSet, ...]:
-        return tuple(
-            StateSet(c, members)
-            for c, members in enumerate(unpack_sets(self.matrix, packed))
-        )
-
-    @property
-    def VU(self):
-        return self._tuple(self.vu)
-
-    @property
-    def VL(self):
-        return self._tuple(self.vl)
-
-    @property
-    def VV(self):
-        return self._tuple(self.vv)
-
-    def vv_symbols(self, c: int) -> set[str]:
-        """Root-set states of character c, as symbols."""
-        alpha = self.matrix.alphabets[c]
-        return {alpha.symbols[s] for s in unpack_sets(self.matrix, self.vv)[c]}
-
-    def __repr__(self):
-        return f"NodeSets(vu={self.VU}, vl={self.VL}, vv={self.VV})"
 
 
 @dataclass
@@ -109,58 +65,40 @@ class FitAssignment:
 class ScoreResult:
     """MP-cost plus per-node sets, as :meth:`Scorer.score` returns them.
 
-    ``vv`` lists every node's root set by node id (0 at ids not in the
-    tree), and ``node_sets`` is built on first read.
+    ``vu``, ``vl`` and ``vv`` list every node's packed upper, lower and
+    root set by node id (0 at ids not in the tree); :func:`unpack_sets`
+    reads one as per-character state sets.
     """
 
-    def __init__(self, mp_cost, root, vv, arrays):
+    def __init__(self, matrix, mp_cost, root, order, parent, vu, vl, vv):
         self.mp_cost = mp_cost
         self.root = root
+        self.vu = vu
+        self.vl = vl
         self.vv = vv
-        self._arrays = arrays
-        self._node_sets = None
-
-    @property
-    def node_sets(self) -> dict[int, NodeSets]:
-        if self._node_sets is None:
-            matrix, _tree, pre, _parent, vu, vl = self._arrays
-            vv = self.vv
-            self._node_sets = {u: NodeSets(matrix, vu[u], vl[u], vv[u]) for u in pre}
-        return self._node_sets
+        self._matrix = matrix
+        self._order = order
+        self._parent = parent
 
     def extract_fit(self) -> FitAssignment:
         """One deterministic optimal fit (lowest state index on ties)."""
-        matrix, tree, pre, parent, vu, vl = self._arrays
-        g = matrix.group_width
-        fill = (1 << g) - 1
-        m = matrix.m
+        matrix = self._matrix
+        parent = self._parent
         chosen: dict[int, tuple[int, ...]] = {}
-        for u in pre:
-            p = parent[u]
-            out = []
-            for c in range(m):
-                uc = (vu[u] >> (c * g)) & fill
-                lc = (vl[u] >> (c * g)) & fill
-                if p < 0:
-                    pick = _low_state(uc)
-                else:
-                    s = chosen[p][c]
-                    if (uc >> s) & 1:
-                        pick = s
-                    elif (lc >> s) & 1:
-                        pick = min(s, _low_state(uc))
-                    else:
-                        pick = _low_state(uc)
-                out.append(pick)
-            chosen[u] = tuple(out)
+        for u in self._order:
+            ups = unpack_sets(matrix, self.vu[u])
+            if parent[u] < 0:
+                chosen[u] = tuple(min(up) for up in ups)
+                continue
+            lows = unpack_sets(matrix, self.vl[u])
+            chosen[u] = tuple(
+                s if s in up else min(s, min(up)) if s in low else min(up)
+                for s, up, low in zip(chosen[parent[u]], ups, lows)
+            )
         return FitAssignment(chosen, self.mp_cost)
 
     def __repr__(self):
         return f"ScoreResult(mp_cost={self.mp_cost}, root={self.root})"
-
-
-def _low_state(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
 
 
 class Scorer:
@@ -198,21 +136,6 @@ class Scorer:
 
     # -- traversal ---------------------------------------------------------
 
-    def _preorder(self, tree: MixedTree, root: int):
-        adj = tree.adj
-        parent = [-2] * len(adj)
-        parent[root] = -1
-        pre = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if parent[v] == -2:
-                    parent[v] = u
-                    pre.append(v)
-                    stack.append(v)
-        return pre, parent
-
     @staticmethod
     def pick_root(tree: MixedTree) -> int:
         """Lowest-id unlabelled node, else lowest-id node."""
@@ -231,10 +154,11 @@ class Scorer:
     def _bottom_up(self, tree, root, need_vl):
         """Return (cost, vu, vl, pre, parent, kids); vl is zeros if not requested.
 
-        ``kids[u]`` lists u's children in adjacency order (None at ids
-        not in the tree).
+        ``pre`` and ``parent`` come from :meth:`MixedTree.hang`, so ``pre``
+        lists parents before children.  ``kids[u]`` lists u's children in
+        adjacency order (None at ids not in the tree).
         """
-        pre, parent = self._preorder(tree, root)
+        pre, parent = tree.hang(root)
         size = len(tree.adj)
         vu = [0] * size
         vl = [0] * size
@@ -289,9 +213,9 @@ class Scorer:
                     vl[u] = u_vl
                 cost += local
             else:
-                u_vu, u_vl, local = self._count_many([vu[c] for c in kids], need_vl)
-                vu[u] = u_vu
-                vl[u] = u_vl
+                vu[u], u_vl, local = self._count_many([vu[c] for c in kids])
+                if need_vl:
+                    vl[u] = u_vl
                 cost += local
         return cost, vu, vl, pre, parent, kids_of
 
@@ -323,52 +247,35 @@ class Scorer:
         vl = ((f2 ^ f3) & e3) | ((union ^ f2) & (e2 ^ e3)) | (self.alpha & ~(union | e2))
         return vu, vl, 2 * self.m - n3.bit_count() - n2.bit_count()
 
-    def _count_many(self, masks, need_vl):
-        """VU/VL/cost for a node with 4+ children, via bit-sliced counters."""
-        slices: list[int] = []
-        for x in masks:
-            carry = x
-            j = 0
-            while carry:
-                if j == len(slices):
-                    slices.append(0)
-                t = slices[j] & carry
-                slices[j] ^= carry
-                carry = t
-                j += 1
-        d = len(masks)
-        ge = [0] * (d + 1)
-        ge[0] = self.alpha
-        for t in range(1, d + 1):
-            ge[t] = self._ge(slices, t)
+    def _count_many(self, sets):
+        """VU, VL and local cost of an unlabelled node receiving 4+ ``sets``.
+
+        ge[t] holds the states that at least t of the sets hold: each set
+        x raises ge[t] |= ge[t-1] & x, with t taken from high to low so
+        that x counts once.  Per character, the highest non-empty ge[t]
+        is VU (t is the max num K) and ge[t-1] minus it is VL.  The local
+        cost, the sum of d - K, is d*m minus, for each t, the characters
+        where ge[t] is non-empty.  :meth:`_three` is this count unrolled.
+        """
+        ge = [self.alpha]
+        for x in sets:
+            ge.append(0)
+            for t in range(len(ge) - 1, 0, -1):
+                ge[t] |= ge[t - 1] & x
         fold = self._fold
         fill = self.fill
-        got = 0
         vu = 0
         vl = 0
         total_k = 0
-        for t in range(d, 0, -1):
-            new = fold(ge[t]) & ~got
-            if new:
-                got |= new
-                e = new * fill
-                vu |= ge[t] & e
-                if need_vl:
-                    vl |= ge[t - 1] & ~ge[t] & e
-                total_k += t * new.bit_count()
-        return vu, vl, d * self.m - total_k
-
-    def _ge(self, slices, t):
-        """Positions whose bit-sliced counter value is >= t (borrow ripple)."""
-        alpha = self.alpha
-        b = 0
-        for j in range(max(len(slices), t.bit_length())):
-            c = slices[j] if j < len(slices) else 0
-            if (t >> j) & 1:
-                b = (~c & alpha) | b
-            else:
-                b &= ~c
-        return alpha & ~b
+        higher = 0
+        for t in range(len(sets), 0, -1):
+            flags = fold(ge[t])
+            top = (flags ^ higher) * fill
+            vu |= ge[t] & top
+            vl |= ge[t - 1] & ~ge[t] & top
+            total_k += flags.bit_count()
+            higher = flags
+        return vu, vl, len(sets) * self.m - total_k
 
     def _combine(self, sets):
         """VU set and local cost of an unlabelled node receiving 2+ ``sets``."""
@@ -380,7 +287,7 @@ class Scorer:
         if len(sets) == 3:
             vu, _vl, local = self._three(*sets)
         else:
-            vu, _vl, local = self._count_many(sets, False)
+            vu, _vl, local = self._count_many(sets)
         return vu, local
 
     # -- top-down pass ---------------------------------------------------------
@@ -432,7 +339,7 @@ class Scorer:
         Both follow from one fact: an edge into a side with set D costs
         that side's minimum plus one per character whose state misses D.
         Two sets combine inline, three by :meth:`_three`'s closed form, and
-        only four or more through the bit-sliced counters.
+        four or more by :meth:`_count_many`'s threshold count.
         """
         x = self.vmask.get(name)
         if x is None:
@@ -515,7 +422,7 @@ class Scorer:
             root = self.pick_root(tree)
         cost, vu, vl, pre, parent, _kids = self._bottom_up(tree, root, True)
         vv = self._top_down(vu, vl, pre, parent)
-        return ScoreResult(cost, root, vv, (self.matrix, tree, pre, parent, vu, vl))
+        return ScoreResult(self.matrix, cost, root, pre, parent, vu, vl, vv)
 
 
 # -- module-level operations ----------------------------------------------------

@@ -141,9 +141,6 @@ class MixedTree:
         alive = self.alive
         return [(u, v) for u, at in enumerate(self.adj) if alive[u] for v in at if u < v]
 
-    def leaves(self):
-        return [u for u in self.iter_nodes() if len(self.adj[u]) == 1]
-
     def species_node(self, name: str) -> int:
         try:
             return self._where[name]
@@ -160,9 +157,6 @@ class MixedTree:
     @property
     def num_edges(self) -> int:
         return sum(len(self.adj[u]) for u in self.iter_nodes()) // 2
-
-    def __len__(self):
-        return self.num_nodes
 
     def __repr__(self):
         return (

@@ -24,6 +24,7 @@ from parsicompact import (
     parse_newick,
     random_matrix,
     score_unrooted,
+    unpack_sets,
     zero_min_cost_edges,
 )
 from conftest import random_instance, random_mixed_tree, subdivide_with_unlabelled
@@ -73,7 +74,7 @@ def test_criterion_3_vv_equals_union_of_optimal_fits():
         result = score_unrooted(tree, matrix)
         want = brute_force_best_fit(tree, matrix).vv_union()
         for node in tree.iter_nodes():
-            got = tuple(s.members for s in result.node_sets[node].VV)
+            got = unpack_sets(matrix, result.vv[node])
             assert got == want[node], f"seed {seed} node {node}"
             checked += 1
     print(f"criterion 3: VV exact on 500 instances ({checked} nodes)")

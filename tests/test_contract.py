@@ -21,6 +21,7 @@ from parsicompact import (
     random_matrix,
     evolved_matrix,
     score_unrooted,
+    unpack_sets,
     zero_min_cost_edges,
 )
 from parsicompact.contract import CompactSearcher, tree_splits
@@ -36,13 +37,13 @@ def make_state(seed):
 @given(seed=st.integers(0, 10**6))
 def test_zero_edges_match_direct_min_cost(seed):
     matrix, tree, state = make_state(seed)
-    sets = score_unrooted(tree, matrix).node_sets
+    vv = score_unrooted(tree, matrix).vv
     want = set()
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
-        su, sv = sets[u].VV, sets[v].VV
-        if all(su[c].members & sv[c].members for c in range(matrix.m)):
+        su, sv = unpack_sets(matrix, vv[u]), unpack_sets(matrix, vv[v])
+        if all(a & b for a, b in zip(su, sv)):
             want.add((min(u, v), max(u, v)))
     assert {tuple(sorted(e)) for e in zero_min_cost_edges(state)} == want
 
@@ -94,7 +95,7 @@ def test_oracle_check_mode_agrees(seed):
         contract_and_update(state, edge, oracle_check=True)
 
 
-def test_merged_node_sets_are_the_intersection():
+def test_merged_node_vv_is_the_intersection():
     matrix = evolved_matrix(5, 6, 4, seed=21)
     cubic = enumerate_cubic(matrix)
     tree = next(iter(cubic.incumbents.values()))

@@ -21,8 +21,8 @@ from parsicompact import (
     parse_newick,
     random_matrix,
     score_unrooted,
+    unpack_sets,
 )
-from parsicompact.parsimony import unpack_sets
 from conftest import random_instance, random_mixed_tree, sized_matrix
 
 TWO_STATE = CharacterMatrix.from_rows(
@@ -49,9 +49,9 @@ def test_vv_can_exceed_fitch_sets():
     result = score_unrooted(tree, TWO_STATE, root=root)
     assert result.mp_cost == 2
     grew = 0
-    for node, sets in result.node_sets.items():
-        vu = sets.VU[0].members
-        vv = sets.VV[0].members
+    for node in tree.iter_nodes():
+        vu = unpack_sets(TWO_STATE, result.vu[node])[0]
+        vv = unpack_sets(TWO_STATE, result.vv[node])[0]
         assert vu <= vv
         grew += vv > vu
     assert grew > 0
@@ -100,9 +100,7 @@ def test_vv_equals_union_of_optimal_fits(seed):
     oracle = brute_force_best_fit(tree, matrix)
     want = oracle.vv_union()
     for node in tree.iter_nodes():
-        sets = result.node_sets[node]
-        got = tuple(s.members for s in sets.VV)
-        assert got == want[node]
+        assert unpack_sets(matrix, result.vv[node]) == want[node]
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,9 +117,9 @@ def test_extract_fit_is_optimal_and_inside_vv(seed):
         changes += sum(x != y for x, y in zip(a, b))
     assert changes == result.mp_cost
     for node, states in fit.states.items():
-        vv = result.node_sets[node].VV
+        vv = unpack_sets(matrix, result.vv[node])
         for c, s in enumerate(states):
-            assert s in vv[c].members
+            assert s in vv[c]
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,11 +128,9 @@ def test_set_containments(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
     result = score_unrooted(tree, matrix)
     for node in tree.iter_nodes():
-        sets = result.node_sets[node]
-        for c in range(matrix.m):
-            vu = sets.VU[c].members
-            vl = sets.VL[c].members
-            vv = sets.VV[c].members
+        sets = zip(*(unpack_sets(matrix, packed[node])
+                     for packed in (result.vu, result.vl, result.vv)))
+        for c, (vu, vl, vv) in enumerate(sets):
             assert vu and not (vu & vl)
             assert vv <= (vu | vl)
             assert (vv <= vu) or (vv >= vu)
@@ -180,10 +176,9 @@ def test_min_cost_edge_definition(seed):
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
-        su, sv = result.node_sets[u], result.node_sets[v]
-        disjoint = sum(
-            not (su.VV[c].members & sv.VV[c].members) for c in range(matrix.m)
-        )
+        su = unpack_sets(matrix, result.vv[u])
+        sv = unpack_sets(matrix, result.vv[v])
+        disjoint = sum(not (a & b) for a, b in zip(su, sv))
         assert (frozenset((u, v)) in zero) == (disjoint == 0)
         if disjoint:
             with pytest.raises(IllegalContractionError, match=f"min-cost {disjoint},"):
@@ -283,15 +278,17 @@ def test_fold_flags_exactly_the_non_empty_groups(widest, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_three_set_closed_form_matches_num_definition(data):
-    # README "Scoring": with num(s) the number of sets holding s and
-    # K = max num, VU = {num = K}, VL = {num = K - 1} and the cost is 3 - K,
-    # per character.  The closed form covers non-empty sets only.
+    # README "Scoring": for d sets, with num(s) the number of sets holding
+    # s and K = max num, VU = {num = K}, VL = {num = K - 1} and the cost is
+    # d - K, per character.  The threshold count takes any d; the closed
+    # form is that count unrolled for d = 3 and covers non-empty sets only.
     sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    d = data.draw(st.integers(3, 8))
     matrix = sized_matrix(sizes, random.Random(0))
     g = matrix.group_width
     members = [
         [data.draw(st.sets(st.integers(0, k - 1), min_size=1)) for k in sizes]
-        for _ in range(3)
+        for _ in range(d)
     ]
     packed = [sum(1 << (c * g + s) for c, got in enumerate(sets) for s in got) for sets in members]
     want_vu, want_vl, want_cost = [], [], 0
@@ -300,10 +297,11 @@ def test_three_set_closed_form_matches_num_definition(data):
         top = max(num)
         want_vu.append(frozenset(s for s in range(k) if num[s] == top))
         want_vl.append(frozenset(s for s in range(k) if num[s] == top - 1))
-        want_cost += 3 - top
+        want_cost += d - top
     scorer = Scorer(matrix)
-    vu, vl, cost = scorer._three(*packed)
+    vu, vl, cost = scorer._count_many(packed)
     assert unpack_sets(matrix, vu) == tuple(want_vu)
     assert unpack_sets(matrix, vl) == tuple(want_vl)
     assert cost == want_cost
-    assert (vu, vl, cost) == scorer._count_many(packed, True)
+    if d == 3:
+        assert scorer._three(*packed) == (vu, vl, cost)
