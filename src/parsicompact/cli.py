@@ -5,10 +5,11 @@ tables), search-cubic / search-mixed (exhaustive branch-and-bound),
 compact (cubic search followed by contraction), bench (seeded trial
 matrix comparing the two pipelines, emitted in a fixed column order).
 
-Output goes to stdout in the format picked by --format; with `newick`
-the trees are printed one per line and a short human summary goes to
-stderr.  TSV and JSON outputs are deterministic for a fixed config and
-seed, except for the *_ms timing columns.
+Output goes to stdout in the format picked by --format.  score, search-*
+and compact also offer `newick`: the trees are printed one per line and
+a short human summary goes to stderr.  TSV and JSON outputs are
+deterministic for a fixed config and seed, except for the *_ms timing
+columns.
 """
 
 from __future__ import annotations
@@ -47,30 +48,6 @@ BENCH_COLUMNS = [
     "mean_contractions",
     "mp_cost",
 ]
-
-
-def _resolve_threads(value: int | None) -> int:
-    """Worker processes for the search: --threads, else the environment, else 1.
-
-    The default is serial because the process pool is measured slower:
-    each worker prunes against its own incumbent only, so it visits more
-    trees than the single search does.
-    """
-    source = "--threads"
-    if value is None:
-        env = os.environ.get("PARSICOMPACT_THREADS")
-        if not env:
-            return 1
-        source = "PARSICOMPACT_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParsicompactError(
-                f"{source} must be an integer, got {env!r}"
-            ) from None
-    if value < 1:
-        raise ParsicompactError(f"{source} must be >= 1, got {value}")
-    return value
 
 
 def _read_text(path: str, flag: str) -> str:
@@ -123,6 +100,27 @@ def _emit_json(payload):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _emit(args, row, extra, summary):
+    """Write one command's result in the format picked by --format.
+
+    ``row`` is the TSV row.  JSON is ``row`` updated with ``extra``: the
+    trees and the unrounded figures.  With ``newick`` the trees in
+    ``extra`` go to stdout, one per line, and ``summary`` to stderr.
+    The result trees also go to --trees-out, before anything is printed.
+    """
+    trees = extra["trees"] if "trees" in extra else [extra["tree"]]
+    if getattr(args, "trees_out", None):
+        with open(args.trees_out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(trees) + "\n")
+    if args.format == "newick":
+        sys.stdout.write("\n".join(trees) + "\n")
+        print(summary, file=sys.stderr)
+    elif args.format == "json":
+        _emit_json({**row, **extra})
+    else:
+        _emit_tsv(list(row), [row])
+
+
 def _verified_newicks(trees, matrix, want_cost):
     """Serialize trees sorted canonically, re-checking each before emit."""
     out = []
@@ -139,14 +137,6 @@ def _verified_newicks(trees, matrix, want_cost):
             )
         out.append(text)
     return out
-
-
-def _write_trees(args, newicks):
-    if args.trees_out:
-        with open(args.trees_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(newicks) + "\n")
-    if args.format == "newick":
-        sys.stdout.write("\n".join(newicks) + "\n")
 
 
 def _progress_printer(args):
@@ -186,15 +176,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         "tree_unlabelled": tree.n_unlabelled,
         "time_ms": f"{elapsed:.1f}",
     }
-    if args.format == "newick":
-        sys.stdout.write(tree.write_newick() + "\n")
-        print(f"mp_cost={result.mp_cost}", file=sys.stderr)
-    elif args.format == "json":
-        row["tree"] = tree.write_newick()
-        row["time_ms"] = elapsed
-        _emit_json(row)
-    else:
-        _emit_tsv(list(row), [row])
+    extra = {"tree": tree.write_newick(), "time_ms": elapsed}
+    _emit(args, row, extra, f"mp_cost={result.mp_cost}")
     return 0
 
 
@@ -248,9 +231,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace, kind: str) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
-    runner = enumerate_cubic if kind == "cubic" else enumerate_mixed
+    runner = enumerate_cubic if args.kind == "cubic" else enumerate_mixed
     t0 = time.monotonic()
     record = runner(
         matrix,
@@ -264,7 +247,6 @@ def _cmd_search(args: argparse.Namespace, kind: str) -> int:
     t0 = time.monotonic()
     newicks = _verified_newicks(best, matrix, record.incumbent_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
-    _write_trees(args, newicks)
     row = {
         "n": matrix.n,
         "m": matrix.m,
@@ -277,28 +259,11 @@ def _cmd_search(args: argparse.Namespace, kind: str) -> int:
         "generated": record.generated,
         "time_ms": f"{elapsed:.1f}",
     }
-    if args.format == "newick":
-        print(
-            f"mp_cost={record.incumbent_cost} trees={len(best)} "
-            f"visited={record.visited}",
-            file=sys.stderr,
-        )
-    elif args.format == "json":
-        row["trees"] = newicks
-        row["time_ms"] = elapsed
-        row["emit_ms"] = emit_ms
-        _emit_json(row)
-    else:
-        _emit_tsv(list(row), [row])
+    extra = {"trees": newicks, "time_ms": elapsed, "emit_ms": emit_ms}
+    summary = (f"mp_cost={record.incumbent_cost} trees={len(best)} "
+               f"visited={record.visited}")
+    _emit(args, row, extra, summary)
     return 0
-
-
-def cmd_search_cubic(args: argparse.Namespace) -> int:
-    return _cmd_search(args, "cubic")
-
-
-def cmd_search_mixed(args: argparse.Namespace) -> int:
-    return _cmd_search(args, "mixed")
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
@@ -317,7 +282,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     newicks = _verified_newicks(result.trees, matrix, result.mp_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
-    _write_trees(args, newicks)
     cubic = result.cubic_record
     row = {
         "n": matrix.n,
@@ -333,23 +297,18 @@ def cmd_compact(args: argparse.Namespace) -> int:
         "cubic_visited": cubic.visited,
         "time_ms": f"{elapsed:.1f}",
     }
-    if args.format == "newick":
-        print(
-            f"mp_cost={result.mp_cost} nodes={result.best_node_count} "
-            f"trees={result.dedup_count}",
-            file=sys.stderr,
-        )
-    elif args.format == "json":
-        row["trees"] = newicks
-        row["mean_contractions"] = result.mean_contractions
-        row["time_ms"] = elapsed
-        row["load_ms"] = load_ms
-        row["cubic_ms"] = result.cubic_ms
-        row["contract_ms"] = result.contract_ms
-        row["emit_ms"] = emit_ms
-        _emit_json(row)
-    else:
-        _emit_tsv(list(row), [row])
+    extra = {
+        "trees": newicks,
+        "mean_contractions": result.mean_contractions,
+        "time_ms": elapsed,
+        "load_ms": load_ms,
+        "cubic_ms": result.cubic_ms,
+        "contract_ms": result.contract_ms,
+        "emit_ms": emit_ms,
+    }
+    summary = (f"mp_cost={result.mp_cost} nodes={result.best_node_count} "
+               f"trees={result.dedup_count}")
+    _emit(args, row, extra, summary)
     return 0
 
 
@@ -424,7 +383,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(sub, *, matrix=True, search=False):
+def _add_common(sub, *, matrix=True, search=False, trees=True):
+    """Flags shared by several commands.
+
+    ``trees`` marks a command whose result is trees: only those offer
+    ``--format newick`` and, when they search, ``--trees-out``.
+    """
     if matrix:
         sub.add_argument("--input", help="aligned FASTA file")
         sub.add_argument("--columns", type=int, help="keep only the first K characters")
@@ -437,17 +401,18 @@ def _add_common(sub, *, matrix=True, search=False):
         )
     sub.add_argument(
         "--format",
-        choices=["newick", "tsv", "json"],
+        choices=["newick", "tsv", "json"] if trees else ["tsv", "json"],
         default="tsv",
         help="output format (default tsv)",
     )
     if search:
-        sub.add_argument("--threads", type=int, default=None,
-                         help="worker processes for the search (default: "
-                              "PARSICOMPACT_THREADS, else 1)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker processes for the search (default 1)")
         sub.add_argument("--order", choices=["input", "diverse"], default="input",
                          help="species insertion order for the search")
-        sub.add_argument("--trees-out", help="also write the result trees to this Newick file")
+        if trees:
+            sub.add_argument("--trees-out",
+                             help="also write the result trees to this Newick file")
         sub.add_argument("--progress", action="store_true",
                          help="print progress counters to stderr")
 
@@ -467,20 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = subs.add_parser("count", help="tree-count table for a range of n")
-    _add_common(p, matrix=False)
+    _add_common(p, matrix=False, trees=False)
     p.add_argument("--min-n", type=int, default=1)
     p.add_argument("--max-n", type=int, default=12)
     p.set_defaults(func=cmd_count)
 
-    p = subs.add_parser("search-cubic", help="exhaustive cubic-topology MP search")
-    _add_common(p, search=True)
-    p.add_argument("--no-prune", action="store_true", help="disable the cost bound")
-    p.set_defaults(func=cmd_search_cubic)
-
-    p = subs.add_parser("search-mixed", help="exhaustive mixed-tree MP search")
-    _add_common(p, search=True)
-    p.add_argument("--no-prune", action="store_true", help="disable the cost bound")
-    p.set_defaults(func=cmd_search_mixed)
+    for kind, what in (("cubic", "cubic-topology"), ("mixed", "mixed-tree")):
+        p = subs.add_parser(f"search-{kind}", help=f"exhaustive {what} MP search")
+        _add_common(p, search=True)
+        p.add_argument("--no-prune", action="store_true", help="disable the cost bound")
+        p.set_defaults(func=cmd_search, kind=kind)
 
     p = subs.add_parser("compact", help="cubic MP search plus full contraction")
     _add_common(p, search=True)
@@ -490,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = subs.add_parser("bench", help="seeded search-vs-contraction benchmark table")
-    _add_common(p, search=True)
+    _add_common(p, search=True, trees=False)
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--trials", type=int, default=10)
@@ -501,16 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "threads"):
-            args.threads = _resolve_threads(args.threads)
+        if getattr(args, "threads", 1) < 1:
+            raise ParsicompactError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except ParsicompactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParsicompactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -333,7 +333,6 @@ def most_compact_pipeline(
     threads: int = 1,
     oracle_check: bool = False,
     on_progress=None,
-    progress_interval: int = 100_000,
 ) -> CompactResultSet:
     """Full search: enumerate cubic MP-trees, contract each in all orders,
     keep the globally most compact results."""
@@ -343,7 +342,6 @@ def most_compact_pipeline(
         order=order,
         threads=threads,
         on_progress=on_progress,
-        progress_interval=progress_interval,
     )
     t1 = time.monotonic()
     searcher = CompactSearcher(matrix, oracle_check=oracle_check)

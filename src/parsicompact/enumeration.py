@@ -268,20 +268,13 @@ class _Search:
 
     def start_tree(self) -> tuple[MixedTree, int]:
         order = self.order
-        if self.kind == "mixed":
-            return MixedTree.single(order[0]), 1
-        if len(order) == 1:
+        if self.kind == "mixed" or len(order) == 1:
             return MixedTree.single(order[0]), 1
         t = MixedTree.single(order[0])
         t.grow_rule_3(t.species_node(order[0]), order[1])
         if len(order) == 2:
             return t, 2
-        center = t.add_node()
-        t.remove_edge(t.species_node(order[0]), t.species_node(order[1]))
-        t.add_edge(t.species_node(order[0]), center)
-        t.add_edge(t.species_node(order[1]), center)
-        leaf = t.add_node(order[2])
-        t.add_edge(center, leaf)
+        t.grow_rule_1((t.species_node(order[0]), t.species_node(order[1])), order[2])
         return t, 3
 
     # -- DFS -----------------------------------------------------------------

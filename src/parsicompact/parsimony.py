@@ -308,11 +308,9 @@ class Scorer:
 
     # -- entry points --------------------------------------------------------------
 
-    def cost(self, tree: MixedTree, root: int | None = None) -> int:
+    def cost(self, tree: MixedTree) -> int:
         """MP-cost only; the branch-and-bound inner loop."""
-        if root is None:
-            root = self.pick_root(tree)
-        return self._bottom_up(tree, root, False)[0]
+        return self._bottom_up(tree, self.pick_root(tree), False)[0]
 
     def growth_costs(self, tree: MixedTree, moves, name: str) -> list[int]:
         """MP-cost of every tree that one growth move of ``name`` makes.
@@ -453,9 +451,9 @@ class OracleResult:
         self._optima = per_char_optima
         self.matrix = matrix
 
-    def iter_fits(self, limit: int | None = None):
-        """Yield optimal FitAssignments (cartesian product across characters)."""
-        produced = 0
+    def fits(self, limit: int | None = 10000) -> list[FitAssignment]:
+        """Up to ``limit`` optimal FitAssignments (product across characters)."""
+        out = []
         for combo in product(*self._optima):
             states: dict[int, list[int]] = {u: [] for u in self._fixed}
             for u in self.unlabelled:
@@ -465,13 +463,10 @@ class OracleResult:
                     states[u].append(s[c])
                 for i, u in enumerate(self.unlabelled):
                     states[u].append(assign[i])
-            yield FitAssignment({u: tuple(v) for u, v in states.items()}, self.mp_cost)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
-
-    def fits(self, limit: int | None = 10000) -> list[FitAssignment]:
-        return list(self.iter_fits(limit))
+            out.append(FitAssignment({u: tuple(v) for u, v in states.items()}, self.mp_cost))
+            if limit is not None and len(out) >= limit:
+                break
+        return out
 
     def vv_union(self) -> dict[int, tuple[frozenset[int], ...]]:
         """Per node, per character: union of states over all optimal fits."""

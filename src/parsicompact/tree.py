@@ -418,17 +418,13 @@ class MixedTree:
             best = min(best, other)
         return CanonicalKey((best + ";").encode())
 
-    def write_newick(self, root: int | None = None) -> str:
+    def write_newick(self) -> str:
         """Newick text (internal labels as node names, no branch lengths).
 
-        Without an explicit display root this emits the canonical
-        serialization, so output is identical for isomorphic trees.
+        This is the canonical serialization, so output is identical for
+        isomorphic trees.
         """
-        if root is None:
-            return self.canonical_key().as_text()
-        if not self.alive[root]:
-            raise TreeStructureError(f"no node {root}")
-        return self._rooted_codes(root)[root] + ";"
+        return self.canonical_key().as_text()
 
 
 @lru_cache(maxsize=1 << 16)

@@ -156,6 +156,17 @@ def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, com
     assert set(header.split("\t")) == (JSON_FIELDS[command] - {"trees"}) | {"time_ms"}
 
 
+@pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])
+def test_newick_format_prints_the_json_trees(capsys, fasta, command):
+    code, out, err = run(capsys, command, "--input", fasta, "--format", "newick")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert all(parse_newick(line) for line in lines)
+    assert "mp_cost=" in err and "mp_cost=" not in out and err.count("\n") == 1
+    code, json_out, _ = run(capsys, command, "--input", fasta, "--format", "json")
+    assert code == 0 and lines == json.loads(json_out)["trees"]
+
+
 def test_trees_out_file(capsys, fasta, tmp_path):
     dest = tmp_path / "best.nwk"
     code, out, _ = run(capsys, "search-cubic", "--input", fasta,
@@ -207,12 +218,14 @@ def test_undecodable_input_fails_cleanly(capsys, fasta, tmp_path, which):
 
 
 def test_bad_threads_fails_cleanly(capsys, fasta):
-    code, _, err = run(capsys, "search-mixed", "--input", fasta, "--threads", "0")
-    assert code == 1 and "error:" in err
+    for command in ("search-mixed", "search-cubic", "compact", "bench"):
+        for value in ("0", "-2"):
+            code, out, err = run(capsys, command, "--input", fasta, "--threads", value)
+            assert code == 1 and out == ""
+            assert err == f"error: --threads must be >= 1, got {value}\n"
 
 
 def test_search_is_serial_by_default(capsys, fasta, monkeypatch):
-    monkeypatch.delenv("PARSICOMPACT_THREADS", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
 
     def no_pool(*args, **kwargs):
@@ -222,20 +235,6 @@ def test_search_is_serial_by_default(capsys, fasta, monkeypatch):
     for command in ("compact", "search-cubic", "search-mixed"):
         code, out, err = run(capsys, command, "--input", fasta)
         assert code == 0 and out and err == ""
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
-def test_bad_threads_env_fails_cleanly(capsys, fasta, monkeypatch, value):
-    monkeypatch.setenv("PARSICOMPACT_THREADS", value)
-    code, out, err = run(capsys, "compact", "--input", fasta)
-    assert code == 1 and out == ""
-    assert err.startswith("error: PARSICOMPACT_THREADS ") and err.count("\n") == 1
-
-
-def test_threads_env_fallback(capsys, fasta, monkeypatch):
-    monkeypatch.setenv("PARSICOMPACT_THREADS", "2")
-    code, out, _ = run(capsys, "search-mixed", "--input", fasta)
-    assert code == 0 and out
 
 
 def test_deterministic_output_across_runs(capsys, fasta):
@@ -308,6 +307,22 @@ def test_console_script_entry_point():
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+# A flag a command has no use for is rejected, not ignored: count and
+# bench print tables, not trees, and score writes no tree file.
+@pytest.mark.parametrize("argv", [
+    ["count", "--format", "newick"],
+    ["count", "--trees-out", "t.nwk"],
+    ["bench", "--format", "newick"],
+    ["bench", "--trees-out", "t.nwk"],
+    ["score", "--trees-out", "t.nwk"],
+], ids=["count-newick", "count-trees-out", "bench-newick", "bench-trees-out",
+        "score-trees-out"])
+def test_table_commands_reject_tree_flags(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "error:" in capsys.readouterr().err
 
 
 # Uniform bytes mostly stop at the UTF-8 check, so the strategies also
