@@ -60,7 +60,6 @@ class StateAlphabet:
 class Species:
     """One species: a name and its m-tuple of state indices."""
 
-    id: int
     name: str
     value: tuple[int, ...]
 
@@ -73,8 +72,7 @@ class CharacterMatrix:
 
     * ``group_width`` -- bits reserved per character (max alphabet size)
     * ``group_low`` -- int with bit 0 of every character group set
-    * ``alpha_masks[c]`` / ``alpha_all`` -- per-character / combined
-      alphabet membership masks
+    * ``alpha_all`` -- int with every character's alphabet states set
     * ``value_mask`` -- species name -> packed singleton-per-character mask
     """
 
@@ -115,12 +113,9 @@ class CharacterMatrix:
         for c in range(self.m):
             low |= 1 << (c * g)
         self.group_low = low
-        self.alpha_masks = tuple(
-            ((1 << a.size) - 1) << (c * g) for c, a in enumerate(self.alphabets)
-        )
         self.alpha_all = 0
-        for mask in self.alpha_masks:
-            self.alpha_all |= mask
+        for c, a in enumerate(self.alphabets):
+            self.alpha_all |= ((1 << a.size) - 1) << (c * g)
         self.value_mask = {}
         for sp in self.species:
             packed = 0
@@ -190,8 +185,8 @@ class CharacterMatrix:
             symbols = tuple(sorted({seq[c] for _, seq in rows}))
             alphabets.append(StateAlphabet(c, symbols))
         species = [
-            Species(i, name, tuple(alphabets[c].index[seq[c]] for c in range(m)))
-            for i, (name, seq) in enumerate(rows)
+            Species(name, tuple(alphabets[c].index[seq[c]] for c in range(m)))
+            for name, seq in rows
         ]
         return cls(species, alphabets)
 

@@ -51,10 +51,14 @@ BENCH_COLUMNS = [
 
 
 def _read_text(path: str, flag: str) -> str:
-    """A whole input file as text; bytes that are not UTF-8 are an input error."""
+    """A whole input file as text, less a leading byte-order mark.
+
+    Bytes that are not UTF-8 are an input error, reported at their
+    offset into the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParsicompactError(
             f"{flag} {path}: not UTF-8 text (byte {exc.start})"

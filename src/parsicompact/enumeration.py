@@ -23,12 +23,12 @@ when complete -- but never built.  Building and undoing an edge move
 re-appends that edge to both endpoints' adjacency lists, which orders
 every later move list, so a skipped edge move still makes that one
 change (:meth:`MixedTree.requeue_edge`) and the visit order is the
-same as if every child were built.  With dedup on, every child is
-built, since each needs its canonical key.
+same as if every child were built.
 
 T(n, m) counts mixed trees with n labelled and m unlabelled nodes; the
 growth moves produce each mixed tree exactly once, which the tests
-cross-check by comparing raw generation counts against the recurrence.
+cross-check: on flat data the unpruned search's generated count and its
+number of distinct canonical keys both equal the recurrence.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from .charmatrix import CharacterMatrix
 from .errors import EmptyInputError
 from .parsimony import Scorer
 from .tree import CanonicalKey, MixedTree
+
+# Visits between two calls of a search's on_progress hook.
+PROGRESS_EVERY = 100_000
 
 
 class TreeCountTable:
@@ -144,9 +147,7 @@ class SearchRecord:
     including the children priced above the incumbent and therefore
     never built), generated counts complete trees reached (built or
     not), pruned counts subtrees cut by the cost bound; only the
-    children that survive the bound are built.  duplicates counts
-    canonical-key repeats skipped when dedup is on (always 0 in
-    practice: the growth moves are duplicate-free).
+    children that survive the bound are built.
     """
 
     incumbent_cost: int | None = None
@@ -154,7 +155,6 @@ class SearchRecord:
     visited: int = 0
     pruned: int = 0
     generated: int = 0
-    duplicates: int = 0
     most_compact: dict[CanonicalKey, MixedTree] = field(default_factory=dict)
 
     def _offer(self, cost: int, tree: MixedTree):
@@ -168,7 +168,6 @@ class SearchRecord:
         self.visited += other.visited
         self.pruned += other.pruned
         self.generated += other.generated
-        self.duplicates += other.duplicates
         if other.incumbent_cost is None:
             return
         if self.incumbent_cost is None or other.incumbent_cost < self.incumbent_cost:
@@ -228,17 +227,14 @@ def order_species(matrix: CharacterMatrix, mode: str = "input") -> list[str]:
 class _Search:
     """Shared DFS machinery for the cubic and mixed enumerations."""
 
-    def __init__(self, matrix, order, kind, no_prune, dedup, on_progress, interval):
+    def __init__(self, matrix, order, kind, no_prune, on_progress):
         self.matrix = matrix
         self.order = order
         self.kind = kind
         self.no_prune = no_prune
-        self.dedup = dedup and kind == "mixed"
         self.on_progress = on_progress
-        self.interval = interval
         self.scorer = Scorer(matrix)
         self.record = SearchRecord()
-        self.seen: set[CanonicalKey] = set()
 
     # -- move generation ---------------------------------------------------
 
@@ -302,8 +298,8 @@ class _Search:
         complete = k + 1 == len(self.order)
         # A child priced above the incumbent can be neither offered nor
         # (with pruning on) expanded, so it is counted without being
-        # built.  dedup must build every child to key it.
-        may_skip = not self.dedup and (complete or not self.no_prune)
+        # built.  Every child that is built is offered or expanded.
+        may_skip = complete or not self.no_prune
         moves = self.moves(tree)
         costs = self.scorer.growth_costs(tree, moves, name)
         for move, cost in zip(moves, costs):
@@ -320,22 +316,13 @@ class _Search:
                     tree.requeue_edge(*move[1])
             else:
                 token = self.apply(tree, move, name)
-                if self.dedup:
-                    key = tree.canonical_key()
-                    if key in self.seen:
-                        rec.duplicates += 1
-                        tree.undo_growth(token)
-                        continue
-                    self.seen.add(key)
                 if complete:
                     rec.generated += 1
                     rec._offer(cost, tree)
-                elif self.no_prune or best is None or cost <= best:
-                    self._expand(tree, k + 1)
                 else:
-                    rec.pruned += 1
+                    self._expand(tree, k + 1)
                 tree.undo_growth(token)
-            if self.on_progress and rec.visited % self.interval < 1:
+            if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
                 self.on_progress(rec)
 
     def frontier(self, minimum: int):
@@ -355,29 +342,29 @@ class _Search:
 
 
 def _worker(args):
-    matrix, order, kind, no_prune, dedup, jobs = args
-    search = _Search(matrix, order, kind, no_prune, dedup, None, 1 << 30)
+    matrix, order, kind, no_prune, jobs = args
+    search = _Search(matrix, order, kind, no_prune, None)
     for tree, k in jobs:
         search.run(tree, k)
     return search.record
 
 
-def _enumerate(matrix, kind, order, no_prune, dedup, threads, on_progress, interval):
+def _enumerate(matrix, kind, order, no_prune, threads, on_progress):
     if matrix.n < 1:
         raise EmptyInputError("enumeration needs at least one species")
     names = order_species(matrix, order)
     if threads <= 1:
-        search = _Search(matrix, names, kind, no_prune, dedup, on_progress, interval)
+        search = _Search(matrix, names, kind, no_prune, on_progress)
         t, k = search.start_tree()
         search.run(t, k)
         record = search.record
     else:
-        seed = _Search(matrix, names, kind, no_prune, dedup, None, interval)
+        seed = _Search(matrix, names, kind, no_prune, None)
         jobs = seed.frontier(4 * threads)
         record = SearchRecord()
         chunks = [jobs[i::threads] for i in range(threads)]
         chunks = [c for c in chunks if c]
-        args = [(matrix, names, kind, no_prune, dedup, c) for c in chunks]
+        args = [(matrix, names, kind, no_prune, c) for c in chunks]
         with multiprocessing.Pool(len(chunks)) as pool:
             for part in pool.map(_worker, args):
                 record._merge(part)
@@ -392,16 +379,13 @@ def enumerate_cubic(
     no_prune: bool = False,
     threads: int = 1,
     on_progress=None,
-    progress_interval: int = 100_000,
 ) -> SearchRecord:
     """Branch-and-bound over all cubic leaf-labelled topologies.
 
     Returns a SearchRecord whose incumbents are exactly the cubic
     MP-trees.  With no_prune the full (2n-5)!! space is generated.
     """
-    return _enumerate(
-        matrix, "cubic", order, no_prune, False, threads, on_progress, progress_interval
-    )
+    return _enumerate(matrix, "cubic", order, no_prune, threads, on_progress)
 
 
 def enumerate_mixed(
@@ -409,19 +393,12 @@ def enumerate_mixed(
     *,
     order: str = "input",
     no_prune: bool = False,
-    dedup: bool = False,
     threads: int = 1,
     on_progress=None,
-    progress_interval: int = 100_000,
 ) -> SearchRecord:
     """Branch-and-bound over every mixed-labelled tree.
 
     incumbents = all minimum-cost mixed trees; most_compact = the subset
-    with the fewest nodes.  dedup tracks canonical keys of every partial
-    tree and skips repeats; the growth moves provably generate each tree
-    once, so this is a verification mode, not a requirement for
-    correctness (tests assert duplicates == 0).
+    with the fewest nodes.
     """
-    return _enumerate(
-        matrix, "mixed", order, no_prune, dedup, threads, on_progress, progress_interval
-    )
+    return _enumerate(matrix, "mixed", order, no_prune, threads, on_progress)

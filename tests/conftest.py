@@ -47,15 +47,20 @@ def random_instance(seed: int, max_n=7, max_m=5, max_states=4):
     return matrix, tree
 
 
+# 64 state symbols, the most a column may have, none of them a gap or
+# unknown symbol that CharacterMatrix.from_rows rejects.
+SYMBOLS = "ABCDEFGHIJKLMOPQRSTUVWYZabcdefghijklmopqrstuvwyz0123456789+=#@!$"
+
+
 def sized_matrix(sizes, rng: random.Random):
     """A matrix of max(sizes) species whose column c has sizes[c] states.
 
     The first sizes[c] rows take the column's states in turn, the rest
-    draw from them at random, and the rows are then shuffled.
+    draw from them at random, and the rows are then shuffled.  sizes[c]
+    may be up to 64.
     """
-    symbols = "ABCDEFGH"
     rows = [
-        (f"S{i + 1}", "".join(symbols[i] if i < k else rng.choice(symbols[:k]) for k in sizes))
+        (f"S{i + 1}", "".join(SYMBOLS[i] if i < k else rng.choice(SYMBOLS[:k]) for k in sizes))
         for i in range(max(sizes))
     ]
     rng.shuffle(rows)

@@ -85,11 +85,9 @@ def test_criterion_4_enumeration_counts():
     assert count_mixed(1, 0) == 1
     for n in range(2, 7):
         flat = [(f"S{i}", "A") for i in range(1, n + 1)]
-        record = enumerate_mixed(CharacterMatrix.from_rows(flat),
-                                 no_prune=True, dedup=True)
+        record = enumerate_mixed(CharacterMatrix.from_rows(flat), no_prune=True)
         want = count_total_mixed(n)
         assert record.generated == want, f"n={n}"
-        assert record.duplicates == 0
         assert len(record.incumbents) == want
     cubic_want = {4: 3, 5: 15, 6: 105, 7: 945, 8: 10395}
     for n, want in cubic_want.items():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -217,6 +218,28 @@ def test_undecodable_input_fails_cleanly(capsys, fasta, tmp_path, which):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which", ["--input", "--tree"])
+def test_byte_order_mark_is_dropped(capsys, fasta, tmp_path, which):
+    bom = b"\xef\xbb\xbf"
+    text = tmp_path / "bom.txt"
+    if which == "--input":
+        with open(fasta, "rb") as fh:
+            text.write_bytes(bom + fh.read())
+        argv, plain = ["compact", "--input", str(text)], ["compact", "--input", fasta]
+    else:
+        text.write_bytes(bom + b"((S1,S3),(S2,(S4,(S5,S6))));\n")
+        argv = ["score", "--input", fasta, "--tree", str(text)]
+        plain = ["score", "--input", fasta, "--tree", "((S1,S3),(S2,(S4,(S5,S6))));"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert strip_timing(out) == strip_timing(run(capsys, *plain)[1])
+    # A bad byte after the mark is still reported at its offset in the file.
+    text.write_bytes(bom + b">a\nAC\xff\n" if which == "--input" else bom + b"((S1,\xff);\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {which} {text}: not UTF-8 text (byte 8)\n"
+
+
 def test_bad_threads_fails_cleanly(capsys, fasta):
     for command in ("search-mixed", "search-cubic", "compact", "bench"):
         for value in ("0", "-2"):
@@ -235,6 +258,20 @@ def test_search_is_serial_by_default(capsys, fasta, monkeypatch):
     for command in ("compact", "search-cubic", "search-mixed"):
         code, out, err = run(capsys, command, "--input", fasta)
         assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])
+def test_progress_goes_to_stderr_only(capsys, fasta, monkeypatch, command):
+    monkeypatch.setattr("parsicompact.enumeration.PROGRESS_EVERY", 5)
+    code, plain, err = run(capsys, command, "--input", fasta)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, command, "--input", fasta, "--progress")
+    assert code == 0 and strip_timing(out) == strip_timing(plain)
+    lines = err.splitlines()
+    assert lines
+    for line in lines:
+        counts = re.fullmatch(r"\.\.\. visited=(\d+) pruned=\d+ generated=\d+", line)
+        assert counts and int(counts[1]) % 5 == 0, line
 
 
 def test_deterministic_output_across_runs(capsys, fasta):

@@ -71,9 +71,10 @@ def flat_matrix(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_unpruned_mixed_enumeration_matches_counts(n):
-    record = enumerate_mixed(flat_matrix(n), no_prune=True, dedup=True)
+    # On flat data every tree costs 0 and is offered, and incumbents is
+    # keyed by canonical key, so equal counts mean no tree came twice.
+    record = enumerate_mixed(flat_matrix(n), no_prune=True)
     assert record.generated == count_total_mixed(n)
-    assert record.duplicates == 0
     assert len(record.incumbents) == count_total_mixed(n)
 
 
@@ -177,12 +178,12 @@ def test_order_species_diverse():
         order_species(matrix, "bogus")
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
+    monkeypatch.setattr("parsicompact.enumeration.PROGRESS_EVERY", 10)
     # The callback gets the live record, so capture the counter value.
     hits = []
     enumerate_mixed(flat_matrix(4), no_prune=True,
-                    on_progress=lambda r: hits.append(r.visited),
-                    progress_interval=10)
+                    on_progress=lambda r: hits.append(r.visited))
     assert hits and all(v % 10 == 0 for v in hits)
 
 
@@ -191,7 +192,6 @@ def test_counters_are_consistent():
     record = enumerate_mixed(matrix)
     assert record.visited >= record.generated
     assert record.pruned <= record.visited
-    assert record.duplicates == 0
     assert record.min_nodes == min(t.num_nodes for t in record.most_compact.values())
 
 
@@ -217,7 +217,7 @@ def test_sweep_costs_every_growth_move_exactly():
                 shapes["labelled degree 2"] += d == 2
         scorer = Scorer(matrix)
         for kind in ("cubic", "mixed"):
-            moves = _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree)
+            moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
             costs = scorer.growth_costs(tree, moves, name)
             assert len(costs) == len(moves)
             for move, got in zip(moves, costs):
@@ -246,7 +246,7 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
         tree = random_mixed_tree(placed, rng)
         scorer = Scorer(matrix)
         for kind in ("cubic", "mixed"):
-            moves = _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree)
+            moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
             costs = scorer.growth_costs(tree, moves, name)
             assert len(costs) == len(moves)
             for move, got in zip(moves, costs):
@@ -313,7 +313,7 @@ def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
         if edges:
             tree.contract_edge(*rng.choice(edges))
     for kind in ("cubic", "mixed"):
-        for move in _Search(matrix, matrix.names, kind, False, False, None, 1).moves(tree):
+        for move in _Search(matrix, matrix.names, kind, False, None).moves(tree):
             built, skipped = tree.copy(), tree.copy()
             built.undo_growth(_Search.apply(built, move, "new"))
             if move[0] in ("r1", "r2"):
@@ -322,11 +322,32 @@ def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
             assert _next_ids(built) == _next_ids(skipped), move
 
 
+class _BuildEveryChild(_Search):
+    """The search with no skipped children: every child is applied, scored
+    in full and undone, so no move list depends on requeue_edge."""
+
+    def _expand(self, tree, k):
+        rec = self.record
+        name = self.order[k]
+        complete = k + 1 == len(self.order)
+        for move in self.moves(tree):
+            rec.visited += 1
+            best = rec.incumbent_cost
+            token = self.apply(tree, move, name)
+            cost = self.scorer.cost(tree)
+            if complete:
+                rec.generated += 1
+                rec._offer(cost, tree)
+            elif best is None or cost <= best:
+                self._expand(tree, k + 1)
+            else:
+                rec.pruned += 1
+            tree.undo_growth(token)
+
+
 def _search_trace(matrix, kind, build_every_child):
-    search = _Search(matrix, list(matrix.names), kind, False, False, None, 1 << 30)
-    # The dedup path applies and undoes every child to key it, so it is
-    # the reference for a search that skips the priced-out ones.
-    search.dedup = build_every_child
+    searcher = _BuildEveryChild if build_every_child else _Search
+    search = searcher(matrix, list(matrix.names), kind, False, None)
     tree, k = search.start_tree()
     search.run(tree, k)
     rec = search.record

@@ -256,8 +256,10 @@ def test_scorer_reuse_across_trees():
         assert scorer.cost(tree) == brute_force_best_fit(tree, matrix).mp_cost
 
 
-# Widest alphabet -> group width: the fold's carry crosses 0, 1, 3 and 7 bits.
-GROUP_WIDTH = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8}
+# Widest alphabet -> group width, up to the 64 states a column may have:
+# the fold's carry crosses 0, 1, 3, 7, 15, 31 and 63 bits.
+GROUP_WIDTH = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8, 9: 16, 16: 16,
+               17: 32, 32: 32, 33: 64, 64: 64}
 
 
 @pytest.mark.parametrize("widest", sorted(GROUP_WIDTH))
@@ -282,10 +284,14 @@ def test_three_set_closed_form_matches_num_definition(data):
     # s and K = max num, VU = {num = K}, VL = {num = K - 1} and the cost is
     # d - K, per character.  The threshold count takes any d; the closed
     # form is that count unrolled for d = 3 and covers non-empty sets only.
-    sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    widest = data.draw(st.sampled_from(sorted(GROUP_WIDTH)))
+    m = data.draw(st.integers(1, 10))
+    sizes = [widest] + data.draw(st.lists(st.integers(1, widest), min_size=m - 1, max_size=m - 1))
+    sizes = data.draw(st.permutations(sizes))
     d = data.draw(st.integers(3, 8))
     matrix = sized_matrix(sizes, random.Random(0))
     g = matrix.group_width
+    assert g == GROUP_WIDTH[widest]
     members = [
         [data.draw(st.sets(st.integers(0, k - 1), min_size=1)) for k in sizes]
         for _ in range(d)
