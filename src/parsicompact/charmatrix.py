@@ -168,6 +168,8 @@ class CharacterMatrix:
         if m == 0:
             raise EmptyInputError(f"record {rows[0][0]!r} has an empty sequence")
         for name, seq in rows:
+            if not name:
+                raise EmptyInputError("a record has an empty name")
             if len(seq) != m:
                 raise LengthMismatchError(
                     f"record {name!r} has length {len(seq)}, expected {m}"
@@ -192,7 +194,10 @@ class CharacterMatrix:
 
 
 def parse_fasta(source, allow_ambiguity: bool = False) -> CharacterMatrix:
-    """Parse aligned FASTA ('>' headers, equal-length records) into a matrix."""
+    """Parse aligned FASTA ('>' headers, equal-length records) into a matrix.
+
+    Whitespace inside a sequence line is dropped.
+    """
     if isinstance(source, str):
         source = io.StringIO(source)
     rows = []
@@ -206,12 +211,12 @@ def parse_fasta(source, allow_ambiguity: bool = False) -> CharacterMatrix:
             if name is not None:
                 rows.append((name, "".join(chunks)))
             # keep only the identifier token; the rest is free description
-            name = line[1:].strip().split()[0] if line[1:].strip() else ""
+            name = (line[1:].split() or [""])[0]
             chunks = []
         else:
             if name is None:
                 raise EmptyInputError("sequence data before the first '>' header")
-            chunks.append(line)
+            chunks.append("".join(line.split()))
     if name is not None:
         rows.append((name, "".join(chunks)))
     if not rows:

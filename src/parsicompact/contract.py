@@ -17,7 +17,8 @@ a state's key is the OR of its splits' bits, and a child's key is its
 parent's key with the contracted edge's bit cleared.  A node is named
 by its signature, the OR of its edges' bits; the two endpoints of an
 edge share only that edge's bit, and the merged node's signature is
-the XOR of theirs.
+the XOR of theirs.  A contraction merges an edge into its first
+endpoint, so the other nodes keep their ids and their signatures.
 
 One memo, keyed by split set, holds every state's root sets by node
 signature.  The work splits two ways:
@@ -67,18 +68,16 @@ from .tree import CanonicalKey, MixedTree
 class ContractionState:
     """A tree mid-contraction, with current root sets and candidate edges.
 
-    ``merged`` is the node the last contraction made (None for a start
-    tree).  ``zero_edges`` is scanned on first read.
+    ``zero_edges`` is scanned on first read.
     """
 
-    __slots__ = ("tree", "vv", "mp_cost", "scorer", "merged", "_zero_edges")
+    __slots__ = ("tree", "vv", "mp_cost", "scorer", "_zero_edges")
 
-    def __init__(self, tree, vv, mp_cost, scorer, merged=None):
+    def __init__(self, tree, vv, mp_cost, scorer):
         self.tree: MixedTree = tree
         self.vv: list[int] = vv
         self.mp_cost: int = mp_cost
         self.scorer: Scorer = scorer
-        self.merged: int | None = merged
         self._zero_edges: list[tuple[int, int]] | None = None
 
     @property
@@ -118,12 +117,12 @@ def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
 def contract_and_update(
     state: ContractionState, edge: tuple[int, int], oracle_check: bool = False
 ) -> ContractionState:
-    """Contract a zero-min-cost edge and refresh every root set.
+    """Contract zero-min-cost edge (u, v) into u; refresh every root set.
 
-    The merged node (the child's ``merged``) has the intersection of the
-    endpoints' root sets as its root set; the rest are recomputed by a
-    rescore rooted at the merged node.  With ``oracle_check`` the refreshed sets are compared against
-    an independent rescore from a different root (they must agree
+    u, the merged node, has the intersection of the endpoints' root sets
+    as its root set; the rest are recomputed by a rescore rooted at u.
+    With ``oracle_check`` the refreshed sets are compared against an
+    independent rescore from a different root (they must agree
     set-for-set, and the cost must be unchanged).
     """
     u, v = edge
@@ -131,15 +130,15 @@ def contract_and_update(
     tree = state.tree
     if tree.label[u] is not None and tree.label[v] is not None:
         raise IllegalContractionError(f"edge ({u}, {v}) joins two labelled nodes")
-    md = sc.m - sc._fold(state.vv[u] & state.vv[v]).bit_count()
+    meet = state.vv[u] & state.vv[v]
+    md = sc.m - sc._fold(meet).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
-    meet = state.vv[u] & state.vv[v]
     t2 = tree.copy()
-    w = t2.contract_edge(u, v)
-    res = sc.score(t2, root=w)
+    t2.contract_edge(u, v)
+    res = sc.score(t2, root=u)
     vv2 = res.vv
-    if vv2[w] != meet:
+    if vv2[u] != meet:
         raise ParsicompactError(
             "merged-node root set differs from the endpoint intersection"
         )
@@ -148,8 +147,8 @@ def contract_and_update(
             f"zero-min-cost contraction changed cost {state.mp_cost} -> {res.mp_cost}"
         )
     if oracle_check:
-        _shadow_check(t2, w, vv2, state.mp_cost, sc)
-    return ContractionState(t2, vv2, state.mp_cost, sc, w)
+        _shadow_check(t2, u, vv2, state.mp_cost, sc)
+    return ContractionState(t2, vv2, state.mp_cost, sc)
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):
@@ -290,8 +289,8 @@ class CompactSearcher:
                 sets = self.memo.get(to)
                 if sets is None:
                     child = contract_and_update(state, edge, self.oracle_check)
-                    csig = sig + [0] * (len(child.tree.adj) - len(sig))
-                    csig[child.merged] = merged
+                    csig = sig.copy()
+                    csig[u] = merged
                     self._store(to, child, csig)
                     stack.append((child, csig, to))
                 elif sets.get(merged) != vv[u] & vv[v]:

@@ -8,7 +8,7 @@ class ParsicompactError(Exception):
 # --- character matrix ---------------------------------------------------
 
 class EmptyInputError(ParsicompactError):
-    """Input contained no sequence records."""
+    """Input contained no sequence records, or a record with no name."""
 
 
 class LengthMismatchError(ParsicompactError):

@@ -294,32 +294,28 @@ class MixedTree:
     # -- structural edits ------------------------------------------------------
 
     def contract_edge(self, u: int, v: int) -> int:
-        """Merge edge (u, v) into a single node; returns the merged node's id.
+        """Merge v into u along edge (u, v); returns u.
 
-        The merged node inherits the species label if exactly one endpoint
-        had one.  Contracting an edge between two labelled nodes would have
-        to discard a species, so it is refused.
+        v's other edges move to u and v is freed, so every other node
+        keeps its id.  u takes v's species label if only v had one.
+        Contracting an edge between two labelled nodes would have to
+        discard a species, so it is refused.
         """
         self._require_edge(u, v)
-        if self.label[u] is not None and self.label[v] is not None:
-            raise LabelCollisionError(
-                f"both endpoints labelled ({self.label[u]!r}, {self.label[v]!r})"
-            )
-        name = self.label[u] if self.label[u] is not None else self.label[v]
-        if self.label[u] is not None:
-            self._clear_label(u)
-        if self.label[v] is not None:
-            self._clear_label(v)
-        self.remove_edge(u, v)
-        w = self.add_node()
-        for x in (u, v):
-            for y in list(self.adj[x]):
-                self.remove_edge(x, y)
-                self.add_edge(w, y)
-            self._free_node(x)
+        name = self.label[v]
         if name is not None:
-            self._set_label(w, name)
-        return w
+            if self.label[u] is not None:
+                raise LabelCollisionError(
+                    f"both endpoints labelled ({self.label[u]!r}, {name!r})"
+                )
+            self._clear_label(v)
+            self._set_label(u, name)
+        self.remove_edge(u, v)
+        for y in list(self.adj[v]):
+            self.remove_edge(v, y)
+            self.add_edge(u, y)
+        self._free_node(v)
+        return u
 
     def suppress_degree2_unlabelled(self):
         """Remove unlabelled degree-2 (and dangling unlabelled) nodes in place."""

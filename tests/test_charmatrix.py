@@ -45,6 +45,8 @@ def test_from_rows_rejects_bad_input():
         CharacterMatrix.from_rows([])
     with pytest.raises(EmptyInputError):
         CharacterMatrix.from_rows([("a", ""), ("b", "")])
+    with pytest.raises(EmptyInputError):
+        CharacterMatrix.from_rows([("a", "A"), ("", "C")])
 
 
 def test_ambiguity_symbols_rejected_by_default():
@@ -67,6 +69,9 @@ def test_parse_fasta_multiline_and_blank_lines():
     m = parse_fasta(io.StringIO(text))
     assert m.names == ("a", "b")
     assert dict(m.rows())["a"] == "ACGT"
+    # whitespace inside a sequence line is not a state
+    for spaced in (">a\nAC GT\n>b\nACGA\n", ">a\nA\tC\n G T \n>b\nACGA\n"):
+        assert parse_fasta(spaced) == m
 
 
 def test_parse_fasta_from_string_and_errors():
@@ -75,6 +80,8 @@ def test_parse_fasta_from_string_and_errors():
         parse_fasta("")
     with pytest.raises(DuplicateSpeciesError):
         parse_fasta(">a\nA\n>a\nC\n")
+    with pytest.raises(EmptyInputError):
+        parse_fasta(">\nA\n>b\nC\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -240,6 +240,26 @@ def test_byte_order_mark_is_dropped(capsys, fasta, tmp_path, which):
     assert err == f"error: {which} {text}: not UTF-8 text (byte 8)\n"
 
 
+def test_whitespace_inside_sequence_lines_is_dropped(capsys, fasta, tmp_path):
+    spaced = tmp_path / "spaced.fasta"
+    lines = open(fasta).read().splitlines()
+    spaced.write_text("".join(
+        line + "\n" if line.startswith(">") else f"{line[:3]} {line[3:5]}\t{line[5:]} \n"
+        for line in lines
+    ))
+    code, out, err = run(capsys, "compact", "--input", str(spaced))
+    assert code == 0 and err == ""
+    assert strip_timing(out) == strip_timing(run(capsys, "compact", "--input", fasta)[1])
+
+
+def test_record_without_a_name_fails_cleanly(capsys, tmp_path):
+    bare = tmp_path / "bare.fasta"
+    bare.write_text(">\nA\n>b\nC\n>c\nC\n")
+    code, out, err = run(capsys, "compact", "--input", str(bare))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_threads_fails_cleanly(capsys, fasta):
     for command in ("search-mixed", "search-cubic", "compact", "bench"):
         for value in ("0", "-2"):

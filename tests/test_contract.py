@@ -103,32 +103,27 @@ def test_merged_node_vv_is_the_intersection():
     for u, v in zero_min_cost_edges(state):
         meet = state.vv[u] & state.vv[v]
         after = contract_and_update(state, (u, v))
-        # locate the merged node structurally: it is the one absent before
-        new_nodes = set(after.tree.iter_nodes()) - (
-            set(tree.iter_nodes()) - {u, v}
-        )
-        assert len(new_nodes) == 1
-        w = new_nodes.pop()
-        assert after.vv[w] == meet
+        # the merged node is u: v is gone and every other node kept its id
+        assert set(after.tree.iter_nodes()) == set(tree.iter_nodes()) - {v}
+        assert after.vv[u] == meet
 
 
 def zero_edges_shrink(state, seen):
     """Check, over every state reachable from ``state``, that each
     contractible edge of a child was contractible in its parent.
 
-    The merged node w took over the other edges of both endpoints u and
-    v, so a child edge (w, y) was (u, y) or (v, y) before.  Returns the
-    number of child edges checked.
+    The merged node u took over v's other edges, so a child edge (u, y)
+    was (u, y) or (v, y) before.  Returns the number of child edges
+    checked.
     """
     checks = 0
     zero = {tuple(sorted(e)) for e in state.zero_edges}
     for u, v in state.zero_edges:
         child = contract_and_update(state, (u, v))
-        w = child.merged
         for x, y in child.zero_edges:
-            if x == w:
+            if x == u:
                 x = u if y in state.tree.adj[u] else v
-            if y == w:
+            elif y == u:
                 y = u if x in state.tree.adj[u] else v
             assert tuple(sorted((x, y))) in zero
             checks += 1

@@ -306,8 +306,8 @@ def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
     matrix = random_matrix(rng.randint(2, 8), 2, 2, seed=seed)
     tree = random_mixed_tree(matrix.names, rng)
     if rng.random() < 0.5:
-        # A contraction frees two nodes, so the next ids come off the
-        # free list rather than off the end of the arena.
+        # A contraction frees a node, so the next id comes off the free
+        # list rather than off the end of the arena.
         edges = [(u, v) for u, v in tree.iter_edges()
                  if tree.label[u] is None or tree.label[v] is None]
         if edges:

@@ -117,6 +117,25 @@ def test_contract_label_rules():
         t.contract_edge(t.species_node("x"), t.species_node("y"))
 
 
+def test_contract_edge_merges_v_into_u():
+    # u is the unlabelled centre of (x(a,b),c,d); v is x.
+    t = parse_newick("((a,b)x,c,d);")
+    v = t.species_node("x")
+    (u,) = [w for w in t.iter_nodes() if t.label[w] is None]
+    kept = [w for w in t.iter_nodes() if w != v]
+    moved = [w for w in t.neighbors(v) if w != u]
+    size = len(t.adj)
+    assert t.contract_edge(u, v) == u
+    t.validate()
+    assert len(t.adj) == size
+    assert not t.alive[v]
+    assert all(t.alive[w] for w in kept)
+    assert sorted(t.label[w] for w in moved) == ["a", "b"]
+    assert all(w in t.neighbors(u) for w in moved)
+    assert t.label[u] == "x" and t.species_node("x") == u
+    assert t.degree(u) == 4 and t.n_unlabelled == 0
+
+
 def test_suppress_degree2_unlabelled():
     rng = random.Random(7)
     for trial in range(30):
