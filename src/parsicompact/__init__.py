@@ -53,6 +53,7 @@ from .errors import (
     NewickParseError,
     OracleTooLargeError,
     ParsicompactError,
+    SpeciesNameError,
     TreeStructureError,
     UnlabelledLeafError,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "Scorer",
     "SearchRecord",
     "Species",
+    "SpeciesNameError",
     "StateAlphabet",
     "TreeCountTable",
     "TreeStructureError",

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateSpeciesError,
     EmptyInputError,
     LengthMismatchError,
+    SpeciesNameError,
 )
 
 # Per-character alphabets must fit in one machine word of flags.
@@ -157,7 +158,8 @@ class CharacterMatrix:
 
         Alphabets are inferred per column from the observed symbols, in
         sorted order.  Gap/unknown symbols raise unless ``allow_ambiguity``
-        turns each of them into an ordinary extra state.
+        turns each of them into an ordinary extra state.  A name must be
+        non-empty and hold no whitespace, which a FASTA header cannot carry.
         """
         if isinstance(rows, Mapping):
             rows = rows.items()
@@ -170,6 +172,8 @@ class CharacterMatrix:
         for name, seq in rows:
             if not name:
                 raise EmptyInputError("a record has an empty name")
+            if any(ch.isspace() for ch in name):
+                raise SpeciesNameError(f"species name {name!r} contains whitespace")
             if len(seq) != m:
                 raise LengthMismatchError(
                     f"record {name!r} has length {len(seq)}, expected {m}"

@@ -23,7 +23,7 @@ import time
 from contextlib import contextmanager
 
 from .charmatrix import CharacterMatrix, parse_fasta, restrict_columns, subsample_species
-from .contract import most_compact_pipeline
+from .contract import CompactSearcher, most_compact_pipeline
 from .enumeration import (
     _log_closed_form,
     closed_form_estimate,
@@ -148,11 +148,13 @@ def _progress_printer(args):
         return None
 
     def show(record):
-        print(
-            f"... visited={record.visited} pruned={record.pruned} "
-            f"generated={record.generated}",
-            file=sys.stderr,
-        )
+        if isinstance(record, CompactSearcher):
+            line = (f"... states={record.states} contractions={record.contractions} "
+                    f"sources={record.sources}")
+        else:
+            line = (f"... visited={record.visited} pruned={record.pruned} "
+                    f"generated={record.generated}")
+        print(line, file=sys.stderr)
 
     return show
 
@@ -304,6 +306,8 @@ def cmd_compact(args: argparse.Namespace) -> int:
     extra = {
         "trees": newicks,
         "mean_contractions": result.mean_contractions,
+        "memo_hits": result.memo_hits,
+        "cubic_pruned": cubic.pruned,
         "time_ms": elapsed,
         "load_ms": load_ms,
         "cubic_ms": result.cubic_ms,

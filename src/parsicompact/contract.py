@@ -23,9 +23,9 @@ endpoint, so the other nodes keep their ids and their signatures.
 One memo, keyed by split set, holds every state's root sets by node
 signature.  The work splits two ways:
 
-* once per distinct state -- copy, contract, rescore with its checks,
-  the scan for contractible edges, and, for a state with none, its
-  canonical Newick text;
+* once per distinct state -- copy, contract, update its sets from its
+  parent's with the checks, the scan for contractible edges, and, for a
+  state with none, its canonical Newick text;
 * once per arc, i.e. per contraction order step -- the contraction
   count and, when the child is already in the memo, the check that its
   root set at the merged node is the intersection of the parent's sets
@@ -41,15 +41,27 @@ the cost, and T/S costs what T does) and no node of X holds two labels.
 So X is reached from T by k! orders, k = |S| being the number of edges
 T has beyond X's, and ``raw_count`` sums k! over those pairs (X, T).
 
-After a contraction the remaining nodes' root sets are refreshed with a
-two-pass rescore rooted at the merged node (linear in tree size, the
-same bound the update traversal is supposed to meet).  A per-node local
-update rule using only the old root sets is not sound: a state can stay
-optimal at a node through a different parent state than the one that
-justified it before, so only the merged node's set (the intersection)
-is carried over directly.  Contraction never makes an edge contractible
-that was not before; that is tested, but the search does not rely on
-it: every newly built state gets a full scan for its contractible edges.
+A per-node local update rule using only the old root sets is not
+sound: a state can stay optimal at a node through a different parent
+state than the one that justified it before.  So a state keeps its
+whole scoring from :meth:`Scorer.score`, hung from a fixed root: each
+node's parent and children, VU, VL, VV and local cost.  A child's
+arrays are copies of its parent's with v's slot dead, and the scorer's
+own kernels recompute only what can change.  A node's VU, VL and local
+cost depend only on its label and its children's VU, and only the
+merged node and its ancestors have new subtrees; a node's VV depends
+only on its parent's VV and its own VU and VL.  So the upward pass
+stops at the first node whose VU comes out as its parent saw it
+before, and the downward pass enters a child only when its parent's VV
+changed or its own sets were recomputed, or when it moved to a parent
+whose VV differs from its old parent's.  Every skipped node keeps
+inputs that did not change, so the update is exact, not a local rule
+over old root sets; the merged node's set must still come out as the
+intersection.
+
+Contraction never makes an edge contractible that was not before; that
+is tested, but the search does not rely on it: every newly built state
+gets a full scan for its contractible edges.
 """
 
 from __future__ import annotations
@@ -64,18 +76,31 @@ from .errors import IllegalContractionError, ParsicompactError, TreeStructureErr
 from .parsimony import Scorer
 from .tree import CanonicalKey, MixedTree
 
+# Built states between two calls of a contraction search's on_progress hook.
+PROGRESS_EVERY = 10_000
+
 
 class ContractionState:
-    """A tree mid-contraction, with current root sets and candidate edges.
+    """A tree mid-contraction, with its sets hung from ``root``.
 
-    ``zero_edges`` is scanned on first read.
+    ``parent``, ``kids``, ``vu``, ``vl``, ``vv`` and ``local`` are per-node
+    arrays by node id, as :class:`~parsicompact.parsimony.ScoreResult`
+    gives them; a contracted-away node's slot is dead (parent -1, kids
+    None, sets and local cost 0).  ``zero_edges`` is scanned on first read.
     """
 
-    __slots__ = ("tree", "vv", "mp_cost", "scorer", "_zero_edges")
+    __slots__ = ("tree", "root", "parent", "kids", "vu", "vl", "vv", "local",
+                 "mp_cost", "scorer", "_zero_edges")
 
-    def __init__(self, tree, vv, mp_cost, scorer):
+    def __init__(self, tree, root, parent, kids, vu, vl, vv, local, mp_cost, scorer):
         self.tree: MixedTree = tree
+        self.root: int = root
+        self.parent: list[int] = parent
+        self.kids: list[list[int] | None] = kids
+        self.vu: list[int] = vu
+        self.vl: list[int] = vl
         self.vv: list[int] = vv
+        self.local: list[int] = local
         self.mp_cost: int = mp_cost
         self.scorer: Scorer = scorer
         self._zero_edges: list[tuple[int, int]] | None = None
@@ -90,7 +115,8 @@ class ContractionState:
     def from_tree(cls, tree: MixedTree, matrix: CharacterMatrix) -> "ContractionState":
         scorer = Scorer(matrix)
         res = scorer.score(tree)
-        return cls(tree, res.vv, res.mp_cost, scorer)
+        return cls(tree, res.root, res.parent, res.kids, res.vu, res.vl, res.vv,
+                   res.local, res.mp_cost, scorer)
 
 
 def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
@@ -100,16 +126,18 @@ def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
     species, so they are never candidates.
     """
     sc = state.scorer
-    tree = state.tree
     vv = state.vv
-    label = tree.label
-    fold = sc._fold
+    label = state.tree.label
+    carry = sc.carry
+    high = sc.high
+    top = sc.top
     m = sc.m
     out = []
-    for u, v in tree.iter_edges():
+    for u, v in state.tree.iter_edges():
         if label[u] is not None and label[v] is not None:
             continue
-        if fold(vv[u] & vv[v]).bit_count() == m:
+        meet = vv[u] & vv[v]
+        if (((((meet & carry) + carry) | meet) & high) >> top).bit_count() == m:
             out.append((u, v))
     return out
 
@@ -117,38 +145,112 @@ def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
 def contract_and_update(
     state: ContractionState, edge: tuple[int, int], oracle_check: bool = False
 ) -> ContractionState:
-    """Contract zero-min-cost edge (u, v) into u; refresh every root set.
+    """Contract zero-min-cost edge (u, v) into u; derive the child's sets.
 
-    u, the merged node, has the intersection of the endpoints' root sets
-    as its root set; the rest are recomputed by a rescore rooted at u.
-    With ``oracle_check`` the refreshed sets are compared against an
-    independent rescore from a different root (they must agree
-    set-for-set, and the cost must be unchanged).
+    The child keeps the parent's root, or u when v was the root, and its
+    arrays are copies of the parent's with v's slot dead.  v's children
+    move under u; when v was u's parent, u also takes v's place under v's
+    parent.  Only u and its ancestors have new subtrees, so VU, VL and
+    local cost are recomputed at u and then up its ancestors, stopping
+    at the first node whose VU, all its parent reads of it, comes out as
+    that parent saw it before (for u, v's VU when u took v's place).  VV
+    is then recomputed down from the topmost recomputed node, entering
+    every child of a node whose VV changed, else the recomputed child,
+    and at u the moved children when u's VV differs from v's, their old
+    parent's.  The child's cost is the parent's less v's local cost plus
+    the change in local cost at the recomputed nodes; it must equal the
+    parent's, and u's root set must be the intersection of the
+    endpoints'.  With ``oracle_check`` the derived root sets and cost are
+    compared against an independent full rescore from another root.
     """
     u, v = edge
     sc = state.scorer
     tree = state.tree
     if tree.label[u] is not None and tree.label[v] is not None:
         raise IllegalContractionError(f"edge ({u}, {v}) joins two labelled nodes")
-    meet = state.vv[u] & state.vv[v]
+    vv = state.vv
+    meet = vv[u] & vv[v]
     md = sc.m - sc._fold(meet).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
     t2 = tree.copy()
     t2.contract_edge(u, v)
-    res = sc.score(t2, root=u)
-    vv2 = res.vv
-    if vv2[u] != meet:
+    root = state.root
+    parent = state.parent.copy()
+    kids = state.kids.copy()
+    vu = state.vu.copy()
+    vl = state.vl.copy()
+    vv = vv.copy()
+    local = state.local.copy()
+    if parent[u] == v:
+        # u takes v's place under v's parent.
+        p = parent[u] = parent[v]
+        if p < 0:
+            root = u
+        else:
+            kids[p] = [u if c == v else c for c in kids[p]]
+        moved = [c for c in kids[v] if c != u]
+        handed = vu[v]
+    else:
+        moved = kids[v]
+        handed = vu[u]
+    for c in moved:
+        parent[c] = u
+    cost = state.mp_cost - local[v]
+    parent[v] = -1
+    kids[v] = None
+    vu[v] = vl[v] = vv[v] = local[v] = 0
+    # The two passes run the scorer's kernels over generators that pick
+    # the next node after each one is recomputed.
+    path = []
+    old_local = []
+
+    def climb():
+        # u, then its ancestors, up to the first whose VU (all its parent
+        # reads of it) comes out as its parent saw it before.
+        x = u
+        was = handed
+        while True:
+            path.append(x)
+            old_local.append(local[x])
+            yield x
+            if vu[x] == was or parent[x] < 0:
+                return
+            x = parent[x]
+            was = vu[x]
+
+    cost += sc._up(climb(), parent, t2, vu, vl, local, kids) - sum(old_local)
+    below = dict(zip(path[1:], path))  # each recomputed ancestor's path child
+    was_v = state.vv[v]
+
+    def descend():
+        # From the topmost recomputed node: every child of a node whose VV
+        # changed, else the recomputed child, and at u the moved children
+        # if u's VV differs from v's, their parent's before.
+        stack = [path[-1]]
+        while stack:
+            x = stack.pop()
+            old = vv[x]
+            yield x
+            if vv[x] != old:
+                stack.extend(kids[x])
+            elif x in below:
+                stack.append(below[x])
+            elif x == u and vv[u] != was_v:
+                stack.extend(moved)
+
+    sc._top_down(descend(), parent, vu, vl, vv)
+    if vv[u] != meet:
         raise ParsicompactError(
             "merged-node root set differs from the endpoint intersection"
         )
-    if res.mp_cost != state.mp_cost:
+    if cost != state.mp_cost:
         raise ParsicompactError(
-            f"zero-min-cost contraction changed cost {state.mp_cost} -> {res.mp_cost}"
+            f"zero-min-cost contraction changed cost {state.mp_cost} -> {cost}"
         )
     if oracle_check:
-        _shadow_check(t2, u, vv2, state.mp_cost, sc)
-    return ContractionState(t2, vv2, state.mp_cost, sc)
+        _shadow_check(t2, u, vv, cost, sc)
+    return ContractionState(t2, root, parent, kids, vu, vl, vv, local, cost, sc)
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):
@@ -174,8 +276,10 @@ class CompactResultSet:
     is the number of contraction orders, summed over all start trees,
     that arrive at those trees: k! for each pair (X, T) of a result X and
     a start tree T whose splits include X's, with k the number of edges
-    T has beyond X's.  cubic_ms and contract_ms are the wall times of
-    :func:`most_compact_pipeline`'s two stages.
+    T has beyond X's.  memo_hits counts the contractions whose child was
+    already in the memo, so was not built again.  cubic_ms and
+    contract_ms are the wall times of :func:`most_compact_pipeline`'s two
+    stages.
     """
 
     best_node_count: int | None
@@ -184,6 +288,7 @@ class CompactResultSet:
     mp_cost: int | None = None
     raw_count: int = 0
     contractions: int = 0
+    memo_hits: int = 0
     sources: int = 0
     cubic_record: SearchRecord | None = None
     cubic_ms: float = 0.0
@@ -227,11 +332,15 @@ class CompactSearcher:
 
     Start trees must be X-trees that carry every species of the matrix,
     as the cubic MP-trees the pipeline feeds are; any other is refused.
+    ``on_progress``, if given, is called with the searcher once every
+    :data:`PROGRESS_EVERY` built states.
     """
 
-    def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False):
+    def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False,
+                 on_progress=None):
         self.matrix = matrix
         self.oracle_check = oracle_check
+        self.on_progress = on_progress
         self.species = {name: i for i, name in enumerate(matrix.names)}
         self.bit: dict[int, int] = {}  # split -> its bit
         self.holders: dict[int, int] = {}  # split bit -> start trees holding it
@@ -240,6 +349,12 @@ class CompactSearcher:
         self.final: list[tuple[int, int, str]] = []  # (nodes, key, Newick)
         self.sources = 0
         self.contractions = 0
+        self.memo_hits = 0
+
+    @property
+    def states(self) -> int:
+        """States built so far, start trees included."""
+        return len(self.memo)
 
     def add_source(self, tree: MixedTree) -> int:
         """Contract one start tree in every order; returns its MP-cost."""
@@ -273,6 +388,8 @@ class CompactSearcher:
         self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if alive[x]}
         if not state.zero_edges:
             self.final.append((state.tree.num_nodes, key, state.tree.write_newick()))
+        if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
+            self.on_progress(self)
 
     def _expand(self, source: ContractionState, sig: list[int], key: int):
         """Depth first from one start tree, building each state not yet
@@ -293,11 +410,13 @@ class CompactSearcher:
                     csig[u] = merged
                     self._store(to, child, csig)
                     stack.append((child, csig, to))
-                elif sets.get(merged) != vv[u] & vv[v]:
-                    # The check contract_and_update makes on the merged node.
-                    raise ParsicompactError(
-                        "merged-node root set differs from the endpoint intersection"
-                    )
+                else:
+                    self.memo_hits += 1
+                    if sets.get(merged) != vv[u] & vv[v]:
+                        # The check contract_and_update makes on the merged node.
+                        raise ParsicompactError(
+                            "merged-node root set differs from the endpoint intersection"
+                        )
 
     def finalize(self) -> CompactResultSet:
         best = min((nodes for nodes, _, _ in self.final), default=None)
@@ -318,9 +437,10 @@ class CompactSearcher:
         return CompactResultSet(
             best_node_count=best,
             trees=trees,
-            explored_states=len(self.memo),
+            explored_states=self.states,
             raw_count=raw,
             contractions=self.contractions,
+            memo_hits=self.memo_hits,
             sources=self.sources,
         )
 
@@ -334,7 +454,12 @@ def most_compact_pipeline(
     on_progress=None,
 ) -> CompactResultSet:
     """Full search: enumerate cubic MP-trees, contract each in all orders,
-    keep the globally most compact results."""
+    keep the globally most compact results.
+
+    ``on_progress`` is handed to both stages: the cubic search calls it
+    with its :class:`SearchRecord`, the contraction with its
+    :class:`CompactSearcher`.
+    """
     t0 = time.monotonic()
     cubic = enumerate_cubic(
         matrix,
@@ -343,7 +468,7 @@ def most_compact_pipeline(
         on_progress=on_progress,
     )
     t1 = time.monotonic()
-    searcher = CompactSearcher(matrix, oracle_check=oracle_check)
+    searcher = CompactSearcher(matrix, oracle_check=oracle_check, on_progress=on_progress)
     for key in sorted(cubic.incumbents, key=lambda k: k.data):
         searcher.add_source(cubic.incumbents[key])
     out = searcher.finalize()

@@ -19,6 +19,10 @@ class DuplicateSpeciesError(ParsicompactError):
     """Two records share the same species name."""
 
 
+class SpeciesNameError(ParsicompactError):
+    """A species name holds whitespace, which a FASTA header cannot carry."""
+
+
 class AmbiguousSymbolError(ParsicompactError):
     """A gap or ambiguity symbol was found and not explicitly allowed."""
 

@@ -67,23 +67,28 @@ class ScoreResult:
 
     ``vu``, ``vl`` and ``vv`` list every node's packed upper, lower and
     root set by node id (0 at ids not in the tree); :func:`unpack_sets`
-    reads one as per-character state sets.
+    reads one as per-character state sets.  With the tree hung from
+    ``root``, ``parent`` and ``kids`` give each node's parent (-1 at the
+    root) and children, and ``local`` its share of the cost: the
+    mutations on the edges to its children, summing to ``mp_cost``.
     """
 
-    def __init__(self, matrix, mp_cost, root, order, parent, vu, vl, vv):
+    def __init__(self, matrix, mp_cost, root, order, parent, kids, vu, vl, vv, local):
         self.mp_cost = mp_cost
         self.root = root
+        self.parent = parent
+        self.kids = kids
         self.vu = vu
         self.vl = vl
         self.vv = vv
+        self.local = local
         self._matrix = matrix
         self._order = order
-        self._parent = parent
 
     def extract_fit(self) -> FitAssignment:
         """One deterministic optimal fit (lowest state index on ties)."""
         matrix = self._matrix
-        parent = self._parent
+        parent = self.parent
         chosen: dict[int, tuple[int, ...]] = {}
         for u in self._order:
             ups = unpack_sets(matrix, self.vu[u])
@@ -129,7 +134,7 @@ class Scorer:
 
         Adding ``carry`` to a group's g-1 low bits carries into the group's
         top bit exactly when one of them is set, and never past it.  The hot
-        loops of :meth:`_bottom_up` and :meth:`growth_costs` inline this.
+        loops inline this, and so does the contraction's edge scan.
         """
         carry = self.carry
         return ((((x & carry) + carry) | x) & self.high) >> self.top
@@ -152,19 +157,34 @@ class Scorer:
     # -- bottom-up pass ------------------------------------------------------
 
     def _bottom_up(self, tree, root, need_vl):
-        """Return (cost, vu, vl, pre, parent, kids); vl is zeros if not requested.
+        """Return (cost, vu, vl, local, pre, parent, kids).
 
-        ``pre`` and ``parent`` come from :meth:`MixedTree.hang`, so ``pre``
-        lists parents before children.  ``kids[u]`` lists u's children in
+        ``vl`` and ``local`` are None unless requested.  ``pre`` and
+        ``parent`` come from :meth:`MixedTree.hang`, so ``pre`` lists
+        parents before children.  ``kids[u]`` lists u's children in
         adjacency order (None at ids not in the tree).
         """
         pre, parent = tree.hang(root)
         size = len(tree.adj)
         vu = [0] * size
-        vl = [0] * size
+        vl = [0] * size if need_vl else None
+        local = [0] * size if need_vl else None
         kids_of = [None] * size
+        cost = self._up(reversed(pre), parent, tree, vu, vl, local, kids_of)
+        return cost, vu, vl, local, pre, parent, kids_of
+
+    def _up(self, nodes, parent, tree, vu, vl, local, kids_of):
+        """Compute VU, and VL and local cost unless ``vl`` is None, at each
+        of ``nodes`` from its children's VU; returns their summed local cost.
+
+        ``nodes`` lists children before parents.  Each node's children are
+        its neighbours other than ``parent[u]``, written to ``kids_of``.
+        A node's local cost is its share of the MP-cost: the mutations on
+        the edges to its children.
+        """
         adj = tree.adj
         label = tree.label
+        need_vl = vl is not None
         vmask = self.vmask
         alpha = self.alpha
         fill = self.fill
@@ -173,7 +193,7 @@ class Scorer:
         top = self.top
         m = self.m
         cost = 0
-        for u in reversed(pre):
+        for u in nodes:
             name = label[u]
             par = parent[u]
             kids = kids_of[u] = [v for v in adj[u] if v != par]
@@ -182,10 +202,17 @@ class Scorer:
                 if x is None:
                     raise MissingSpeciesError(f"species {name!r} not in the matrix")
                 vu[u] = x
-                # x holds one state per character, so each bit of
-                # vu[c] & x is one character that reaches x for free.
-                for c in kids:
-                    cost += m - (vu[c] & x).bit_count()
+                if kids:
+                    # x holds one state per character, so each bit of
+                    # vu[c] & x is one character that reaches x for free.
+                    here = 0
+                    for c in kids:
+                        here += m - (vu[c] & x).bit_count()
+                    cost += here
+                    if need_vl:
+                        local[u] = here
+                if need_vl:
+                    vl[u] = 0
             elif not kids:
                 raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
             elif len(kids) == 2:
@@ -193,12 +220,14 @@ class Scorer:
                 b = vu[kids[1]]
                 meet = a & b
                 ne = ((((meet & carry) + carry) | meet) & high) >> top
-                cost += m - ne.bit_count()
+                here = m - ne.bit_count()
+                cost += here
                 both = ne * fill
                 union = a | b
                 vu[u] = meet | (union & ~both)
                 if need_vl:
                     vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
+                    local[u] = here
             elif len(kids) == 1:
                 if par < 0:
                     # An unlabelled root with one neighbour is a leaf.
@@ -207,17 +236,17 @@ class Scorer:
                 vu[u] = c0
                 if need_vl:
                     vl[u] = alpha & ~c0
-            elif len(kids) == 3:
-                vu[u], u_vl, local = self._three(vu[kids[0]], vu[kids[1]], vu[kids[2]])
-                if need_vl:
-                    vl[u] = u_vl
-                cost += local
+                    local[u] = 0
             else:
-                vu[u], u_vl, local = self._count_many([vu[c] for c in kids])
+                if len(kids) == 3:
+                    vu[u], u_vl, here = self._three(vu[kids[0]], vu[kids[1]], vu[kids[2]])
+                else:
+                    vu[u], u_vl, here = self._count_many([vu[c] for c in kids])
+                cost += here
                 if need_vl:
                     vl[u] = u_vl
-                cost += local
-        return cost, vu, vl, pre, parent, kids_of
+                    local[u] = here
+        return cost
 
     def _three(self, a, b, c):
         """VU, VL and local cost of an unlabelled node receiving a, b and c.
@@ -292,19 +321,22 @@ class Scorer:
 
     # -- top-down pass ---------------------------------------------------------
 
-    def _top_down(self, vu, vl, pre, parent):
-        vv = [0] * len(vu)
+    def _top_down(self, nodes, parent, vu, vl, vv):
+        """Write VV at each of ``nodes`` from its parent's VV and its own
+        VU and VL; ``nodes`` lists parents before children."""
+        carry = self.carry
+        high = self.high
+        top = self.top
         fill = self.fill
-        fold = self._fold
-        for u in pre:
+        for u in nodes:
             p = parent[u]
             if p < 0:
                 vv[u] = vu[u]
                 continue
             vvp = vv[p]
-            ns = fold(vvp & ~vu[u]) * fill
+            miss = vvp & ~vu[u]
+            ns = (((((miss & carry) + carry) | miss) & high) >> top) * fill
             vv[u] = ((vu[u] | (vvp & vl[u])) & ns) | (vvp & ~ns)
-        return vv
 
     # -- entry points --------------------------------------------------------------
 
@@ -343,7 +375,7 @@ class Scorer:
         if x is None:
             raise MissingSpeciesError(f"species {name!r} not in the matrix")
         root = self.pick_root(tree)
-        cost, up, _vl, pre, parent, kids_of = self._bottom_up(tree, root, False)
+        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root, False)
         label = tree.label
         vmask = self.vmask
         carry = self.carry
@@ -418,9 +450,10 @@ class Scorer:
         """Full pass: cost plus VU/VL/VV for every node."""
         if root is None:
             root = self.pick_root(tree)
-        cost, vu, vl, pre, parent, _kids = self._bottom_up(tree, root, True)
-        vv = self._top_down(vu, vl, pre, parent)
-        return ScoreResult(self.matrix, cost, root, pre, parent, vu, vl, vv)
+        cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root, True)
+        vv = [0] * len(vu)
+        self._top_down(pre, parent, vu, vl, vv)
+        return ScoreResult(self.matrix, cost, root, pre, parent, kids, vu, vl, vv, local)
 
 
 # -- module-level operations ----------------------------------------------------

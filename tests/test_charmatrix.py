@@ -16,6 +16,7 @@ from parsicompact import (
     DuplicateSpeciesError,
     EmptyInputError,
     LengthMismatchError,
+    SpeciesNameError,
     evolved_matrix,
     parse_fasta,
     random_matrix,
@@ -47,6 +48,10 @@ def test_from_rows_rejects_bad_input():
         CharacterMatrix.from_rows([("a", ""), ("b", "")])
     with pytest.raises(EmptyInputError):
         CharacterMatrix.from_rows([("a", "A"), ("", "C")])
+    # A FASTA header cannot carry whitespace: ">a b" reads back as "a".
+    for name in ("a b", " ", "a\tb"):
+        with pytest.raises(SpeciesNameError):
+            CharacterMatrix.from_rows([(name, "A"), ("c", "C")])
 
 
 def test_ambiguity_symbols_rejected_by_default():

@@ -129,6 +129,8 @@ JSON_FIELDS = {
                      "min_nodes", "visited", "pruned", "generated", "trees"},
 }
 JSON_FIELDS["search-mixed"] = JSON_FIELDS["search-cubic"]
+# Counters that compact's JSON carries and its TSV row leaves out.
+JSON_ONLY = {"compact": {"memo_hits", "cubic_pruned"}}
 STAGE_TIMES = {
     "compact": {"time_ms", "load_ms", "cubic_ms", "contract_ms", "emit_ms"},
     "search-cubic": {"time_ms", "emit_ms"},
@@ -142,7 +144,8 @@ def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, com
     assert code == 0
     got = json.loads(out)
     assert {k for k in got if k.endswith("_ms")} == STAGE_TIMES[command]
-    assert {k for k in got if not k.endswith("_ms")} == JSON_FIELDS[command]
+    only = JSON_ONLY.get(command, set())
+    assert {k for k in got if not k.endswith("_ms")} == JSON_FIELDS[command] | only
     assert all(got[k] >= 0 for k in STAGE_TIMES[command])
     if command == "compact":
         assert got["cubic_ms"] + got["contract_ms"] <= got["time_ms"] + 1e-6
@@ -155,6 +158,10 @@ def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, com
         want = got[key]
         assert text == (f"{want:.2f}" if key == "mean_contractions" else str(want)), key
     assert set(header.split("\t")) == (JSON_FIELDS[command] - {"trees"}) | {"time_ms"}
+    if command == "compact":
+        assert got["memo_hits"] == (got["contractions"] - got["explored_states"]
+                                    + got["cubic_mp_trees"])
+        assert 0 <= got["cubic_pruned"] <= got["cubic_visited"]
 
 
 @pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])
@@ -292,6 +299,31 @@ def test_progress_goes_to_stderr_only(capsys, fasta, monkeypatch, command):
     for line in lines:
         counts = re.fullmatch(r"\.\.\. visited=(\d+) pruned=\d+ generated=\d+", line)
         assert counts and int(counts[1]) % 5 == 0, line
+
+
+def test_compact_progress_reports_contraction(capsys, fasta, monkeypatch):
+    monkeypatch.setattr("parsicompact.contract.PROGRESS_EVERY", 5)
+    code, plain, err = run(capsys, "compact", "--input", fasta, "--format", "json")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "compact", "--input", fasta, "--format", "json",
+                         "--progress")
+    assert code == 0
+    got, want = json.loads(out), json.loads(plain)
+    assert {k: v for k, v in got.items() if not k.endswith("_ms")} == {
+        k: v for k, v in want.items() if not k.endswith("_ms")}
+    reports = []
+    for line in err.splitlines():
+        counts = re.fullmatch(
+            r"\.\.\. states=(\d+) contractions=(\d+) sources=(\d+)", line)
+        if counts is None:
+            assert re.fullmatch(r"\.\.\. visited=\d+ pruned=\d+ generated=\d+", line), line
+            continue
+        reports.append(tuple(int(c) for c in counts.groups()))
+    assert len(reports) == want["explored_states"] // 5
+    assert all(states % 5 == 0 for states, _, _ in reports)
+    assert reports == sorted(reports)
+    assert reports[-1][1] <= want["contractions"]
+    assert reports[-1][2] <= want["cubic_mp_trees"]
 
 
 def test_deterministic_output_across_runs(capsys, fasta):

@@ -108,6 +108,63 @@ def test_merged_node_vv_is_the_intersection():
         assert after.vv[u] == meet
 
 
+def check_every_order(state, matrix):
+    """Contract every order from ``state``, checking each child's derived
+    sets against fresh scores; returns the rewire cases met on the way.
+
+    VV and the cost come from a score at the default root, which they do
+    not depend on.  The hung arrays (parent, children, VU, VL and local
+    cost) come from a score at the child's own root.
+    """
+    cases = set()
+    for u, v in state.zero_edges:
+        if state.parent[v] == u:
+            cases.add("v below u")
+        else:
+            cases.add("u below v")
+            if state.parent[v] < 0:
+                cases.add("v is the root")
+        if state.tree.label[v] is not None:
+            cases.add("v labelled")
+        child = contract_and_update(state, (u, v))
+        tree = child.tree
+        if tree.label[u] is None and len(child.kids[u]) >= 4:
+            cases.add("threshold count at u")
+        assert tree.label[u] == (state.tree.label[u] or state.tree.label[v])
+        fresh = Scorer(matrix).score(tree)
+        assert child.mp_cost == fresh.mp_cost == state.mp_cost
+        hung = Scorer(matrix).score(tree, root=child.root)
+        for x in tree.iter_nodes():
+            assert child.vv[x] == fresh.vv[x], x
+            assert child.parent[x] == hung.parent[x], x
+            assert sorted(child.kids[x]) == sorted(hung.kids[x]), x
+            assert (child.vu[x], child.vl[x], child.local[x]) == (
+                hung.vu[x], hung.vl[x], hung.local[x]), x
+        assert child.vv[v] == child.vu[v] == child.local[v] == 0
+        if any(child.vv[x] != state.vv[x] for x in tree.iter_nodes() if x != u):
+            cases.add("VV changed away from u")
+        cases |= check_every_order(child, matrix)
+    return cases
+
+
+def test_derived_sets_equal_a_fresh_score_in_every_order():
+    # Identical data makes high-degree merged nodes; evolved data makes
+    # labelled merged nodes and roots that move, and at higher rates
+    # root sets that change away from the merged node.
+    matrices = [evolved_matrix(5, 5, 4, seed=seed) for seed in range(3)]
+    matrices.append(evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05))
+    matrices.append(evolved_matrix(5, 4, 4, seed=1, mutation_rate=0.3))
+    matrices += [evolved_matrix(6, 10, 3, seed=seed, mutation_rate=0.2) for seed in (1, 4)]
+    matrices.append(CharacterMatrix.from_rows([(f"S{i}", "A") for i in range(1, 6)]))
+    cases = set()
+    for matrix in matrices:
+        for tree in enumerate_cubic(matrix).incumbents.values():
+            state = ContractionState.from_tree(tree, matrix)
+            cases |= check_every_order(state, matrix)
+    assert cases == {"v below u", "u below v", "v is the root", "v labelled",
+                     "threshold count at u", "VV changed away from u"}
+
+
 def zero_edges_shrink(state, seen):
     """Check, over every state reachable from ``state``, that each
     contractible edge of a child was contractible in its parent.
@@ -258,6 +315,10 @@ def test_result_bookkeeping():
     assert result.sources == len(result.cubic_record.incumbents)
     assert result.mean_contractions == result.contractions / result.sources
     assert result.explored_states >= result.dedup_count
+    # Each start tree is a state of its own, and each other state was
+    # built once; every other contraction found its child in the memo.
+    built = result.explored_states - result.sources
+    assert result.memo_hits == result.contractions - built
 
 
 # (n, m, states, seed, mutation rate) -> explored states, contractions,
