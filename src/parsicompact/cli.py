@@ -265,7 +265,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "generated": record.generated,
         "time_ms": f"{elapsed:.1f}",
     }
-    extra = {"trees": newicks, "time_ms": elapsed, "emit_ms": emit_ms}
+    extra = {"trees": newicks, "sweeps": record.sweeps, "time_ms": elapsed, "emit_ms": emit_ms}
     summary = (f"mp_cost={record.incumbent_cost} trees={len(best)} "
                f"visited={record.visited}")
     _emit(args, row, extra, summary)
@@ -308,6 +308,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
         "mean_contractions": result.mean_contractions,
         "memo_hits": result.memo_hits,
         "cubic_pruned": cubic.pruned,
+        "cubic_sweeps": cubic.sweeps,
         "time_ms": elapsed,
         "load_ms": load_ms,
         "cubic_ms": result.cubic_ms,

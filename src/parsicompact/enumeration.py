@@ -13,7 +13,7 @@ Two searches share the branch-and-bound skeleton:
 Adding a species can never lower the MP-cost, so a partial tree's cost is
 an admissible bound and strictly-worse partial trees are pruned.  Equal
 cost always expands: the searches must surface every co-optimal tree.
-Child costs come from one directional sweep per expanded tree
+Child costs come from one directional sweep of the expanded tree
 (:meth:`Scorer.growth_costs`), which costs every growth move in O(1)
 big-int operations instead of rescoring each child; only the tree each
 depth-first run starts from is scored in full.  Only the children that
@@ -24,6 +24,24 @@ re-appends that edge to both endpoints' adjacency lists, which orders
 every later move list, so a skipped edge move still makes that one
 change (:meth:`MixedTree.requeue_edge`) and the visit order is the
 same as if every child were built.
+
+Many expanded trees need no sweep at all.  Let novel[k] count the
+characters where species order[k]'s state is held by none of
+order[:k]; every child of a depth-k tree T costs at least
+cost(T) + novel[k].  Proof, per character c where x = order[k] has a
+novel state s: in an optimal labelling of a child C, the maximal
+connected set Z of s-nodes around x's node holds no other species, and
+some node outside Z borders it, because T holds a species and none has
+state s.  Relabelling Z to that neighbour's state saves at least one
+mutation, and removing x then gives a labelling of T that costs no
+more -- drop the leaf (rule 3), unlabel the node (rule 4), or join its
+two neighbours, by the triangle inequality (rules 1 and 2) -- so
+cost_c(T) <= cost_c(C) - 1.  Where x's state is not novel the same
+removal gives cost_c(T) <= cost_c(C).  So when cost(T) + novel[k]
+exceeds the incumbent, every child is priced out: the search counts
+them and requeues their edges exactly as the per-child loop would, and
+skips the sweep.  The bound never changes what is expanded, only what
+is priced.
 
 T(n, m) counts mixed trees with n labelled and m unlabelled nodes; the
 growth moves produce each mixed tree exactly once, which the tests
@@ -147,7 +165,10 @@ class SearchRecord:
     including the children priced above the incumbent and therefore
     never built), generated counts complete trees reached (built or
     not), pruned counts subtrees cut by the cost bound; only the
-    children that survive the bound are built.
+    children that survive the bound are built.  sweeps counts the
+    expanded trees whose children were priced by
+    :meth:`Scorer.growth_costs`; the others had every child priced out
+    by the novel-state bound.
     """
 
     incumbent_cost: int | None = None
@@ -155,6 +176,7 @@ class SearchRecord:
     visited: int = 0
     pruned: int = 0
     generated: int = 0
+    sweeps: int = 0
     most_compact: dict[CanonicalKey, MixedTree] = field(default_factory=dict)
 
     def _offer(self, cost: int, tree: MixedTree):
@@ -168,6 +190,7 @@ class SearchRecord:
         self.visited += other.visited
         self.pruned += other.pruned
         self.generated += other.generated
+        self.sweeps += other.sweeps
         if other.incumbent_cost is None:
             return
         if self.incumbent_cost is None or other.incumbent_cost < self.incumbent_cost:
@@ -235,6 +258,15 @@ class _Search:
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)
         self.record = SearchRecord()
+        # novel[k]: characters where order[k]'s state is held by none of
+        # order[:k]; each costs every child of a depth-k tree at least
+        # one more mutation than the tree (see the module docstring).
+        self.novel = []
+        seen = 0
+        for name in order:
+            x = self.scorer.vmask[name]
+            self.novel.append((x & ~seen).bit_count())
+            seen |= x
 
     # -- move generation ---------------------------------------------------
 
@@ -290,9 +322,9 @@ class _Search:
         ):
             rec.pruned += 1
             return
-        self._expand(tree, k)
+        self._expand(tree, k, cost)
 
-    def _expand(self, tree: MixedTree, k: int):
+    def _expand(self, tree: MixedTree, k: int, tree_cost: int):
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
@@ -301,28 +333,60 @@ class _Search:
         # built.  Every child that is built is offered or expanded.
         may_skip = complete or not self.no_prune
         moves = self.moves(tree)
+        best = rec.incumbent_cost
+        if may_skip and best is not None and tree_cost + self.novel[k] > best:
+            # Every child costs at least tree_cost + novel[k]: all are
+            # priced out, so none needs pricing.
+            for kind, site in moves:
+                if kind == "r1" or kind == "r2":
+                    tree.requeue_edge(*site)
+            self._count_priced_out(len(moves), complete)
+            return
+        rec.sweeps += 1
         costs = self.scorer.growth_costs(tree, moves, name)
         for move, cost in zip(moves, costs):
             rec.visited += 1
             best = rec.incumbent_cost
-            if may_skip and best is not None and cost > best:
-                if complete:
-                    rec.generated += 1
-                else:
-                    rec.pruned += 1
+            priced_out = may_skip and best is not None and cost > best
+            if complete:
+                rec.generated += 1
+            elif priced_out:
+                rec.pruned += 1
+            # Before the child's subtree, so each multiple is seen once.
+            if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
+                self.on_progress(rec)
+            if priced_out:
                 # Building and undoing an edge move would have re-appended
                 # the edge, which orders later move lists.
                 if move[0] in ("r1", "r2"):
                     tree.requeue_edge(*move[1])
+                continue
+            token = self.apply(tree, move, name)
+            if complete:
+                rec._offer(cost, tree)
             else:
-                token = self.apply(tree, move, name)
-                if complete:
-                    rec.generated += 1
-                    rec._offer(cost, tree)
-                else:
-                    self._expand(tree, k + 1)
-                tree.undo_growth(token)
-            if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
+                self._expand(tree, k + 1, cost)
+            tree.undo_growth(token)
+
+    def _count_priced_out(self, count: int, complete: bool):
+        """Count ``count`` children priced out, as the per-child loop would.
+
+        The progress hook fires at the same counter values: once at every
+        multiple of PROGRESS_EVERY that visited reaches.
+        """
+        rec = self.record
+        every = PROGRESS_EVERY
+        while count:
+            step = count
+            if self.on_progress:
+                step = min(count, every - rec.visited % every)
+            rec.visited += step
+            if complete:
+                rec.generated += step
+            else:
+                rec.pruned += step
+            count -= step
+            if self.on_progress and rec.visited % every < 1:
                 self.on_progress(rec)
 
     def frontier(self, minimum: int):

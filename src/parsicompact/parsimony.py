@@ -110,7 +110,8 @@ class Scorer:
     """Word-parallel scoring engine bound to one character matrix.
 
     Reusable across many trees; enumeration keeps a single instance and
-    calls :meth:`growth_costs` once per tree it expands.
+    calls :meth:`growth_costs` on each tree it expands whose children
+    are not all priced out by the novel-state bound.
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")

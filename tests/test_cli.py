@@ -129,8 +129,12 @@ JSON_FIELDS = {
                      "min_nodes", "visited", "pruned", "generated", "trees"},
 }
 JSON_FIELDS["search-mixed"] = JSON_FIELDS["search-cubic"]
-# Counters that compact's JSON carries and its TSV row leaves out.
-JSON_ONLY = {"compact": {"memo_hits", "cubic_pruned"}}
+# Counters that the JSON carries and the TSV row leaves out.
+JSON_ONLY = {
+    "compact": {"memo_hits", "cubic_pruned", "cubic_sweeps"},
+    "search-cubic": {"sweeps"},
+    "search-mixed": {"sweeps"},
+}
 STAGE_TIMES = {
     "compact": {"time_ms", "load_ms", "cubic_ms", "contract_ms", "emit_ms"},
     "search-cubic": {"time_ms", "emit_ms"},
@@ -162,6 +166,10 @@ def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, com
         assert got["memo_hits"] == (got["contractions"] - got["explored_states"]
                                     + got["cubic_mp_trees"])
         assert 0 <= got["cubic_pruned"] <= got["cubic_visited"]
+        assert 0 < got["cubic_sweeps"] < got["cubic_visited"]
+    else:
+        # Every swept tree has a child, and none is swept twice.
+        assert 0 < got["sweeps"] <= got["visited"] - got["generated"] - got["pruned"]
 
 
 @pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])

@@ -25,7 +25,7 @@ from parsicompact import (
     score_unrooted,
 )
 from parsicompact.enumeration import _Search
-from conftest import random_mixed_tree, sized_matrix
+from conftest import SYMBOLS, random_mixed_tree, sized_matrix
 
 TOTALS = [1, 1, 4, 32, 396, 6692, 143816]
 
@@ -257,6 +257,50 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
     assert checked > 500
 
 
+def _novel_count(matrix, placed, name):
+    """Characters where name's state is held by none of placed."""
+    values = matrix.values
+    return sum(state not in {values[p][c] for p in placed}
+               for c, state in enumerate(values[name]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_no_child_costs_less_than_its_tree_plus_the_novel_states(seed):
+    # The bound the search skips sweeps by: a child made by any move of
+    # a new species costs at least its tree plus the characters where the
+    # new species' state is held by no species of the tree.  X has random
+    # states (up to 5 per column); Y copies a placed species and takes an
+    # unseen state in some columns, so hanging Y off that species costs
+    # exactly the bound, and an off-by-one fails.
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    m = rng.randint(1, 8)
+    states = rng.randint(2, 4)
+    placed = [(f"S{i}", "".join(rng.choice(SYMBOLS[:states]) for _ in range(m)))
+              for i in range(n)]
+    x_row = "".join(rng.choice(SYMBOLS[:states + 1]) for _ in range(m))
+    source, source_row = rng.choice(placed)
+    changed = set(rng.sample(range(m), rng.randint(1, m)))
+    y_row = "".join(SYMBOLS[states] if c in changed else a
+                    for c, a in enumerate(source_row))
+    matrix = CharacterMatrix.from_rows(placed + [("X", x_row), ("Y", y_row)])
+    names = [name for name, _ in placed]
+    tree = random_mixed_tree(names, rng)
+    scorer = Scorer(matrix)
+    cost = scorer.cost(tree)
+    for new in ("X", "Y"):
+        novel = _novel_count(matrix, names, new)
+        assert _Search(matrix, names + [new], "mixed", False, None).novel[-1] == novel
+        for kind in ("cubic", "mixed"):
+            moves = _Search(matrix, names, kind, False, None).moves(tree)
+            costs = scorer.growth_costs(tree, moves, new)
+            assert min(costs) >= cost + novel, (new, kind)
+    assert _novel_count(matrix, names, "Y") == len(changed)
+    hang = scorer.growth_costs(tree, [("r3", tree.species_node(source))], "Y")
+    assert hang == [cost + len(changed)]
+
+
 def _keys_digest(record):
     keys = sorted(key.data for key in record.incumbents)
     return hashlib.sha256(b"\n".join(keys)).hexdigest()[:16]
@@ -326,7 +370,7 @@ class _BuildEveryChild(_Search):
     """The search with no skipped children: every child is applied, scored
     in full and undone, so no move list depends on requeue_edge."""
 
-    def _expand(self, tree, k):
+    def _expand(self, tree, k, tree_cost):
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
@@ -339,24 +383,72 @@ class _BuildEveryChild(_Search):
                 rec.generated += 1
                 rec._offer(cost, tree)
             elif best is None or cost <= best:
-                self._expand(tree, k + 1)
+                self._expand(tree, k + 1, cost)
             else:
                 rec.pruned += 1
             tree.undo_growth(token)
 
 
+class _CountSkippedSweeps(_Search):
+    """The search, counting the trees whose sweep the novel-state bound skips."""
+
+    skipped = 0
+
+    def _count_priced_out(self, count, complete):
+        self.skipped += 1
+        super()._count_priced_out(count, complete)
+
+
 def _search_trace(matrix, kind, build_every_child):
-    searcher = _BuildEveryChild if build_every_child else _Search
+    searcher = _BuildEveryChild if build_every_child else _CountSkippedSweeps
     search = searcher(matrix, list(matrix.names), kind, False, None)
     tree, k = search.start_tree()
     search.run(tree, k)
     rec = search.record
     shapes = [{u: list(t.adj[u]) for u in t.iter_nodes()} for t in rec.incumbents.values()]
-    return rec.visited, rec.pruned, rec.generated, list(rec.incumbents), shapes
+    trace = rec.visited, rec.pruned, rec.generated, list(rec.incumbents), shapes
+    return trace, getattr(search, "skipped", 0)
 
 
 @pytest.mark.parametrize("kind", ["cubic", "mixed"])
 def test_skipping_priced_out_children_keeps_the_visit_order(kind):
+    skipped = 0
     for seed in range(6):
         matrix = evolved_matrix(6, 10, 4, seed=seed)
-        assert _search_trace(matrix, kind, False) == _search_trace(matrix, kind, True)
+        fast, skips = _search_trace(matrix, kind, False)
+        assert fast == _search_trace(matrix, kind, True)[0]
+        skipped += skips
+    # Without this the equality above could hold with the skip never taken.
+    assert skipped > 0
+
+
+class _SweepEveryTree(_Search):
+    """The search with the novel-state bound off: every expanded tree is
+    swept and its children counted one at a time."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.novel = [0] * len(self.order)
+
+
+@pytest.mark.parametrize("every", [5, 7])
+@pytest.mark.parametrize("kind", ["cubic", "mixed"])
+def test_progress_fires_at_every_multiple_when_sweeps_are_skipped(monkeypatch, every, kind):
+    # A skipped sweep counts all of a tree's children at once; the hook
+    # must still see each multiple of PROGRESS_EVERY exactly once, with
+    # the pruned and generated counts the per-child loop had there.
+    monkeypatch.setattr("parsicompact.enumeration.PROGRESS_EVERY", every)
+    matrix = evolved_matrix(6, 10, 4, seed=1)
+    runs = []
+    for searcher in (_CountSkippedSweeps, _SweepEveryTree):
+        hits = []
+        search = searcher(matrix, list(matrix.names), kind, False,
+                          lambda r: hits.append((r.visited, r.pruned, r.generated)))
+        tree, k = search.start_tree()
+        search.run(tree, k)
+        runs.append((search, hits))
+    (fast, hits), (slow, want) = runs
+    assert fast.skipped > 0
+    visited = fast.record.visited
+    assert [v for v, _, _ in hits] == list(range(every, visited + 1, every))
+    assert hits == want and visited == slow.record.visited
