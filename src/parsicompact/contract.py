@@ -23,9 +23,10 @@ endpoint, so the other nodes keep their ids and their signatures.
 One memo, keyed by split set, holds every state's root sets by node
 signature.  The work splits two ways:
 
-* once per distinct state -- copy, contract, update its sets from its
-  parent's with the checks, the scan for contractible edges, and, for a
-  state with none, its canonical Newick text;
+* once per distinct state -- copy the parent's arrays and rewire them,
+  update its sets from its parent's with the checks, the scan for
+  contractible edges, and, for a state with none, the tree built from
+  its arrays and that tree's canonical Newick text;
 * once per arc, i.e. per contraction order step -- the contraction
   count and, when the child is already in the memo, the check that its
   root set at the merged node is the intersection of the parent's sets
@@ -45,9 +46,13 @@ A per-node local update rule using only the old root sets is not
 sound: a state can stay optimal at a node through a different parent
 state than the one that justified it before.  So a state keeps its
 whole scoring from :meth:`Scorer.score`, hung from a fixed root: each
-node's parent and children, VU, VL, VV and local cost.  A child's
-arrays are copies of its parent's with v's slot dead, and the scorer's
-own kernels recompute only what can change.  A node's VU, VL and local
+node's parent and children, label, VU, VL, VV and local cost.  Those
+arrays are the whole state: it keeps no :class:`MixedTree`, and one is
+built from them only for a state with no contractible edge, for
+``--oracle-check`` and for callers that read
+:attr:`ContractionState.tree`.  A child's arrays are copies of its
+parent's, rewired once, with v's slot dead, and the scorer's own
+kernels recompute only what can change.  A node's VU, VL and local
 cost depend only on its label and its children's VU, and only the
 merged node and its ancestors have new subtrees; a node's VV depends
 only on its parent's VV and its own VU and VL.  So the upward pass
@@ -81,22 +86,26 @@ PROGRESS_EVERY = 10_000
 
 
 class ContractionState:
-    """A tree mid-contraction, with its sets hung from ``root``.
+    """A tree mid-contraction: its sets hung from ``root``, and nothing else.
 
     ``parent``, ``kids``, ``vu``, ``vl``, ``vv`` and ``local`` are per-node
     arrays by node id, as :class:`~parsicompact.parsimony.ScoreResult`
-    gives them; a contracted-away node's slot is dead (parent -1, kids
-    None, sets and local cost 0).  ``zero_edges`` is scanned on first read.
+    gives them, and ``label`` gives each node's species (None if
+    unlabelled).  These arrays are the state: a contracted-away node's
+    slot is dead (kids None, parent -1, label None, sets and local cost
+    0).  :attr:`tree` builds the :class:`MixedTree` they describe, which
+    the search needs only for a state with no contractible edge.
+    ``zero_edges`` is scanned on first read.
     """
 
-    __slots__ = ("tree", "root", "parent", "kids", "vu", "vl", "vv", "local",
+    __slots__ = ("root", "parent", "kids", "label", "vu", "vl", "vv", "local",
                  "mp_cost", "scorer", "_zero_edges")
 
-    def __init__(self, tree, root, parent, kids, vu, vl, vv, local, mp_cost, scorer):
-        self.tree: MixedTree = tree
+    def __init__(self, root, parent, kids, label, vu, vl, vv, local, mp_cost, scorer):
         self.root: int = root
         self.parent: list[int] = parent
         self.kids: list[list[int] | None] = kids
+        self.label: list[str | None] = label
         self.vu: list[int] = vu
         self.vl: list[int] = vl
         self.vv: list[int] = vv
@@ -111,34 +120,51 @@ class ContractionState:
             self._zero_edges = zero_min_cost_edges(self)
         return self._zero_edges
 
+    @property
+    def tree(self) -> MixedTree:
+        """A new :class:`MixedTree` with this state's nodes, edges and labels."""
+        t = MixedTree()
+        for ks, p in zip(self.kids, self.parent):
+            t.adj.append([] if ks is None else [p, *ks] if p >= 0 else list(ks))
+        t.label = list(self.label)
+        t.alive = [ks is not None for ks in self.kids]
+        t._free = [x for x, live in enumerate(t.alive) if not live]
+        t._where = {name: x for x, name in enumerate(t.label) if name is not None}
+        t.n_labelled = len(t._where)
+        t.n_unlabelled = len(t.alive) - len(t._free) - t.n_labelled
+        return t
+
     @classmethod
     def from_tree(cls, tree: MixedTree, matrix: CharacterMatrix) -> "ContractionState":
         scorer = Scorer(matrix)
         res = scorer.score(tree)
-        return cls(tree, res.root, res.parent, res.kids, res.vu, res.vl, res.vv,
-                   res.local, res.mp_cost, scorer)
+        return cls(res.root, res.parent, res.kids, list(tree.label), res.vu, res.vl,
+                   res.vv, res.local, res.mp_cost, scorer)
 
 
 def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
-    """Edges whose endpoint root sets intersect in every character.
+    """Edges whose endpoint root sets intersect in every character, each
+    as (smaller id, larger id), in order of the lower node's id.
 
     Label-label edges are excluded: contracting one would discard a
     species, so they are never candidates.
     """
     sc = state.scorer
     vv = state.vv
-    label = state.tree.label
+    label = state.label
     carry = sc.carry
     high = sc.high
     top = sc.top
     m = sc.m
     out = []
-    for u, v in state.tree.iter_edges():
-        if label[u] is not None and label[v] is not None:
+    for x, p in enumerate(state.parent):
+        # Every edge joins a node to its parent; the root and dead slots
+        # have none.
+        if p < 0 or label[x] is not None and label[p] is not None:
             continue
-        meet = vv[u] & vv[v]
+        meet = vv[x] & vv[p]
         if (((((meet & carry) + carry) | meet) & high) >> top).bit_count() == m:
-            out.append((u, v))
+            out.append((x, p) if x < p else (p, x))
     return out
 
 
@@ -150,7 +176,8 @@ def contract_and_update(
     The child keeps the parent's root, or u when v was the root, and its
     arrays are copies of the parent's with v's slot dead.  v's children
     move under u; when v was u's parent, u also takes v's place under v's
-    parent.  Only u and its ancestors have new subtrees, so VU, VL and
+    parent.  u takes v's label if v has one; the label list is copied
+    only then.  Only u and its ancestors have new subtrees, so VU, VL and
     local cost are recomputed at u and then up its ancestors, stopping
     at the first node whose VU, all its parent reads of it, comes out as
     that parent saw it before (for u, v's VU when u took v's place).  VV
@@ -165,18 +192,18 @@ def contract_and_update(
     """
     u, v = edge
     sc = state.scorer
-    tree = state.tree
-    if tree.label[u] is not None and tree.label[v] is not None:
+    label = state.label
+    if label[u] is not None and label[v] is not None:
         raise IllegalContractionError(f"edge ({u}, {v}) joins two labelled nodes")
     vv = state.vv
     meet = vv[u] & vv[v]
     md = sc.m - sc._fold(meet).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
-    t2 = tree.copy()
-    t2.contract_edge(u, v)
     root = state.root
     parent = state.parent.copy()
+    if parent[u] != v and parent[v] != u:
+        raise TreeStructureError(f"no edge ({u}, {v})")
     kids = state.kids.copy()
     vu = state.vu.copy()
     vl = state.vl.copy()
@@ -190,12 +217,18 @@ def contract_and_update(
         else:
             kids[p] = [u if c == v else c for c in kids[p]]
         moved = [c for c in kids[v] if c != u]
+        kids[u] = kids[u] + moved
         handed = vu[v]
     else:
         moved = kids[v]
+        kids[u] = [c for c in kids[u] if c != v] + moved
         handed = vu[u]
     for c in moved:
         parent[c] = u
+    if label[v] is not None:
+        label = label.copy()
+        label[u] = label[v]
+        label[v] = None
     cost = state.mp_cost - local[v]
     parent[v] = -1
     kids[v] = None
@@ -219,7 +252,7 @@ def contract_and_update(
             x = parent[x]
             was = vu[x]
 
-    cost += sc._up(climb(), parent, t2, vu, vl, local, kids) - sum(old_local)
+    cost += sc._up(climb(), parent, kids, label, vu, vl, local, kids) - sum(old_local)
     below = dict(zip(path[1:], path))  # each recomputed ancestor's path child
     was_v = state.vv[v]
 
@@ -248,9 +281,10 @@ def contract_and_update(
         raise ParsicompactError(
             f"zero-min-cost contraction changed cost {state.mp_cost} -> {cost}"
         )
+    child = ContractionState(root, parent, kids, label, vu, vl, vv, local, cost, sc)
     if oracle_check:
-        _shadow_check(t2, u, vv, cost, sc)
-    return ContractionState(t2, root, parent, kids, vu, vl, vv, local, cost, sc)
+        _shadow_check(child.tree, u, vv, cost, sc)
+    return child
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):
@@ -358,13 +392,13 @@ class CompactSearcher:
 
     def add_source(self, tree: MixedTree) -> int:
         """Contract one start tree in every order; returns its MP-cost."""
-        state = ContractionState.from_tree(tree, self.matrix)
         if tree.n_labelled < len(self.species) or any(
             tree.label[u] is None and len(tree.adj[u]) < 3 for u in tree.iter_nodes()
         ):
             raise TreeStructureError(
                 "start tree is not an X-tree on every species of the matrix"
             )
+        state = ContractionState.from_tree(tree, self.matrix)
         me = 1 << self.sources
         self.sources += 1
         sig = [0] * len(tree.adj)
@@ -383,11 +417,12 @@ class CompactSearcher:
         return state.mp_cost
 
     def _store(self, key: int, state: ContractionState, sig: list[int]):
-        alive = state.tree.alive
+        kids = state.kids
         vv = state.vv
-        self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if alive[x]}
+        self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if kids[x] is not None}
         if not state.zero_edges:
-            self.final.append((state.tree.num_nodes, key, state.tree.write_newick()))
+            tree = state.tree
+            self.final.append((tree.num_nodes, key, tree.write_newick()))
         if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
             self.on_progress(self)
 

@@ -171,20 +171,20 @@ class Scorer:
         vl = [0] * size if need_vl else None
         local = [0] * size if need_vl else None
         kids_of = [None] * size
-        cost = self._up(reversed(pre), parent, tree, vu, vl, local, kids_of)
+        cost = self._up(reversed(pre), parent, tree.adj, tree.label, vu, vl, local, kids_of)
         return cost, vu, vl, local, pre, parent, kids_of
 
-    def _up(self, nodes, parent, tree, vu, vl, local, kids_of):
+    def _up(self, nodes, parent, adj, label, vu, vl, local, kids_of):
         """Compute VU, and VL and local cost unless ``vl`` is None, at each
         of ``nodes`` from its children's VU; returns their summed local cost.
 
         ``nodes`` lists children before parents.  Each node's children are
-        its neighbours other than ``parent[u]``, written to ``kids_of``.
-        A node's local cost is its share of the MP-cost: the mutations on
-        the edges to its children.
+        its entries in ``adj`` other than ``parent[u]``, written to
+        ``kids_of`` as a new list; ``adj`` may be ``kids_of`` itself.
+        ``label`` gives each node's species or None.  A node's local cost
+        is its share of the MP-cost: the mutations on the edges to its
+        children.
         """
-        adj = tree.adj
-        label = tree.label
         need_vl = vl is not None
         vmask = self.vmask
         alpha = self.alpha

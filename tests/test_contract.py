@@ -108,10 +108,29 @@ def test_merged_node_vv_is_the_intersection():
         assert after.vv[u] == meet
 
 
-def check_every_order(state, matrix):
+def edge_set(state):
+    """The state's edges, read from its parent array, as (smaller, larger)."""
+    return {(min(x, p), max(x, p)) for x, p in enumerate(state.parent) if p >= 0}
+
+
+def check_arrays_match(child, tree):
+    """The child's arrays describe ``tree``, contracted independently."""
+    assert edge_set(child) == set(tree.iter_edges())
+    assert child.label == tree.label
+    assert [ks is not None for ks in child.kids] == tree.alive
+    for x, ks in enumerate(child.kids):
+        for c in ks or ():
+            assert child.parent[c] == x, (x, c)
+    assert child.tree.canonical_key() == tree.canonical_key()
+
+
+def check_every_order(state, matrix, tree):
     """Contract every order from ``state``, checking each child's derived
     sets against fresh scores; returns the rewire cases met on the way.
 
+    ``tree`` is the state's tree, carried along by
+    :meth:`MixedTree.contract_edge` on copies, so the child's rewired
+    arrays are checked against a contraction that does not use them.
     VV and the cost come from a score at the default root, which they do
     not depend on.  The hung arrays (parent, children, VU, VL and local
     cost) come from a score at the child's own root.
@@ -124,26 +143,28 @@ def check_every_order(state, matrix):
             cases.add("u below v")
             if state.parent[v] < 0:
                 cases.add("v is the root")
-        if state.tree.label[v] is not None:
+        if tree.label[v] is not None:
             cases.add("v labelled")
         child = contract_and_update(state, (u, v))
-        tree = child.tree
-        if tree.label[u] is None and len(child.kids[u]) >= 4:
+        after = tree.copy()
+        after.contract_edge(u, v)
+        check_arrays_match(child, after)
+        if after.label[u] is None and len(child.kids[u]) >= 4:
             cases.add("threshold count at u")
-        assert tree.label[u] == (state.tree.label[u] or state.tree.label[v])
-        fresh = Scorer(matrix).score(tree)
+        assert after.label[u] == (tree.label[u] or tree.label[v])
+        fresh = Scorer(matrix).score(after)
         assert child.mp_cost == fresh.mp_cost == state.mp_cost
-        hung = Scorer(matrix).score(tree, root=child.root)
-        for x in tree.iter_nodes():
+        hung = Scorer(matrix).score(after, root=child.root)
+        for x in after.iter_nodes():
             assert child.vv[x] == fresh.vv[x], x
             assert child.parent[x] == hung.parent[x], x
             assert sorted(child.kids[x]) == sorted(hung.kids[x]), x
             assert (child.vu[x], child.vl[x], child.local[x]) == (
                 hung.vu[x], hung.vl[x], hung.local[x]), x
         assert child.vv[v] == child.vu[v] == child.local[v] == 0
-        if any(child.vv[x] != state.vv[x] for x in tree.iter_nodes() if x != u):
+        if any(child.vv[x] != state.vv[x] for x in after.iter_nodes() if x != u):
             cases.add("VV changed away from u")
-        cases |= check_every_order(child, matrix)
+        cases |= check_every_order(child, matrix, after)
     return cases
 
 
@@ -160,42 +181,46 @@ def test_derived_sets_equal_a_fresh_score_in_every_order():
     for matrix in matrices:
         for tree in enumerate_cubic(matrix).incumbents.values():
             state = ContractionState.from_tree(tree, matrix)
-            cases |= check_every_order(state, matrix)
+            cases |= check_every_order(state, matrix, tree)
     assert cases == {"v below u", "u below v", "v is the root", "v labelled",
                      "threshold count at u", "VV changed away from u"}
 
 
-def zero_edges_shrink(state, seen):
+def zero_edges_shrink(state, seen, tree):
     """Check, over every state reachable from ``state``, that each
     contractible edge of a child was contractible in its parent.
 
-    The merged node u took over v's other edges, so a child edge (u, y)
-    was (u, y) or (v, y) before.  Returns the number of child edges
-    checked.
+    ``tree`` is the state's tree, carried along by
+    :meth:`MixedTree.contract_edge` on copies.  The merged node u took
+    over v's other edges, so a child edge (u, y) was (u, y) or (v, y)
+    before.  Returns the number of child edges checked.
     """
     checks = 0
     zero = {tuple(sorted(e)) for e in state.zero_edges}
     for u, v in state.zero_edges:
         child = contract_and_update(state, (u, v))
+        after = tree.copy()
+        after.contract_edge(u, v)
+        check_arrays_match(child, after)
         for x, y in child.zero_edges:
             if x == u:
-                x = u if y in state.tree.adj[u] else v
+                x = u if y in tree.adj[u] else v
             elif y == u:
-                y = u if x in state.tree.adj[u] else v
+                y = u if x in tree.adj[u] else v
             assert tuple(sorted((x, y))) in zero
             checks += 1
-        key = child.tree.canonical_key()
+        key = after.canonical_key()
         if key not in seen:
             seen.add(key)
-            checks += zero_edges_shrink(child, seen)
+            checks += zero_edges_shrink(child, seen, after)
     return checks
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_contraction_never_creates_a_contractible_edge(seed):
-    _matrix, _tree, state = make_state(seed)
-    zero_edges_shrink(state, set())
+    _matrix, tree, state = make_state(seed)
+    zero_edges_shrink(state, set(), tree)
 
 
 def test_contraction_never_creates_a_contractible_edge_in_mp_trees():
@@ -204,7 +229,7 @@ def test_contraction_never_creates_a_contractible_edge_in_mp_trees():
         matrix = evolved_matrix(6, 6, 2, seed=seed, mutation_rate=0.05)
         for tree in enumerate_cubic(matrix).incumbents.values():
             state = ContractionState.from_tree(tree, matrix)
-            checks += zero_edges_shrink(state, set())
+            checks += zero_edges_shrink(state, set(), tree)
     assert checks > 1000
 
 
@@ -353,6 +378,28 @@ def test_searcher_refuses_start_trees_that_are_not_x_trees():
     matrix = random_matrix(4, 3, 2, seed=0)
     subdivided = subdivide_with_unlabelled(
         parse_newick("((S1,S2),S3,S4);"), random.Random(0), 1)
-    for tree in (subdivided, parse_newick("(S1,S2,S3);")):
+    # An unlabelled leaf is refused by the X-tree check, not by the scorer.
+    leafy = parse_newick("((S1,S2),S3,S4);")
+    hub = leafy.adj[leafy.species_node("S3")][0]
+    leafy.add_edge(hub, leafy.add_node())
+    for tree in (subdivided, parse_newick("(S1,S2,S3);"), leafy):
         with pytest.raises(TreeStructureError):
             CompactSearcher(matrix).add_source(tree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_state_tree_rebuilds_the_start_tree(seed):
+    matrix, tree, _state = make_state(seed)
+    # A contraction frees a node, so the arena has a dead slot.
+    zero = zero_min_cost_edges(ContractionState.from_tree(tree, matrix))
+    freed = tree.copy()
+    if zero:
+        freed.contract_edge(*zero[0])
+    for t in (tree, freed):
+        built = ContractionState.from_tree(t, matrix).tree
+        built.validate()
+        assert built.canonical_key() == t.canonical_key()
+        assert (built.label, built.alive) == (t.label, t.alive)
+        assert (built.n_labelled, built.n_unlabelled) == (t.n_labelled, t.n_unlabelled)
+        assert set(built.iter_edges()) == set(t.iter_edges())
