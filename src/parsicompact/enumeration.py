@@ -22,7 +22,7 @@ above the incumbent is counted -- visited, plus pruned, or generated
 when complete -- but never built.  Building and undoing an edge move
 re-appends that edge to both endpoints' adjacency lists, which orders
 every later move list, so a skipped edge move still makes that one
-change (:meth:`MixedTree.requeue_edge`) and the visit order is the
+change (:meth:`MixedTree.requeue_edge`) and every move list is the
 same as if every child were built.
 
 Many expanded trees need no sweep at all.  Let novel[k] count the
@@ -38,10 +38,30 @@ more -- drop the leaf (rule 3), unlabel the node (rule 4), or join its
 two neighbours, by the triangle inequality (rules 1 and 2) -- so
 cost_c(T) <= cost_c(C) - 1.  Where x's state is not novel the same
 removal gives cost_c(T) <= cost_c(C).  So when cost(T) + novel[k]
-exceeds the incumbent, every child is priced out: the search counts
-them and requeues their edges exactly as the per-child loop would, and
-skips the sweep.  The bound never changes what is expanded, only what
+exceeds the incumbent, every child of T is priced out, and T is
+neither swept nor built: the search tests the bound on T's price
+before applying T (and in ``run``, on the tree a depth-first run starts
+from) and counts T's children from its size -- one per edge of a cubic
+tree; for a mixed tree two per edge, one per node and one more per
+unlabelled node.  The bound never changes what is expanded, only what
 is priced.
+
+Such a T, built, would have requeued each of its edges in its own move
+list's order before being undone; skipped, it calls requeue_edge on its
+own edge alone, as any priced-out child does.  That changes no later
+move list, because a move list reads only the order of each node's
+higher-id neighbours: :meth:`MixedTree.iter_edges` lists (u, v), u < v,
+in the order of v in adj[u].  Requeuing every edge of a tree in that
+order reaches node x first through its edges (w, x), w < x, by
+increasing w, each moving w to the end of adj[x]; then through its
+edges (x, v), v > x, in adj[x]'s order, each moving v to the end.  So
+adj[x] ends as its lower-id neighbours sorted, then its higher-id
+neighbours in their old order.  Removing and appending list entries
+never reorders the others, so after the undo every node's higher-id
+neighbours stand in the order that requeue_edge alone leaves, and a
+requeue never touches the free list that decides the next node ids.
+Only the order of lower-id neighbours differs; no move list reads it,
+and no cost or canonical key depends on it.
 
 T(n, m) counts mixed trees with n labelled and m unlabelled nodes; the
 growth moves produce each mixed tree exactly once, which the tests
@@ -62,6 +82,9 @@ from .tree import CanonicalKey, MixedTree
 
 # Visits between two calls of a search's on_progress hook.
 PROGRESS_EVERY = 100_000
+
+# Growth move -> (nodes added, unlabelled nodes added).
+_GROWTH = {"r1": (2, 1), "r2": (1, 0), "r3": (1, 0), "r4": (0, -1)}
 
 
 class TreeCountTable:
@@ -166,9 +189,12 @@ class SearchRecord:
     never built), generated counts complete trees reached (built or
     not), pruned counts subtrees cut by the cost bound; only the
     children that survive the bound are built.  sweeps counts the
-    expanded trees whose children were priced by
-    :meth:`Scorer.growth_costs`; the others had every child priced out
-    by the novel-state bound.
+    expanded trees, and every expanded tree is swept once by
+    :meth:`Scorer.growth_costs`; a tree whose children the novel-state
+    bound prices out is not expanded (nor built, below the start tree),
+    and its children are counted from its size.  An incumbent's
+    adjacency lists keep the order of higher-id neighbours that the
+    search's move lists read, not necessarily that of lower-id ones.
     """
 
     incumbent_cost: int | None = None
@@ -322,9 +348,35 @@ class _Search:
         ):
             rec.pruned += 1
             return
-        self._expand(tree, k, cost)
+        if self._children_priced_out(k, cost):
+            self._count_priced_out(
+                self._child_count(tree.num_nodes, tree.n_unlabelled), k + 1 == len(self.order)
+            )
+            return
+        self._expand(tree, k)
 
-    def _expand(self, tree: MixedTree, k: int, tree_cost: int):
+    def _children_priced_out(self, k: int, cost: int) -> bool:
+        """True when every child of a depth-k tree costing ``cost`` is
+        priced out: each costs at least cost + novel[k] (see the module
+        docstring), which exceeds the incumbent, and each would be
+        offered or pruned, not expanded (under no_prune only complete
+        children are)."""
+        best = self.record.incumbent_cost
+        return (
+            best is not None
+            and cost + self.novel[k] > best
+            and (k + 1 == len(self.order) or not self.no_prune)
+        )
+
+    def _child_count(self, nodes: int, unlabelled: int) -> int:
+        """Length of the move list of a tree of that size: one move per
+        edge for cubic search; for mixed search two per edge, one per
+        node and one more per unlabelled node."""
+        if self.kind == "cubic":
+            return nodes - 1
+        return 3 * nodes - 2 + unlabelled
+
+    def _expand(self, tree: MixedTree, k: int):
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
@@ -332,16 +384,8 @@ class _Search:
         # (with pruning on) expanded, so it is counted without being
         # built.  Every child that is built is offered or expanded.
         may_skip = complete or not self.no_prune
+        nodes, unlabelled = tree.num_nodes, tree.n_unlabelled
         moves = self.moves(tree)
-        best = rec.incumbent_cost
-        if may_skip and best is not None and tree_cost + self.novel[k] > best:
-            # Every child costs at least tree_cost + novel[k]: all are
-            # priced out, so none needs pricing.
-            for kind, site in moves:
-                if kind == "r1" or kind == "r2":
-                    tree.requeue_edge(*site)
-            self._count_priced_out(len(moves), complete)
-            return
         rec.sweeps += 1
         costs = self.scorer.growth_costs(tree, moves, name)
         for move, cost in zip(moves, costs):
@@ -355,17 +399,26 @@ class _Search:
             # Before the child's subtree, so each multiple is seen once.
             if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
                 self.on_progress(rec)
+            kind, site = move
+            if not (priced_out or complete) and self._children_priced_out(k + 1, cost):
+                # The child would be expanded with every one of its own
+                # children priced out: count them from its size instead.
+                dn, du = _GROWTH[kind]
+                self._count_priced_out(
+                    self._child_count(nodes + dn, unlabelled + du), k + 2 == len(self.order)
+                )
+                priced_out = True
             if priced_out:
                 # Building and undoing an edge move would have re-appended
                 # the edge, which orders later move lists.
-                if move[0] in ("r1", "r2"):
-                    tree.requeue_edge(*move[1])
+                if kind == "r1" or kind == "r2":
+                    tree.requeue_edge(*site)
                 continue
             token = self.apply(tree, move, name)
             if complete:
                 rec._offer(cost, tree)
             else:
-                self._expand(tree, k + 1, cost)
+                self._expand(tree, k + 1)
             tree.undo_growth(token)
 
     def _count_priced_out(self, count: int, complete: bool):

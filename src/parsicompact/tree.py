@@ -128,9 +128,6 @@ class MixedTree:
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
-    def neighbors(self, u: int) -> list[int]:
-        return self.adj[u]
-
     def iter_nodes(self):
         for u in range(len(self.adj)):
             if self.alive[u]:
@@ -146,9 +143,6 @@ class MixedTree:
             return self._where[name]
         except KeyError:
             raise TreeStructureError(f"species {name!r} not in tree") from None
-
-    def species_names(self):
-        return set(self._where)
 
     @property
     def num_nodes(self) -> int:
@@ -282,7 +276,12 @@ class MixedTree:
         Everything else (labels, counters, the node ids the next
         :meth:`add_node` calls return) ends up as it was, and rules 3 and 4
         undo without a trace, so a search may skip building a child and
-        call this instead.
+        call this instead.  The search also calls it alone for a child
+        that, built, would have requeued each of its own edges before the
+        undo: what the search relies on is that :meth:`iter_edges` and the
+        next node ids come out the same either way, since both read only
+        the order of each node's higher-id neighbours and the free list
+        (the proof is in ``enumeration``'s module docstring).
         """
         at_u = self.adj[u]
         at_u.remove(v)

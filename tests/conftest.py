@@ -36,6 +36,11 @@ def random_mixed_tree(names, rng: random.Random) -> MixedTree:
     return tree
 
 
+def live_labels(tree: MixedTree) -> list[str]:
+    """Species labels of the tree's live nodes, sorted."""
+    return sorted(tree.label[u] for u in tree.iter_nodes() if tree.label[u] is not None)
+
+
 def random_instance(seed: int, max_n=7, max_m=5, max_states=4):
     """(matrix, tree) pair: random data plus a random tree over its species."""
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 """Counting recurrences and exhaustive search behavior."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -24,8 +25,8 @@ from parsicompact import (
     random_matrix,
     score_unrooted,
 )
-from parsicompact.enumeration import _Search
-from conftest import SYMBOLS, random_mixed_tree, sized_matrix
+from parsicompact.enumeration import _GROWTH, _Search
+from conftest import SYMBOLS, live_labels, random_mixed_tree, sized_matrix
 
 TOTALS = [1, 1, 4, 32, 396, 6692, 143816]
 
@@ -117,7 +118,7 @@ def test_incumbents_all_have_optimal_cost_and_valid_shape():
     for key, tree in record.incumbents.items():
         tree.validate()
         assert tree.canonical_key() == key
-        assert sorted(tree.species_names()) == sorted(matrix.names)
+        assert live_labels(tree) == sorted(matrix.names)
         assert Scorer(matrix).cost(tree) == record.incumbent_cost
     best = min(t.num_nodes for t in record.incumbents.values())
     assert {t.num_nodes for t in record.most_compact.values()} == {best}
@@ -340,12 +341,9 @@ def _next_ids(tree, count=3):
     return [probe.add_node() for _ in range(count)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
-    # The search skips building a priced-out child and calls requeue_edge
-    # instead, so the tree must end up exactly as apply + undo leaves it:
-    # same adjacency order, labels, counters and next node ids.
+def _moves_on_a_random_tree(seed):
+    """(search, tree, move) for every cubic and mixed move on a random
+    mixed tree, which half the time has had an edge contracted."""
     rng = random.Random(seed)
     matrix = random_matrix(rng.randint(2, 8), 2, 2, seed=seed)
     tree = random_mixed_tree(matrix.names, rng)
@@ -357,20 +355,54 @@ def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
         if edges:
             tree.contract_edge(*rng.choice(edges))
     for kind in ("cubic", "mixed"):
-        for move in _Search(matrix, matrix.names, kind, False, None).moves(tree):
-            built, skipped = tree.copy(), tree.copy()
-            built.undo_growth(_Search.apply(built, move, "new"))
-            if move[0] in ("r1", "r2"):
-                skipped.requeue_edge(*move[1])
-            assert _arena_state(built) == _arena_state(skipped), move
-            assert _next_ids(built) == _next_ids(skipped), move
+        search = _Search(matrix, matrix.names, kind, False, None)
+        for move in search.moves(tree):
+            yield search, tree, move
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_requeue_edge_is_the_net_effect_of_grow_and_undo(seed):
+    # The search skips building a priced-out child and calls requeue_edge
+    # instead, so the tree must end up exactly as apply + undo leaves it:
+    # same adjacency order, labels, counters and next node ids.
+    for _, tree, move in _moves_on_a_random_tree(seed):
+        built, skipped = tree.copy(), tree.copy()
+        built.undo_growth(_Search.apply(built, move, "new"))
+        if move[0] in ("r1", "r2"):
+            skipped.requeue_edge(*move[1])
+        assert _arena_state(built) == _arena_state(skipped), move
+        assert _next_ids(built) == _next_ids(skipped), move
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_a_skipped_child_leaves_every_move_list_as_a_built_one(seed):
+    # A child whose own children are all priced out is not built: the
+    # search counts its children from its size and requeues only its own
+    # edge.  Built, it would also have requeued each of its edges, in its
+    # iter_edges() order, before the undo.  Both must leave the same move
+    # lists and next node ids, and the count must be the child's.
+    for search, tree, move in _moves_on_a_random_tree(seed):
+        built, skipped = tree.copy(), tree.copy()
+        token = _Search.apply(built, move, "new")
+        dn, du = _GROWTH[move[0]]
+        count = search._child_count(tree.num_nodes + dn, tree.n_unlabelled + du)
+        assert count == len(search.moves(built)), move
+        for edge in built.iter_edges():
+            built.requeue_edge(*edge)
+        built.undo_growth(token)
+        if move[0] in ("r1", "r2"):
+            skipped.requeue_edge(*move[1])
+        assert built.iter_edges() == skipped.iter_edges(), move
+        assert _next_ids(built) == _next_ids(skipped), move
 
 
 class _BuildEveryChild(_Search):
     """The search with no skipped children: every child is applied, scored
     in full and undone, so no move list depends on requeue_edge."""
 
-    def _expand(self, tree, k, tree_cost):
+    def _expand(self, tree, k):
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
@@ -383,7 +415,7 @@ class _BuildEveryChild(_Search):
                 rec.generated += 1
                 rec._offer(cost, tree)
             elif best is None or cost <= best:
-                self._expand(tree, k + 1, cost)
+                self._expand(tree, k + 1)
             else:
                 rec.pruned += 1
             tree.undo_growth(token)
@@ -405,7 +437,9 @@ def _search_trace(matrix, kind, build_every_child):
     tree, k = search.start_tree()
     search.run(tree, k)
     rec = search.record
-    shapes = [{u: list(t.adj[u]) for u in t.iter_nodes()} for t in rec.incumbents.values()]
+    # No move list reads the order of a node's lower-id neighbours, and
+    # the search does not keep it; iter_edges() reads every other order.
+    shapes = [t.iter_edges() for t in rec.incumbents.values()]
     trace = rec.visited, rec.pruned, rec.generated, list(rec.incumbents), shapes
     return trace, getattr(search, "skipped", 0)
 
@@ -413,8 +447,9 @@ def _search_trace(matrix, kind, build_every_child):
 @pytest.mark.parametrize("kind", ["cubic", "mixed"])
 def test_skipping_priced_out_children_keeps_the_visit_order(kind):
     skipped = 0
-    for seed in range(6):
-        matrix = evolved_matrix(6, 10, 4, seed=seed)
+    sizes = (6, 7) if kind == "cubic" else (6,)
+    for n, seed in itertools.product(sizes, range(20)):
+        matrix = evolved_matrix(n, 10, 4, seed=seed)
         fast, skips = _search_trace(matrix, kind, False)
         assert fast == _search_trace(matrix, kind, True)[0]
         skipped += skips

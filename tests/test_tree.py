@@ -14,7 +14,7 @@ from parsicompact import (
     TreeStructureError,
     parse_newick,
 )
-from conftest import random_mixed_tree, subdivide_with_unlabelled
+from conftest import live_labels, random_mixed_tree, subdivide_with_unlabelled
 
 
 def snapshot(tree):
@@ -34,7 +34,7 @@ def test_single_and_basic_growth():
     a = t.species_node("a")
     t.grow_rule_3(a, "b")
     assert t.num_nodes == 2 and t.num_edges == 1
-    assert sorted(t.species_names()) == ["a", "b"]
+    assert live_labels(t) == ["a", "b"]
     edge = next(iter(t.iter_edges()))
     t.grow_rule_1(edge, "c")
     assert t.num_nodes == 4 and t.n_unlabelled == 1
@@ -68,7 +68,7 @@ def test_growth_rules_and_undo_restore_exactly():
         else:
             continue
         tree.validate()
-        assert name in tree.species_names()
+        assert name in live_labels(tree)
         tree.undo_growth(token)
         tree.validate()
         assert snapshot(tree) == before
@@ -107,7 +107,7 @@ def test_split_and_contract_are_inverse():
 def test_contract_label_rules():
     t = parse_newick("((a,b)x,c);")
     u = t.species_node("x")
-    v = next(w for w in t.neighbors(u) if t.label[w] is None)
+    v = next(w for w in t.adj[u] if t.label[w] is None)
     w = t.contract_edge(u, v)
     assert t.label[w] == "x"
     t.validate()
@@ -123,7 +123,7 @@ def test_contract_edge_merges_v_into_u():
     v = t.species_node("x")
     (u,) = [w for w in t.iter_nodes() if t.label[w] is None]
     kept = [w for w in t.iter_nodes() if w != v]
-    moved = [w for w in t.neighbors(v) if w != u]
+    moved = [w for w in t.adj[v] if w != u]
     size = len(t.adj)
     assert t.contract_edge(u, v) == u
     t.validate()
@@ -131,7 +131,7 @@ def test_contract_edge_merges_v_into_u():
     assert not t.alive[v]
     assert all(t.alive[w] for w in kept)
     assert sorted(t.label[w] for w in moved) == ["a", "b"]
-    assert all(w in t.neighbors(u) for w in moved)
+    assert all(w in t.adj[u] for w in moved)
     assert t.label[u] == "x" and t.species_node("x") == u
     assert t.degree(u) == 4 and t.n_unlabelled == 0
 
@@ -184,7 +184,7 @@ def test_quoted_names_round_trip():
     ugly = ["has space", "pa,ren", "qu'ote", "(open", "semi;colon", "tab\tname"]
     tree = random_mixed_tree(ugly, random.Random(1))
     again = parse_newick(tree.write_newick())
-    assert sorted(again.species_names()) == sorted(ugly)
+    assert live_labels(again) == sorted(ugly)
     assert again.canonical_key() == tree.canonical_key()
 
 
