@@ -8,7 +8,7 @@ to explain the data, minimized over all states of the unlabelled nodes.
 Species may sit on internal nodes, not just leaves.
 """
 
-from parsicompact import CharacterMatrix, parse_newick, score_unrooted, unpack_sets
+from parsicompact import CharacterMatrix, Scorer, parse_newick, unpack_sets
 
 # Four species, one binary character, interleaved so that grouping the
 # A's together or the B's together always costs two changes.
@@ -19,13 +19,14 @@ matrix = CharacterMatrix.from_rows(
 # A caterpillar tree written in plain Newick.  Unlabelled internal nodes
 # are just "(...)" groups without a name.
 tree = parse_newick("(((A1,B1),A2),B2);")
-result = score_unrooted(tree, matrix)
+scorer = Scorer(matrix)
+result = scorer.score(tree)
 print("cost of the caterpillar:", result.mp_cost)
 
 # The same four species with A2 placed on an internal node: one fewer
 # node, same cost.  Trees like this are produced by edge contraction.
 live = parse_newick("((A1,B1)A2,B2);")
-print("cost with A2 ancestral:", score_unrooted(live, matrix).mp_cost)
+print("cost with A2 ancestral:", scorer.score(live).mp_cost)
 
 # Each node carries three state sets per character.  VU holds the states
 # an optimal fit can use when the node is viewed as the root, VV holds

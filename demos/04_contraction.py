@@ -11,7 +11,8 @@ the mixed space.
 """
 
 from parsicompact import (
-    ContractionState,
+    MixedTree,
+    Scorer,
     contract_and_update,
     enumerate_cubic,
     evolved_matrix,
@@ -24,15 +25,17 @@ matrix = evolved_matrix(6, 8, 4, seed=11)
 # Start from one optimal cubic tree and walk a single contraction chain.
 cubic = enumerate_cubic(matrix)
 key = min(cubic.incumbents, key=lambda k: k.data)
-state = ContractionState.from_tree(cubic.incumbents[key], matrix)
-print("start:", state.tree.write_newick(), "cost", state.mp_cost)
+# A state is the tree's scoring: its sets and shape, hung from one root.
+state = Scorer(matrix).score(cubic.incumbents[key])
+print("start:", cubic.incumbents[key].write_newick(), "cost", state.mp_cost)
 while True:
     free = zero_min_cost_edges(state)
     if not free:
         break
     state = contract_and_update(state, free[0])
-    print("  ->", state.tree.write_newick(),
-          f"({state.tree.num_nodes} nodes, cost {state.mp_cost})")
+    tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
+    print("  ->", tree.write_newick(),
+          f"({tree.num_nodes} nodes, cost {state.mp_cost})")
 
 # One chain finds one compact tree.  The full pipeline branches over
 # every contractible edge at every step and every optimal cubic start,

@@ -20,7 +20,6 @@ from .charmatrix import (
 )
 from .contract import (
     CompactResultSet,
-    ContractionState,
     contract_and_update,
     most_compact_pipeline,
     zero_min_cost_edges,
@@ -47,7 +46,6 @@ from .errors import (
     EmptyInputError,
     EmptyTreeError,
     IllegalContractionError,
-    LabelCollisionError,
     LengthMismatchError,
     MissingSpeciesError,
     NewickParseError,
@@ -63,7 +61,6 @@ from .parsimony import (
     ScoreResult,
     Scorer,
     brute_force_best_fit,
-    score_unrooted,
     unpack_sets,
 )
 from .tree import CanonicalKey, MixedTree, parse_newick
@@ -79,14 +76,12 @@ __all__ = [
     "CanonicalKey",
     "CharacterMatrix",
     "CompactResultSet",
-    "ContractionState",
     "DuplicateLabelError",
     "DuplicateSpeciesError",
     "EmptyInputError",
     "EmptyTreeError",
     "FitAssignment",
     "IllegalContractionError",
-    "LabelCollisionError",
     "LengthMismatchError",
     "MissingSpeciesError",
     "MixedTree",
@@ -118,7 +113,6 @@ __all__ = [
     "parse_newick",
     "random_matrix",
     "restrict_columns",
-    "score_unrooted",
     "subsample_species",
     "unpack_sets",
     "write_fasta",

@@ -44,25 +44,24 @@ T has beyond X's, and ``raw_count`` sums k! over those pairs (X, T).
 
 A per-node local update rule using only the old root sets is not
 sound: a state can stay optimal at a node through a different parent
-state than the one that justified it before.  So a state keeps its
-whole scoring from :meth:`Scorer.score`, hung from a fixed root: each
-node's parent and children, label, VU, VL, VV and local cost.  Those
-arrays are the whole state: it keeps no :class:`MixedTree`, and one is
-built from them only for a state with no contractible edge, for
-``--oracle-check`` and for callers that read
-:attr:`ContractionState.tree`.  A child's arrays are copies of its
-parent's, rewired once, with v's slot dead, and the scorer's own
-kernels recompute only what can change.  A node's VU, VL and local
-cost depend only on its label and its children's VU, and only the
-merged node and its ancestors have new subtrees; a node's VV depends
-only on its parent's VV and its own VU and VL.  So the upward pass
-stops at the first node whose VU comes out as its parent saw it
-before, and the downward pass enters a child only when its parent's VV
-changed or its own sets were recomputed, or when it moved to a parent
-whose VV differs from its old parent's.  Every skipped node keeps
-inputs that did not change, so the update is exact, not a local rule
-over old root sets; the merged node's set must still come out as the
-intersection.
+state than the one that justified it before.  So a state is the
+:class:`~parsicompact.parsimony.ScoreResult` of its tree, hung from a
+fixed root: each node's parent and children, label, VU, VL, VV and
+local cost.  Those arrays are the whole state: it keeps no
+:class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
+for a state with no contractible edge and for ``--oracle-check``.
+A child's arrays are copies of its parent's, rewired once, with v's
+slot dead, and the scorer's own kernels recompute only what can
+change.  A node's VU, VL and local cost depend only on its label and
+its children's VU, and only the merged node and its ancestors have new
+subtrees; a node's VV depends only on its parent's VV and its own VU
+and VL.  So the upward pass stops at the first node whose VU comes out
+as its parent saw it before, and the downward pass enters a child only
+when its parent's VV changed or its own sets were recomputed, or when
+it moved to a parent whose VV differs from its old parent's.  Every
+skipped node keeps inputs that did not change, so the update is exact,
+not a local rule over old root sets; the merged node's set must still
+come out as the intersection.
 
 Contraction never makes an edge contractible that was not before; that
 is tested, but the search does not rely on it: every newly built state
@@ -78,71 +77,14 @@ from math import factorial
 from .charmatrix import CharacterMatrix
 from .enumeration import SearchRecord, enumerate_cubic
 from .errors import IllegalContractionError, ParsicompactError, TreeStructureError
-from .parsimony import Scorer
+from .parsimony import Scorer, ScoreResult
 from .tree import CanonicalKey, MixedTree
 
 # Built states between two calls of a contraction search's on_progress hook.
 PROGRESS_EVERY = 10_000
 
 
-class ContractionState:
-    """A tree mid-contraction: its sets hung from ``root``, and nothing else.
-
-    ``parent``, ``kids``, ``vu``, ``vl``, ``vv`` and ``local`` are per-node
-    arrays by node id, as :class:`~parsicompact.parsimony.ScoreResult`
-    gives them, and ``label`` gives each node's species (None if
-    unlabelled).  These arrays are the state: a contracted-away node's
-    slot is dead (kids None, parent -1, label None, sets and local cost
-    0).  :attr:`tree` builds the :class:`MixedTree` they describe, which
-    the search needs only for a state with no contractible edge.
-    ``zero_edges`` is scanned on first read.
-    """
-
-    __slots__ = ("root", "parent", "kids", "label", "vu", "vl", "vv", "local",
-                 "mp_cost", "scorer", "_zero_edges")
-
-    def __init__(self, root, parent, kids, label, vu, vl, vv, local, mp_cost, scorer):
-        self.root: int = root
-        self.parent: list[int] = parent
-        self.kids: list[list[int] | None] = kids
-        self.label: list[str | None] = label
-        self.vu: list[int] = vu
-        self.vl: list[int] = vl
-        self.vv: list[int] = vv
-        self.local: list[int] = local
-        self.mp_cost: int = mp_cost
-        self.scorer: Scorer = scorer
-        self._zero_edges: list[tuple[int, int]] | None = None
-
-    @property
-    def zero_edges(self) -> list[tuple[int, int]]:
-        if self._zero_edges is None:
-            self._zero_edges = zero_min_cost_edges(self)
-        return self._zero_edges
-
-    @property
-    def tree(self) -> MixedTree:
-        """A new :class:`MixedTree` with this state's nodes, edges and labels."""
-        t = MixedTree()
-        for ks, p in zip(self.kids, self.parent):
-            t.adj.append([] if ks is None else [p, *ks] if p >= 0 else list(ks))
-        t.label = list(self.label)
-        t.alive = [ks is not None for ks in self.kids]
-        t._free = [x for x, live in enumerate(t.alive) if not live]
-        t._where = {name: x for x, name in enumerate(t.label) if name is not None}
-        t.n_labelled = len(t._where)
-        t.n_unlabelled = len(t.alive) - len(t._free) - t.n_labelled
-        return t
-
-    @classmethod
-    def from_tree(cls, tree: MixedTree, matrix: CharacterMatrix) -> "ContractionState":
-        scorer = Scorer(matrix)
-        res = scorer.score(tree)
-        return cls(res.root, res.parent, res.kids, list(tree.label), res.vu, res.vl,
-                   res.vv, res.local, res.mp_cost, scorer)
-
-
-def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
+def zero_min_cost_edges(state: ScoreResult) -> list[tuple[int, int]]:
     """Edges whose endpoint root sets intersect in every character, each
     as (smaller id, larger id), in order of the lower node's id.
 
@@ -169,8 +111,8 @@ def zero_min_cost_edges(state: ContractionState) -> list[tuple[int, int]]:
 
 
 def contract_and_update(
-    state: ContractionState, edge: tuple[int, int], oracle_check: bool = False
-) -> ContractionState:
+    state: ScoreResult, edge: tuple[int, int], oracle_check: bool = False
+) -> ScoreResult:
     """Contract zero-min-cost edge (u, v) into u; derive the child's sets.
 
     The child keeps the parent's root, or u when v was the root, and its
@@ -281,10 +223,9 @@ def contract_and_update(
         raise ParsicompactError(
             f"zero-min-cost contraction changed cost {state.mp_cost} -> {cost}"
         )
-    child = ContractionState(root, parent, kids, label, vu, vl, vv, local, cost, sc)
     if oracle_check:
-        _shadow_check(child.tree, u, vv, cost, sc)
-    return child
+        _shadow_check(MixedTree.from_arrays(parent, kids, label), u, vv, cost, sc)
+    return ScoreResult(sc, cost, root, parent, kids, label, vu, vl, vv, local)
 
 
 def _shadow_check(tree, w, vv, want_cost, scorer):
@@ -375,6 +316,7 @@ class CompactSearcher:
         self.matrix = matrix
         self.oracle_check = oracle_check
         self.on_progress = on_progress
+        self.scorer = Scorer(matrix)
         self.species = {name: i for i, name in enumerate(matrix.names)}
         self.bit: dict[int, int] = {}  # split -> its bit
         self.holders: dict[int, int] = {}  # split bit -> start trees holding it
@@ -398,7 +340,7 @@ class CompactSearcher:
             raise TreeStructureError(
                 "start tree is not an X-tree on every species of the matrix"
             )
-        state = ContractionState.from_tree(tree, self.matrix)
+        state = self.scorer.score(tree)
         me = 1 << self.sources
         self.sources += 1
         sig = [0] * len(tree.adj)
@@ -412,28 +354,32 @@ class CompactSearcher:
         edges = key.bit_count()
         self.by_edges[edges] = self.by_edges.get(edges, 0) | me
         if key not in self.memo:
-            self._store(key, state, sig)
-            self._expand(state, sig, key)
+            self._expand(state, sig, key, self._store(key, state, sig))
         return state.mp_cost
 
-    def _store(self, key: int, state: ContractionState, sig: list[int]):
+    def _store(self, key: int, state: ScoreResult, sig: list[int]) -> list[tuple[int, int]]:
+        """Memoize a new state; returns its contractible edges."""
         kids = state.kids
         vv = state.vv
         self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if kids[x] is not None}
-        if not state.zero_edges:
-            tree = state.tree
+        zero = zero_min_cost_edges(state)
+        if not zero:
+            tree = MixedTree.from_arrays(state.parent, kids, state.label)
             self.final.append((tree.num_nodes, key, tree.write_newick()))
         if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
             self.on_progress(self)
+        return zero
 
-    def _expand(self, source: ContractionState, sig: list[int], key: int):
+    def _expand(self, source: ScoreResult, sig: list[int], key: int,
+                zero: list[tuple[int, int]]):
         """Depth first from one start tree, building each state not yet
-        in the memo; ``sig`` gives each node's signature."""
-        stack = [(source, sig, key)]
+        in the memo; ``sig`` gives each node's signature and ``zero`` the
+        start tree's contractible edges."""
+        stack = [(source, sig, key, zero)]
         while stack:
-            state, sig, key = stack.pop()
+            state, sig, key, zero = stack.pop()
             vv = state.vv
-            for edge in state.zero_edges:
+            for edge in zero:
                 u, v = edge
                 merged = sig[u] ^ sig[v]
                 to = key ^ (sig[u] & sig[v])
@@ -443,8 +389,7 @@ class CompactSearcher:
                     child = contract_and_update(state, edge, self.oracle_check)
                     csig = sig.copy()
                     csig[u] = merged
-                    self._store(to, child, csig)
-                    stack.append((child, csig, to))
+                    stack.append((child, csig, to, self._store(to, child, csig)))
                 else:
                     self.memo_hits += 1
                     if sets.get(merged) != vv[u] & vv[v]:

@@ -53,10 +53,6 @@ class AlreadyLabelledError(TreeStructureError):
     """Target node carries a label and cannot take another."""
 
 
-class LabelCollisionError(TreeStructureError):
-    """Both endpoints of a contraction edge are labelled."""
-
-
 class NewickParseError(ParsicompactError):
     """Malformed Newick text; carries the offending position."""
 

@@ -6,9 +6,10 @@ internal node is a fixed-state ancestor).  A full pass computes, per
 node, the upper set VU (states reaching the subtree minimum), the lower
 set VL (states exactly one mutation worse), and after a top-down pass
 the root set VV (states appearing in at least one globally optimal
-fit).  :func:`score_unrooted` is the one-call convenience over
-``Scorer(matrix).score``; :func:`brute_force_best_fit` is the
-independent exhaustive oracle the tests compare against.
+fit).  :meth:`Scorer.score` returns them as one :class:`ScoreResult`,
+the record of a scored tree that contraction also works on;
+:func:`brute_force_best_fit` is the independent exhaustive oracle the
+tests compare against.
 
 All per-character state sets for one node are packed into a single
 Python int, one power-of-two-wide flag group per character, so every
@@ -63,34 +64,43 @@ class FitAssignment:
 
 
 class ScoreResult:
-    """MP-cost plus per-node sets, as :meth:`Scorer.score` returns them.
+    """One scored tree: its MP-cost and per-node arrays by node id.
 
-    ``vu``, ``vl`` and ``vv`` list every node's packed upper, lower and
-    root set by node id (0 at ids not in the tree); :func:`unpack_sets`
-    reads one as per-character state sets.  With the tree hung from
-    ``root``, ``parent`` and ``kids`` give each node's parent (-1 at the
-    root) and children, and ``local`` its share of the cost: the
-    mutations on the edges to its children, summing to ``mp_cost``.
+    ``vu``, ``vl`` and ``vv`` hold each node's packed upper, lower and
+    root set; :func:`unpack_sets` reads one as per-character state sets.
+    With the tree hung from ``root``, ``parent`` and ``kids`` give each
+    node's parent (-1 at the root) and children, ``label`` its species
+    (None if unlabelled), and ``local`` its share of the cost: the
+    mutations on the edges to its children, summing to ``mp_cost``.  An
+    id not in the tree has kids None, parent -1, label None and 0
+    elsewhere.  The arrays describe the whole tree: contraction works on
+    them alone (:mod:`parsicompact.contract`), and
+    :meth:`MixedTree.from_arrays` rebuilds the tree from them.
     """
 
-    def __init__(self, matrix, mp_cost, root, order, parent, kids, vu, vl, vv, local):
-        self.mp_cost = mp_cost
-        self.root = root
-        self.parent = parent
-        self.kids = kids
-        self.vu = vu
-        self.vl = vl
-        self.vv = vv
-        self.local = local
-        self._matrix = matrix
-        self._order = order
+    __slots__ = ("mp_cost", "root", "parent", "kids", "label", "vu", "vl", "vv",
+                 "local", "scorer")
+
+    def __init__(self, scorer, mp_cost, root, parent, kids, label, vu, vl, vv, local):
+        self.mp_cost: int = mp_cost
+        self.root: int = root
+        self.parent: list[int] = parent
+        self.kids: list[list[int] | None] = kids
+        self.label: list[str | None] = label
+        self.vu: list[int] = vu
+        self.vl: list[int] = vl
+        self.vv: list[int] = vv
+        self.local: list[int] = local
+        self.scorer: Scorer = scorer
 
     def extract_fit(self) -> FitAssignment:
         """One deterministic optimal fit (lowest state index on ties)."""
-        matrix = self._matrix
+        matrix = self.scorer.matrix
         parent = self.parent
         chosen: dict[int, tuple[int, ...]] = {}
-        for u in self._order:
+        order = [self.root]
+        for u in order:
+            order.extend(self.kids[u])
             ups = unpack_sets(matrix, self.vu[u])
             if parent[u] < 0:
                 chosen[u] = tuple(min(up) for up in ups)
@@ -448,72 +458,38 @@ class Scorer:
         return out
 
     def score(self, tree: MixedTree, root: int | None = None) -> ScoreResult:
-        """Full pass: cost plus VU/VL/VV for every node."""
+        """Full pass: cost plus VU/VL/VV for every node.
+
+        The cost is root-independent.  Without ``root`` the pass roots at
+        :meth:`pick_root`'s node.  A labelled node holds its species'
+        states fixed.
+        """
         if root is None:
             root = self.pick_root(tree)
         cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root, True)
         vv = [0] * len(vu)
         self._top_down(pre, parent, vu, vl, vv)
-        return ScoreResult(self.matrix, cost, root, pre, parent, kids, vu, vl, vv, local)
+        return ScoreResult(self, cost, root, parent, kids, list(tree.label), vu, vl, vv, local)
 
 
 # -- module-level operations ----------------------------------------------------
 
 
-def score_unrooted(tree: MixedTree, matrix: CharacterMatrix, root: int | None = None) -> ScoreResult:
-    """Score an unrooted mixed tree: ``Scorer(matrix).score(tree, root)``.
-
-    The cost is root-independent.  Without ``root`` the pass roots at the
-    lowest-id unlabelled node when one exists (else a labelled node).
-    Internal species labels are held fixed: a labelled node contributes,
-    per character, one mutation for each neighbouring subtree that
-    cannot reach the node's state for free.  Code that scores many trees
-    against one matrix keeps a :class:`Scorer` instead.
-    """
-    if tree.num_nodes == 0:
-        raise EmptyTreeError("cannot score an empty tree")
-    return Scorer(matrix).score(tree, root)
-
-
 class OracleResult:
-    """Exhaustive per-character optimum over all unlabelled-node assignments."""
+    """Exhaustive per-character optimum over all unlabelled-node assignments.
 
-    def __init__(self, mp_cost, unlabelled, fixed, per_char_optima, matrix):
-        self.mp_cost = mp_cost
-        self.unlabelled = unlabelled
-        self._fixed = fixed
-        self._optima = per_char_optima
-        self.matrix = matrix
+    ``fixed`` maps each labelled node to its species' states, and
+    ``optima[c]`` lists every optimal assignment of character c to the
+    ``unlabelled`` nodes, in their order; every optimal fit takes one
+    assignment per character.
+    """
 
-    def fits(self, limit: int | None = 10000) -> list[FitAssignment]:
-        """Up to ``limit`` optimal FitAssignments (product across characters)."""
-        out = []
-        for combo in product(*self._optima):
-            states: dict[int, list[int]] = {u: [] for u in self._fixed}
-            for u in self.unlabelled:
-                states[u] = []
-            for c, assign in enumerate(combo):
-                for u, s in self._fixed.items():
-                    states[u].append(s[c])
-                for i, u in enumerate(self.unlabelled):
-                    states[u].append(assign[i])
-            out.append(FitAssignment({u: tuple(v) for u, v in states.items()}, self.mp_cost))
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def vv_union(self) -> dict[int, tuple[frozenset[int], ...]]:
-        """Per node, per character: union of states over all optimal fits."""
-        out: dict[int, list[set[int]]] = {}
-        for u, s in self._fixed.items():
-            out[u] = [{s[c]} for c in range(self.matrix.m)]
-        for u in self.unlabelled:
-            out[u] = [set() for _ in range(self.matrix.m)]
-        for c, opts in enumerate(self._optima):
-            for assign in opts:
-                for i, u in enumerate(self.unlabelled):
-                    out[u][c].add(assign[i])
-        return {u: tuple(frozenset(s) for s in sets) for u, sets in out.items()}
+    def __init__(self, mp_cost, unlabelled, fixed, optima, matrix):
+        self.mp_cost: int = mp_cost
+        self.unlabelled: list[int] = unlabelled
+        self.fixed: dict[int, tuple[int, ...]] = fixed
+        self.optima: list[list[tuple[int, ...]]] = optima
+        self.matrix: CharacterMatrix = matrix
 
 
 def brute_force_best_fit(

@@ -20,7 +20,6 @@ from functools import lru_cache
 from .errors import (
     AlreadyLabelledError,
     DuplicateLabelError,
-    LabelCollisionError,
     NewickParseError,
     TreeStructureError,
 )
@@ -148,15 +147,28 @@ class MixedTree:
     def num_nodes(self) -> int:
         return self.n_labelled + self.n_unlabelled
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(self.adj[u]) for u in self.iter_nodes()) // 2
-
     def __repr__(self):
         return (
             f"MixedTree(nodes={self.num_nodes}, labelled={self.n_labelled}, "
             f"unlabelled={self.n_unlabelled})"
         )
+
+    @classmethod
+    def from_arrays(cls, parent, kids, label) -> "MixedTree":
+        """The tree whose node x has parent ``parent[x]`` (-1 if none),
+        children ``kids[x]`` (None if x is not in the tree) and species
+        ``label[x]``, as a :class:`~parsicompact.parsimony.ScoreResult`
+        holds them."""
+        t = cls()
+        for ks, p in zip(kids, parent):
+            t.adj.append([] if ks is None else [p, *ks] if p >= 0 else list(ks))
+        t.label = list(label)
+        t.alive = [ks is not None for ks in kids]
+        t._free = [x for x, live in enumerate(t.alive) if not live]
+        t._where = {name: x for x, name in enumerate(t.label) if name is not None}
+        t.n_labelled = len(t._where)
+        t.n_unlabelled = len(t.alive) - len(t._free) - t.n_labelled
+        return t
 
     def copy(self) -> "MixedTree":
         t = MixedTree.__new__(MixedTree)
@@ -168,34 +180,6 @@ class MixedTree:
         t.n_labelled = self.n_labelled
         t.n_unlabelled = self.n_unlabelled
         return t
-
-    def validate(self):
-        """Assert structural invariants; raises TreeStructureError on breakage."""
-        nodes = list(self.iter_nodes())
-        if not nodes:
-            raise TreeStructureError("empty tree")
-        if self.num_edges != len(nodes) - 1:
-            raise TreeStructureError(
-                f"{self.num_edges} edges for {len(nodes)} nodes (need nodes-1)"
-            )
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(nodes):
-            raise TreeStructureError("tree is disconnected")
-        for u in nodes:
-            if len(self.adj[u]) <= 1 and self.label[u] is None and len(nodes) > 1:
-                raise TreeStructureError(f"unlabelled leaf {u}")
-        labels = [self.label[u] for u in nodes if self.label[u] is not None]
-        if len(labels) != len(set(labels)):
-            raise TreeStructureError("duplicate species labels")
-        if len(labels) != self.n_labelled:
-            raise TreeStructureError("label counter out of sync")
 
     # -- growth rules (with O(1) undo) ----------------------------------------
 
@@ -290,55 +274,6 @@ class MixedTree:
         at_v.remove(u)
         at_v.append(u)
 
-    # -- structural edits ------------------------------------------------------
-
-    def contract_edge(self, u: int, v: int) -> int:
-        """Merge v into u along edge (u, v); returns u.
-
-        v's other edges move to u and v is freed, so every other node
-        keeps its id.  u takes v's species label if only v had one.
-        Contracting an edge between two labelled nodes would have to
-        discard a species, so it is refused.
-        """
-        self._require_edge(u, v)
-        name = self.label[v]
-        if name is not None:
-            if self.label[u] is not None:
-                raise LabelCollisionError(
-                    f"both endpoints labelled ({self.label[u]!r}, {name!r})"
-                )
-            self._clear_label(v)
-            self._set_label(u, name)
-        self.remove_edge(u, v)
-        for y in list(self.adj[v]):
-            self.remove_edge(v, y)
-            self.add_edge(u, y)
-        self._free_node(v)
-        return u
-
-    def suppress_degree2_unlabelled(self):
-        """Remove unlabelled degree-2 (and dangling unlabelled) nodes in place."""
-        again = True
-        while again:
-            again = False
-            for u in list(self.iter_nodes()):
-                if self.label[u] is not None or not self.alive[u]:
-                    continue
-                d = len(self.adj[u])
-                if d == 2:
-                    a, b = self.adj[u]
-                    self.remove_edge(u, a)
-                    self.remove_edge(u, b)
-                    self.add_edge(a, b)
-                    self._free_node(u)
-                    again = True
-                elif d <= 1 and self.num_nodes > 1:
-                    for y in list(self.adj[u]):
-                        self.remove_edge(u, y)
-                    self._free_node(u)
-                    again = True
-        return self
-
     # -- canonical form and Newick I/O -----------------------------------------
 
     def _centers(self) -> list[int]:
@@ -422,9 +357,14 @@ class MixedTree:
         return self.canonical_key().as_text()
 
 
+# Characters that end an unquoted Newick name; a name holding any of
+# them is written quoted.
+_DELIMITERS = frozenset("(),:;'[] \t\r\n")
+
+
 @lru_cache(maxsize=1 << 16)
 def _quote_name(name: str) -> str:
-    if name and not any(ch in "(),:;'[] \t\n" for ch in name):
+    if name and _DELIMITERS.isdisjoint(name):
         return name
     return "'" + name.replace("'", "''") + "'"
 
@@ -434,8 +374,7 @@ def parse_newick(text: str) -> MixedTree:
 
     Internal node names become species labels.  Branch lengths are not
     part of this tree model and are rejected.  A rooted display (top-level
-    unlabelled degree-2 node) is kept; call suppress_degree2_unlabelled()
-    to unroot.
+    unlabelled degree-2 node) is kept as written.
     """
     tree = MixedTree()
     i = 0
@@ -469,7 +408,7 @@ def parse_newick(text: str) -> MixedTree:
                     i += 1
             error("unterminated quoted name", start)
         start = i
-        while i < n and text[i] not in "(),:;[] \t\r\n'":
+        while i < n and text[i] not in _DELIMITERS:
             i += 1
         return text[start:i] if i > start else None
 

@@ -1,12 +1,21 @@
-"""Shared randomized generators for the test suite.
+"""Shared randomized generators and independent oracles for the test suite.
 
 Every generator takes an explicit random.Random so failures reproduce
 from the seed alone.
 """
 
 import random
+from itertools import product
 
-from parsicompact import CharacterMatrix, MixedTree, random_matrix
+from parsicompact import (
+    CharacterMatrix,
+    FitAssignment,
+    IllegalContractionError,
+    MixedTree,
+    OracleResult,
+    TreeStructureError,
+    random_matrix,
+)
 
 
 def random_mixed_tree(names, rng: random.Random) -> MixedTree:
@@ -81,3 +90,129 @@ def subdivide_with_unlabelled(tree: MixedTree, rng: random.Random, count: int):
         tree.add_edge(u, mid)
         tree.add_edge(mid, v)
     return tree
+
+
+# -- independent oracles over the tree arena ---------------------------------
+#
+# Each is written from the arena's primitives (adj, label, alive and the
+# node and edge edits), so it checks the program without sharing its code.
+
+
+def num_edges(tree: MixedTree) -> int:
+    """Edges of the tree, counted from both ends of each adjacency."""
+    return sum(len(tree.adj[u]) for u in tree.iter_nodes()) // 2
+
+
+def validate(tree: MixedTree):
+    """Raise TreeStructureError unless the tree is a connected tree with
+    no unlabelled leaf, distinct labels and a true label counter."""
+    nodes = list(tree.iter_nodes())
+    if not nodes:
+        raise TreeStructureError("empty tree")
+    if num_edges(tree) != len(nodes) - 1:
+        raise TreeStructureError(
+            f"{num_edges(tree)} edges for {len(nodes)} nodes (need nodes-1)"
+        )
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        u = stack.pop()
+        for v in tree.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    if len(seen) != len(nodes):
+        raise TreeStructureError("tree is disconnected")
+    for u in nodes:
+        if len(tree.adj[u]) <= 1 and tree.label[u] is None and len(nodes) > 1:
+            raise TreeStructureError(f"unlabelled leaf {u}")
+    labels = [tree.label[u] for u in nodes if tree.label[u] is not None]
+    if len(labels) != len(set(labels)):
+        raise TreeStructureError("duplicate species labels")
+    if len(labels) != tree.n_labelled:
+        raise TreeStructureError("label counter out of sync")
+
+
+def contract_edge(tree: MixedTree, u: int, v: int) -> int:
+    """Merge v into u along edge (u, v) in place; returns u.
+
+    v's other edges move to u and v is freed, so every other node keeps
+    its id.  u takes v's species label if only v had one.  Contracting
+    an edge between two labelled nodes would discard a species, so it is
+    refused.
+    """
+    tree._require_edge(u, v)
+    name = tree.label[v]
+    if name is not None:
+        if tree.label[u] is not None:
+            raise IllegalContractionError(
+                f"both endpoints labelled ({tree.label[u]!r}, {name!r})"
+            )
+        tree._clear_label(v)
+        tree._set_label(u, name)
+    tree.remove_edge(u, v)
+    for y in list(tree.adj[v]):
+        tree.remove_edge(v, y)
+        tree.add_edge(u, y)
+    tree._free_node(v)
+    return u
+
+
+def suppress_degree2_unlabelled(tree: MixedTree) -> MixedTree:
+    """Remove unlabelled degree-2 (and dangling unlabelled) nodes in place."""
+    again = True
+    while again:
+        again = False
+        for u in list(tree.iter_nodes()):
+            if tree.label[u] is not None or not tree.alive[u]:
+                continue
+            d = len(tree.adj[u])
+            if d == 2:
+                a, b = tree.adj[u]
+                tree.remove_edge(u, a)
+                tree.remove_edge(u, b)
+                tree.add_edge(a, b)
+                tree._free_node(u)
+                again = True
+            elif d <= 1 and tree.num_nodes > 1:
+                for y in list(tree.adj[u]):
+                    tree.remove_edge(u, y)
+                tree._free_node(u)
+                again = True
+    return tree
+
+
+# -- readings of brute_force_best_fit's exhaustive optima ----------------------
+
+
+def oracle_fits(oracle: OracleResult, limit: int | None = 10000) -> list[FitAssignment]:
+    """Up to ``limit`` optimal fits (the product across characters)."""
+    out = []
+    for combo in product(*oracle.optima):
+        states: dict[int, list[int]] = {u: [] for u in oracle.fixed}
+        for u in oracle.unlabelled:
+            states[u] = []
+        for c, assign in enumerate(combo):
+            for u, s in oracle.fixed.items():
+                states[u].append(s[c])
+            for i, u in enumerate(oracle.unlabelled):
+                states[u].append(assign[i])
+        out.append(FitAssignment({u: tuple(v) for u, v in states.items()}, oracle.mp_cost))
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def oracle_vv_union(oracle: OracleResult) -> dict[int, tuple[frozenset[int], ...]]:
+    """Per node, per character: the union of its states over all optimal fits."""
+    m = oracle.matrix.m
+    out: dict[int, list[set[int]]] = {}
+    for u, s in oracle.fixed.items():
+        out[u] = [{s[c]} for c in range(m)]
+    for u in oracle.unlabelled:
+        out[u] = [set() for _ in range(m)]
+    for c, opts in enumerate(oracle.optima):
+        for assign in opts:
+            for i, u in enumerate(oracle.unlabelled):
+                out[u][c].add(assign[i])
+    return {u: tuple(frozenset(s) for s in sets) for u, sets in out.items()}

@@ -10,7 +10,6 @@ import time
 
 from parsicompact import (
     CharacterMatrix,
-    ContractionState,
     Scorer,
     brute_force_best_fit,
     contract_and_update,
@@ -23,11 +22,17 @@ from parsicompact import (
     most_compact_pipeline,
     parse_newick,
     random_matrix,
-    score_unrooted,
     unpack_sets,
     zero_min_cost_edges,
 )
-from conftest import random_instance, random_mixed_tree, subdivide_with_unlabelled
+from conftest import (
+    contract_edge,
+    oracle_vv_union,
+    random_instance,
+    random_mixed_tree,
+    subdivide_with_unlabelled,
+    suppress_degree2_unlabelled,
+)
 
 
 def crit5_matrix(seed):
@@ -43,7 +48,7 @@ def test_criterion_1_cost_matches_oracle_on_500_instances():
     t0 = time.monotonic()
     for seed in range(500):
         matrix, tree = random_instance(seed, max_n=7, max_m=5, max_states=4)
-        got = score_unrooted(tree, matrix).mp_cost
+        got = Scorer(matrix).score(tree).mp_cost
         want = brute_force_best_fit(tree, matrix).mp_cost
         assert got == want, f"seed {seed}: scorer {got} != oracle {want}"
     elapsed = time.monotonic() - t0
@@ -55,13 +60,13 @@ def test_criterion_2_root_invariance_and_degree2_suppression():
     rng = random.Random(2)
     for trial in range(100):
         matrix, tree = random_instance(rng.randrange(1 << 30), max_n=6, max_m=4)
-        costs = {score_unrooted(tree, matrix, root=u).mp_cost
+        costs = {Scorer(matrix).score(tree, u).mp_cost
                  for u in tree.iter_nodes()}
         assert len(costs) == 1, f"trial {trial}: root-dependent cost {costs}"
         cost = costs.pop()
         messy = subdivide_with_unlabelled(tree.copy(), rng, rng.randint(1, 3))
         assert Scorer(matrix).cost(messy) == cost
-        messy.suppress_degree2_unlabelled()
+        suppress_degree2_unlabelled(messy)
         assert messy.canonical_key() == tree.canonical_key()
         assert Scorer(matrix).cost(messy) == cost
     print("criterion 2: 100/100 trees root-invariant, suppression cost-safe")
@@ -71,8 +76,8 @@ def test_criterion_3_vv_equals_union_of_optimal_fits():
     checked = 0
     for seed in range(500):
         matrix, tree = random_instance(seed, max_n=7, max_m=5, max_states=4)
-        result = score_unrooted(tree, matrix)
-        want = brute_force_best_fit(tree, matrix).vv_union()
+        result = Scorer(matrix).score(tree)
+        want = oracle_vv_union(brute_force_best_fit(tree, matrix))
         for node in tree.iter_nodes():
             got = unpack_sets(matrix, result.vv[node])
             assert got == want[node], f"seed {seed} node {node}"
@@ -127,7 +132,7 @@ def test_criterion_6_contraction_cost_laws_on_100_mp_trees():
             if trees_checked == 100:
                 break
             tree = record.incumbents[key]
-            state = ContractionState.from_tree(tree, matrix)
+            state = Scorer(matrix).score(tree)
             zero = {tuple(sorted(e)) for e in zero_min_cost_edges(state)}
             for edge in zero_min_cost_edges(state):
                 after = contract_and_update(state, edge)
@@ -139,7 +144,7 @@ def test_criterion_6_contraction_cost_laws_on_100_mp_trees():
                 if tree.label[u] is not None and tree.label[v] is not None:
                     continue
                 worse = tree.copy()
-                worse.contract_edge(u, v)
+                contract_edge(worse, u, v)
                 assert Scorer(matrix).cost(worse) > state.mp_cost, \
                     f"edge ({u},{v}) did not raise cost"
                 raised += 1

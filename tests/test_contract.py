@@ -9,35 +9,46 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     CharacterMatrix,
-    ContractionState,
     IllegalContractionError,
+    MixedTree,
     contract_and_update,
     enumerate_cubic,
     enumerate_mixed,
     Scorer,
     TreeStructureError,
+    brute_force_best_fit,
     most_compact_pipeline,
     parse_newick,
     random_matrix,
     evolved_matrix,
-    score_unrooted,
     unpack_sets,
     zero_min_cost_edges,
 )
 from parsicompact.contract import CompactSearcher, tree_splits
-from conftest import random_instance, random_mixed_tree, subdivide_with_unlabelled
+from conftest import (
+    contract_edge,
+    random_instance,
+    random_mixed_tree,
+    subdivide_with_unlabelled,
+    validate,
+)
 
 
 def make_state(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    return matrix, tree, ContractionState.from_tree(tree, matrix)
+    return matrix, tree, Scorer(matrix).score(tree)
+
+
+def tree_of(state):
+    """The tree a state's arrays describe."""
+    return MixedTree.from_arrays(state.parent, state.kids, state.label)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_zero_edges_match_direct_min_cost(seed):
     matrix, tree, state = make_state(seed)
-    vv = score_unrooted(tree, matrix).vv
+    vv = state.vv
     want = set()
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
@@ -55,8 +66,8 @@ def test_zero_contraction_preserves_cost(seed):
     for edge in zero_min_cost_edges(state):
         after = contract_and_update(state, edge)
         assert after.mp_cost == state.mp_cost
-        assert after.tree.num_nodes == tree.num_nodes - 1
-        assert Scorer(matrix).cost(after.tree) == state.mp_cost
+        assert tree_of(after).num_nodes == tree.num_nodes - 1
+        assert Scorer(matrix).cost(tree_of(after)) == state.mp_cost
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,7 +81,7 @@ def test_positive_edge_contraction_strictly_raises_cost(seed):
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
         worse = tree.copy()
-        worse.contract_edge(u, v)
+        contract_edge(worse, u, v)
         assert Scorer(matrix).cost(worse) > state.mp_cost
         with pytest.raises(IllegalContractionError):
             contract_and_update(state, (u, v))
@@ -80,7 +91,7 @@ def test_label_label_edges_are_never_contractible():
     rows = [("a", "A"), ("b", "A"), ("c", "A")]
     matrix = CharacterMatrix.from_rows(rows)
     tree = parse_newick("((a)b)c;")
-    state = ContractionState.from_tree(tree, matrix)
+    state = Scorer(matrix).score(tree)
     assert zero_min_cost_edges(state) == []
     edge = next(iter(tree.iter_edges()))
     with pytest.raises(IllegalContractionError):
@@ -95,16 +106,42 @@ def test_oracle_check_mode_agrees(seed):
         contract_and_update(state, edge, oracle_check=True)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_extract_fit_on_contracted_states(seed):
+    # A contracted state's kids are rewired, so its fit walks them in an
+    # order no scoring pass produced.
+    matrix, _tree, state = make_state(seed)
+    rng = random.Random(seed)
+    while True:
+        tree = tree_of(state)
+        fit = state.extract_fit()
+        assert set(fit.states) == set(tree.iter_nodes())
+        changes = sum(
+            sum(x != y for x, y in zip(fit.states[u], fit.states[v]))
+            for u, v in tree.iter_edges()
+        )
+        assert changes == fit.total_cost == state.mp_cost
+        assert state.mp_cost == brute_force_best_fit(tree, matrix).mp_cost
+        for node, states in fit.states.items():
+            vv = unpack_sets(matrix, state.vv[node])
+            assert all(s in vv[c] for c, s in enumerate(states)), node
+        zero = zero_min_cost_edges(state)
+        if not zero:
+            break
+        state = contract_and_update(state, rng.choice(zero))
+
+
 def test_merged_node_vv_is_the_intersection():
     matrix = evolved_matrix(5, 6, 4, seed=21)
     cubic = enumerate_cubic(matrix)
     tree = next(iter(cubic.incumbents.values()))
-    state = ContractionState.from_tree(tree, matrix)
+    state = Scorer(matrix).score(tree)
     for u, v in zero_min_cost_edges(state):
         meet = state.vv[u] & state.vv[v]
         after = contract_and_update(state, (u, v))
         # the merged node is u: v is gone and every other node kept its id
-        assert set(after.tree.iter_nodes()) == set(tree.iter_nodes()) - {v}
+        assert set(tree_of(after).iter_nodes()) == set(tree.iter_nodes()) - {v}
         assert after.vv[u] == meet
 
 
@@ -121,22 +158,22 @@ def check_arrays_match(child, tree):
     for x, ks in enumerate(child.kids):
         for c in ks or ():
             assert child.parent[c] == x, (x, c)
-    assert child.tree.canonical_key() == tree.canonical_key()
+    assert tree_of(child).canonical_key() == tree.canonical_key()
 
 
 def check_every_order(state, matrix, tree):
     """Contract every order from ``state``, checking each child's derived
     sets against fresh scores; returns the rewire cases met on the way.
 
-    ``tree`` is the state's tree, carried along by
-    :meth:`MixedTree.contract_edge` on copies, so the child's rewired
+    ``tree`` is the state's tree, carried along by the independent
+    ``contract_edge`` on copies, so the child's rewired
     arrays are checked against a contraction that does not use them.
     VV and the cost come from a score at the default root, which they do
     not depend on.  The hung arrays (parent, children, VU, VL and local
     cost) come from a score at the child's own root.
     """
     cases = set()
-    for u, v in state.zero_edges:
+    for u, v in zero_min_cost_edges(state):
         if state.parent[v] == u:
             cases.add("v below u")
         else:
@@ -147,7 +184,7 @@ def check_every_order(state, matrix, tree):
             cases.add("v labelled")
         child = contract_and_update(state, (u, v))
         after = tree.copy()
-        after.contract_edge(u, v)
+        contract_edge(after, u, v)
         check_arrays_match(child, after)
         if after.label[u] is None and len(child.kids[u]) >= 4:
             cases.add("threshold count at u")
@@ -180,7 +217,7 @@ def test_derived_sets_equal_a_fresh_score_in_every_order():
     cases = set()
     for matrix in matrices:
         for tree in enumerate_cubic(matrix).incumbents.values():
-            state = ContractionState.from_tree(tree, matrix)
+            state = Scorer(matrix).score(tree)
             cases |= check_every_order(state, matrix, tree)
     assert cases == {"v below u", "u below v", "v is the root", "v labelled",
                      "threshold count at u", "VV changed away from u"}
@@ -190,19 +227,20 @@ def zero_edges_shrink(state, seen, tree):
     """Check, over every state reachable from ``state``, that each
     contractible edge of a child was contractible in its parent.
 
-    ``tree`` is the state's tree, carried along by
-    :meth:`MixedTree.contract_edge` on copies.  The merged node u took
+    ``tree`` is the state's tree, carried along by the independent
+    ``contract_edge`` on copies.  The merged node u took
     over v's other edges, so a child edge (u, y) was (u, y) or (v, y)
     before.  Returns the number of child edges checked.
     """
     checks = 0
-    zero = {tuple(sorted(e)) for e in state.zero_edges}
-    for u, v in state.zero_edges:
+    edges = zero_min_cost_edges(state)
+    zero = {tuple(sorted(e)) for e in edges}
+    for u, v in edges:
         child = contract_and_update(state, (u, v))
         after = tree.copy()
-        after.contract_edge(u, v)
+        contract_edge(after, u, v)
         check_arrays_match(child, after)
-        for x, y in child.zero_edges:
+        for x, y in zero_min_cost_edges(child):
             if x == u:
                 x = u if y in tree.adj[u] else v
             elif y == u:
@@ -228,7 +266,7 @@ def test_contraction_never_creates_a_contractible_edge_in_mp_trees():
     for seed in (1, 5, 8):
         matrix = evolved_matrix(6, 6, 2, seed=seed, mutation_rate=0.05)
         for tree in enumerate_cubic(matrix).incumbents.values():
-            state = ContractionState.from_tree(tree, matrix)
+            state = Scorer(matrix).score(tree)
             checks += zero_edges_shrink(state, set(), tree)
     assert checks > 1000
 
@@ -258,7 +296,8 @@ def test_pipeline_matches_every_contraction_order():
     def walk(state, terminals):
         edges = zero_min_cost_edges(state)
         if not edges:
-            terminals.append((state.tree.num_nodes, state.tree.canonical_key()))
+            tree = tree_of(state)
+            terminals.append((tree.num_nodes, tree.canonical_key()))
         return sum(1 + walk(contract_and_update(state, e), terminals) for e in edges)
 
     # Identical data and the low-divergence fixture add many states
@@ -270,7 +309,7 @@ def test_pipeline_matches_every_contraction_order():
         terminals = []
         steps = 0
         for tree in enumerate_cubic(matrix).incumbents.values():
-            steps += walk(ContractionState.from_tree(tree, matrix), terminals)
+            steps += walk(Scorer(matrix).score(tree), terminals)
         best = min(nodes for nodes, _ in terminals)
         arrivals = [key for nodes, key in terminals if nodes == best]
         result = most_compact_pipeline(matrix)
@@ -389,16 +428,16 @@ def test_searcher_refuses_start_trees_that_are_not_x_trees():
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_state_tree_rebuilds_the_start_tree(seed):
-    matrix, tree, _state = make_state(seed)
+def test_from_arrays_rebuilds_the_scored_tree(seed):
+    matrix, tree, state = make_state(seed)
     # A contraction frees a node, so the arena has a dead slot.
-    zero = zero_min_cost_edges(ContractionState.from_tree(tree, matrix))
+    zero = zero_min_cost_edges(state)
     freed = tree.copy()
     if zero:
-        freed.contract_edge(*zero[0])
+        contract_edge(freed, *zero[0])
     for t in (tree, freed):
-        built = ContractionState.from_tree(t, matrix).tree
-        built.validate()
+        built = tree_of(Scorer(matrix).score(t))
+        validate(built)
         assert built.canonical_key() == t.canonical_key()
         assert (built.label, built.alive) == (t.label, t.alive)
         assert (built.n_labelled, built.n_unlabelled) == (t.n_labelled, t.n_unlabelled)

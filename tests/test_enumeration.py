@@ -23,10 +23,16 @@ from parsicompact import (
     order_species,
     parse_newick,
     random_matrix,
-    score_unrooted,
 )
 from parsicompact.enumeration import _GROWTH, _Search
-from conftest import SYMBOLS, live_labels, random_mixed_tree, sized_matrix
+from conftest import (
+    SYMBOLS,
+    contract_edge,
+    live_labels,
+    random_mixed_tree,
+    sized_matrix,
+    validate,
+)
 
 TOTALS = [1, 1, 4, 32, 396, 6692, 143816]
 
@@ -116,7 +122,7 @@ def test_incumbents_all_have_optimal_cost_and_valid_shape():
     record = enumerate_mixed(matrix)
     assert record.incumbents
     for key, tree in record.incumbents.items():
-        tree.validate()
+        validate(tree)
         assert tree.canonical_key() == key
         assert live_labels(tree) == sorted(matrix.names)
         assert Scorer(matrix).cost(tree) == record.incumbent_cost
@@ -353,7 +359,7 @@ def _moves_on_a_random_tree(seed):
         edges = [(u, v) for u, v in tree.iter_edges()
                  if tree.label[u] is None or tree.label[v] is None]
         if edges:
-            tree.contract_edge(*rng.choice(edges))
+            contract_edge(tree, *rng.choice(edges))
     for kind in ("cubic", "mixed"):
         search = _Search(matrix, matrix.names, kind, False, None)
         for move in search.moves(tree):

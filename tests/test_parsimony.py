@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     CharacterMatrix,
-    ContractionState,
     EmptyTreeError,
     IllegalContractionError,
     MissingSpeciesError,
@@ -20,10 +19,17 @@ from parsicompact import (
     contract_and_update,
     parse_newick,
     random_matrix,
-    score_unrooted,
     unpack_sets,
+    zero_min_cost_edges,
 )
-from conftest import random_instance, random_mixed_tree, sized_matrix
+from conftest import (
+    num_edges,
+    oracle_fits,
+    oracle_vv_union,
+    random_instance,
+    random_mixed_tree,
+    sized_matrix,
+)
 
 TWO_STATE = CharacterMatrix.from_rows(
     [("A1", "A"), ("A2", "A"), ("B1", "B"), ("B2", "B")]
@@ -46,7 +52,7 @@ def test_vv_can_exceed_fitch_sets():
     tree = parse_newick("(((A1,B1),A2),B2);")
     root = next(u for u in tree.iter_nodes() if tree.label[u] is None
                 and tree.degree(u) == 2)
-    result = score_unrooted(tree, TWO_STATE, root=root)
+    result = Scorer(TWO_STATE).score(tree, root)
     assert result.mp_cost == 2
     grew = 0
     for node in tree.iter_nodes():
@@ -69,7 +75,7 @@ def test_scorer_handles_all_degrees():
     chain = parse_newick("(((((S2)S3)S4)S5)S6)S1;")
     star = parse_newick("(S2,S3,S4,S5,S6)S1;")
     for t in (chain, star):
-        got = score_unrooted(t, m).mp_cost
+        got = Scorer(m).score(t).mp_cost
         want = brute_force_best_fit(t, m).mp_cost
         assert got == want
 
@@ -78,7 +84,7 @@ def test_scorer_handles_all_degrees():
 @given(seed=st.integers(0, 10**6))
 def test_cost_matches_oracle(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4, max_states=4)
-    result = score_unrooted(tree, matrix)
+    result = Scorer(matrix).score(tree)
     oracle = brute_force_best_fit(tree, matrix)
     assert result.mp_cost == oracle.mp_cost
 
@@ -87,7 +93,7 @@ def test_cost_matches_oracle(seed):
 @given(seed=st.integers(0, 10**6))
 def test_root_invariance(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    costs = {score_unrooted(tree, matrix, root=u).mp_cost
+    costs = {Scorer(matrix).score(tree, u).mp_cost
              for u in tree.iter_nodes()}
     assert len(costs) == 1
 
@@ -96,9 +102,9 @@ def test_root_invariance(seed):
 @given(seed=st.integers(0, 10**6))
 def test_vv_equals_union_of_optimal_fits(seed):
     matrix, tree = random_instance(seed, max_n=5, max_m=3)
-    result = score_unrooted(tree, matrix)
+    result = Scorer(matrix).score(tree)
     oracle = brute_force_best_fit(tree, matrix)
-    want = oracle.vv_union()
+    want = oracle_vv_union(oracle)
     for node in tree.iter_nodes():
         assert unpack_sets(matrix, result.vv[node]) == want[node]
 
@@ -107,7 +113,7 @@ def test_vv_equals_union_of_optimal_fits(seed):
 @given(seed=st.integers(0, 10**6))
 def test_extract_fit_is_optimal_and_inside_vv(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    result = score_unrooted(tree, matrix)
+    result = Scorer(matrix).score(tree)
     fit = result.extract_fit()
     assert fit.total_cost == result.mp_cost
     # Recount changes by brute walk over edges.
@@ -126,7 +132,7 @@ def test_extract_fit_is_optimal_and_inside_vv(seed):
 @given(seed=st.integers(0, 10**6))
 def test_set_containments(seed):
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    result = score_unrooted(tree, matrix)
+    result = Scorer(matrix).score(tree)
     for node in tree.iter_nodes():
         sets = zip(*(unpack_sets(matrix, packed[node])
                      for packed in (result.vu, result.vl, result.vv)))
@@ -158,7 +164,7 @@ def test_fitch_equals_hartigan_on_binary_leaf_trees():
         tree.add_edge(u, mid)
         tree.add_edge(mid, v)
         want = brute_force_best_fit(tree, matrix).mp_cost
-        assert score_unrooted(tree, matrix, root=mid).mp_cost == want
+        assert Scorer(matrix).score(tree, mid).mp_cost == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -168,16 +174,15 @@ def test_min_cost_edge_definition(seed):
     # are disjoint: zero puts it among the contraction candidates, and a
     # positive value is the figure contract_and_update refuses it with.
     matrix, tree = random_instance(seed, max_n=6, max_m=4)
-    if tree.num_edges == 0:
+    if num_edges(tree) == 0:
         return
-    result = score_unrooted(tree, matrix)
-    state = ContractionState.from_tree(tree, matrix)
-    zero = {frozenset(e) for e in state.zero_edges}
+    state = Scorer(matrix).score(tree)
+    zero = {frozenset(e) for e in zero_min_cost_edges(state)}
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
-        su = unpack_sets(matrix, result.vv[u])
-        sv = unpack_sets(matrix, result.vv[v])
+        su = unpack_sets(matrix, state.vv[u])
+        sv = unpack_sets(matrix, state.vv[v])
         disjoint = sum(not (a & b) for a, b in zip(su, sv))
         assert (frozenset((u, v)) in zero) == (disjoint == 0)
         if disjoint:
@@ -237,7 +242,7 @@ def test_oracle_fit_enumeration_is_bounded_and_optimal():
     m = random_matrix(4, 3, 3, seed=4)
     tree = random_mixed_tree(m.names, random.Random(4))
     oracle = brute_force_best_fit(tree, m)
-    fits = oracle.fits(limit=50)
+    fits = oracle_fits(oracle, limit=50)
     assert 1 <= len(fits) <= 50
     for fit in fits:
         changes = sum(
