@@ -26,7 +26,6 @@ from .contract import (
 )
 from .enumeration import (
     SearchRecord,
-    TreeCountTable,
     closed_form_estimate,
     count_cubic,
     count_mixed,
@@ -95,7 +94,6 @@ __all__ = [
     "Species",
     "SpeciesNameError",
     "StateAlphabet",
-    "TreeCountTable",
     "TreeStructureError",
     "UnlabelledLeafError",
     "brute_force_best_fit",

@@ -229,7 +229,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                     "total_mixed": total,
                     "closed_form_estimate": f"{estimate:.6g}",
                     "estimate_over_exact": f"{ratio:.6g}",
-                    "cubic_count": count_cubic(n) if n >= 3 else 1,
+                    "cubic_count": count_cubic(n),
                     "t_n_m": by_m,
                 }
             )

@@ -16,10 +16,12 @@ cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one directional sweep of the expanded tree
 (:meth:`Scorer.growth_costs`), which costs every growth move in O(1)
 big-int operations instead of rescoring each child; only the tree each
-depth-first run starts from is scored in full.  Only the children that
-survive the bound are applied to the tree (and undone): a child priced
-above the incumbent is counted -- visited, plus pruned, or generated
-when complete -- but never built.  Building and undoing an edge move
+depth-first run starts from is scored in full, and it then takes the
+same per-child step as every child, through a move that stands for a
+tree already built.  Only the children that survive the bound are
+applied to the tree (and undone): a child priced above the incumbent
+is counted -- visited, plus pruned, or generated when complete -- but
+never built.  Building and undoing an edge move
 re-appends that edge to both endpoints' adjacency lists, which orders
 every later move list, so a skipped edge move still makes that one
 change (:meth:`MixedTree.requeue_edge`) and every move list is the
@@ -40,11 +42,10 @@ cost_c(T) <= cost_c(C) - 1.  Where x's state is not novel the same
 removal gives cost_c(T) <= cost_c(C).  So when cost(T) + novel[k]
 exceeds the incumbent, every child of T is priced out, and T is
 neither swept nor built: the search tests the bound on T's price
-before applying T (and in ``run``, on the tree a depth-first run starts
-from) and counts T's children from its size -- one per edge of a cubic
-tree; for a mixed tree two per edge, one per node and one more per
-unlabelled node.  The bound never changes what is expanded, only what
-is priced.
+before applying T and counts T's children from its size -- one per
+edge of a cubic tree; for a mixed tree two per edge, one per node and
+one more per unlabelled node.  The bound never changes what is
+expanded, only what is priced.
 
 Such a T, built, would have requeued each of its edges in its own move
 list's order before being undone; skipped, it calls requeue_edge on its
@@ -84,59 +85,52 @@ from .tree import CanonicalKey, MixedTree
 PROGRESS_EVERY = 100_000
 
 # Growth move -> (nodes added, unlabelled nodes added).
-_GROWTH = {"r1": (2, 1), "r2": (1, 0), "r3": (1, 0), "r4": (0, -1)}
+_GROWTH = {"r1": (2, 1), "r2": (1, 0), "r3": (1, 0), "r4": (0, -1), "built": (0, 0)}
+
+# The move that stands for a tree already built: a run's start tree.
+_BUILT = ("built", None)
 
 
-class TreeCountTable:
-    """Big-integer table of mixed-tree counts T(n, m), filled row by row.
+# Rows of T(n, m) computed so far, by n; see _mixed_row.
+_ROWS: dict[int, list[int]] = {1: [1]}
 
-    Row n holds T(n, m) for m = 0..max(n-2, 0), and T(n, m) =
-    (m+n-3) T(n-1, m-1) + (2n+2m-3) T(n-1, m) + (m+1) T(n-1, m+1), with
-    T = 0 outside a row.  A missing row is computed iteratively from the
-    nearest lower row held, and only the rows asked for are kept, so a
+
+def _mixed_row(n: int) -> list[int]:
+    """Row n >= 1 of the mixed-tree counts: T(n, m) for m = 0..max(n-2, 0).
+
+    T(n, m) = (m+n-3) T(n-1, m-1) + (2n+2m-3) T(n-1, m) + (m+1) T(n-1, m+1),
+    with T = 0 outside a row.  A missing row is computed iteratively from
+    the nearest lower row held, and only the rows asked for are kept, so a
     cold row needs neither deep recursion nor the memory of every row
     below it.
     """
-
-    def __init__(self):
-        self._rows: dict[int, list[int]] = {1: [1]}
-
-    def _row(self, n: int) -> list[int]:
-        row = self._rows.get(n)
-        if row is None:
-            k = max(k for k in self._rows if k < n)
-            row = self._rows[k]
-            while k < n:
-                k += 1
-                p = [0, *row, 0, 0]
-                row = [
-                    (m + k - 3) * p[m] + (2 * k + 2 * m - 3) * p[m + 1] + (m + 1) * p[m + 2]
-                    for m in range(k - 1)
-                ]
-            self._rows[n] = row
-        return row
-
-    def count(self, n: int, m: int) -> int:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if m < 0 or m > max(n - 2, 0):
-            return 0
-        return self._row(n)[m]
-
-
-_TABLE = TreeCountTable()
+    row = _ROWS.get(n)
+    if row is None:
+        k = max(k for k in _ROWS if k < n)
+        row = _ROWS[k]
+        while k < n:
+            k += 1
+            p = [0, *row, 0, 0]
+            row = [
+                (m + k - 3) * p[m] + (2 * k + 2 * m - 3) * p[m + 1] + (m + 1) * p[m + 2]
+                for m in range(k - 1)
+            ]
+        _ROWS[n] = row
+    return row
 
 
 def count_mixed(n: int, m: int) -> int:
     """Exact number of mixed trees with n labelled, m unlabelled nodes."""
-    return _TABLE.count(n, m)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if m < 0 or m > max(n - 2, 0):
+        return 0
+    return _mixed_row(n)[m]
 
 
 def count_total_mixed(n: int) -> int:
     """Exact number of mixed trees on n species (all unlabelled counts)."""
-    if n == 1:
-        return 1
-    return sum(_TABLE.count(n, m) for m in range(0, n - 1))
+    return sum(_mixed_row(n)) if n >= 1 else 0
 
 
 def count_cubic(n: int) -> int:
@@ -334,39 +328,10 @@ class _Search:
     # -- DFS -----------------------------------------------------------------
 
     def run(self, tree: MixedTree, k: int):
-        rec = self.record
-        cost = self.scorer.cost(tree)
-        rec.visited += 1
-        if k == len(self.order):
-            rec.generated += 1
-            rec._offer(cost, tree)
-            return
-        if (
-            not self.no_prune
-            and rec.incumbent_cost is not None
-            and cost > rec.incumbent_cost
-        ):
-            rec.pruned += 1
-            return
-        if self._children_priced_out(k, cost):
-            self._count_priced_out(
-                self._child_count(tree.num_nodes, tree.n_unlabelled), k + 1 == len(self.order)
-            )
-            return
-        self._expand(tree, k)
-
-    def _children_priced_out(self, k: int, cost: int) -> bool:
-        """True when every child of a depth-k tree costing ``cost`` is
-        priced out: each costs at least cost + novel[k] (see the module
-        docstring), which exceeds the incumbent, and each would be
-        offered or pruned, not expanded (under no_prune only complete
-        children are)."""
-        best = self.record.incumbent_cost
-        return (
-            best is not None
-            and cost + self.novel[k] > best
-            and (k + 1 == len(self.order) or not self.no_prune)
-        )
+        """Search from ``tree``, built with the first k species: it is
+        scored in full and visited as the one child, already built, of
+        a depth-(k-1) tree."""
+        self._visit(tree, k - 1, [_BUILT], [self.scorer.cost(tree)])
 
     def _child_count(self, nodes: int, unlabelled: int) -> int:
         """Length of the move list of a tree of that size: one move per
@@ -377,6 +342,15 @@ class _Search:
         return 3 * nodes - 2 + unlabelled
 
     def _expand(self, tree: MixedTree, k: int):
+        moves = self.moves(tree)
+        self.record.sweeps += 1
+        costs = self.scorer.growth_costs(tree, moves, self.order[k])
+        self._visit(tree, k, moves, costs)
+
+    def _visit(self, tree: MixedTree, k: int, moves, costs):
+        """Visit the children of depth-k ``tree``, one per move, each
+        priced at its cost.  The move _BUILT stands for ``tree`` itself,
+        already built."""
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
@@ -384,10 +358,9 @@ class _Search:
         # (with pruning on) expanded, so it is counted without being
         # built.  Every child that is built is offered or expanded.
         may_skip = complete or not self.no_prune
+        # The same holds one level down, for the child's own children.
+        may_skip_next = k + 2 == len(self.order) or not self.no_prune
         nodes, unlabelled = tree.num_nodes, tree.n_unlabelled
-        moves = self.moves(tree)
-        rec.sweeps += 1
-        costs = self.scorer.growth_costs(tree, moves, name)
         for move, cost in zip(moves, costs):
             rec.visited += 1
             best = rec.incumbent_cost
@@ -400,9 +373,16 @@ class _Search:
             if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
                 self.on_progress(rec)
             kind, site = move
-            if not (priced_out or complete) and self._children_priced_out(k + 1, cost):
-                # The child would be expanded with every one of its own
-                # children priced out: count them from its size instead.
+            if (
+                not (priced_out or complete)
+                and may_skip_next
+                and best is not None
+                and cost + self.novel[k + 1] > best
+            ):
+                # Every child of this child costs at least cost +
+                # novel[k+1] (see the module docstring), so each would be
+                # priced out: count them from the child's size instead of
+                # building and sweeping it.
                 dn, du = _GROWTH[kind]
                 self._count_priced_out(
                     self._child_count(nodes + dn, unlabelled + du), k + 2 == len(self.order)
@@ -414,12 +394,14 @@ class _Search:
                 if kind == "r1" or kind == "r2":
                     tree.requeue_edge(*site)
                 continue
-            token = self.apply(tree, move, name)
+            built = move is _BUILT
+            token = None if built else self.apply(tree, move, name)
             if complete:
                 rec._offer(cost, tree)
             else:
                 self._expand(tree, k + 1)
-            tree.undo_growth(token)
+            if not built:
+                tree.undo_growth(token)
 
     def _count_priced_out(self, count: int, complete: bool):
         """Count ``count`` children priced out, as the per-child loop would.

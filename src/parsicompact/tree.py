@@ -461,8 +461,6 @@ def parse_newick(text: str) -> MixedTree:
     skip_ws()
     if i != n:
         error("trailing characters after ';'", i)
-    if tree.label[root] is None and tree.degree(root) == 0:
-        error("tree has no labelled nodes", 0)
     for u in tree.iter_nodes():
         if tree.degree(u) <= 1 and tree.label[u] is None and tree.num_nodes > 1:
             error("tree contains an unlabelled leaf", 0)

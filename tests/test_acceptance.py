@@ -29,7 +29,6 @@ from conftest import (
     contract_edge,
     oracle_vv_union,
     random_instance,
-    random_mixed_tree,
     subdivide_with_unlabelled,
     suppress_degree2_unlabelled,
 )

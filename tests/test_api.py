@@ -1,5 +1,8 @@
 """The package's public names: what ``from parsicompact import *`` gives."""
 
+import ast
+from pathlib import Path
+
 import parsicompact
 
 
@@ -16,3 +19,37 @@ def test_all_names_resolve_once_in_sorted_order():
         assert getattr(parsicompact, name, None) is not None, name
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; a name in ``__all__`` is read."""
+    module = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    root = Path(__file__).resolve().parent.parent
+    unused = {}
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            names = _unused_imports(path.read_text(encoding="utf-8"))
+            if names:
+                unused[str(path.relative_to(root))] = names
+    assert unused == {}

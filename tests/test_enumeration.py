@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 import random
 
 import pytest
@@ -21,7 +20,6 @@ from parsicompact import (
     enumerate_mixed,
     evolved_matrix,
     order_species,
-    parse_newick,
     random_matrix,
 )
 from parsicompact.enumeration import _GROWTH, _Search
@@ -472,7 +470,7 @@ class _SweepEveryTree(_Search):
         self.novel = [0] * len(self.order)
 
 
-@pytest.mark.parametrize("every", [5, 7])
+@pytest.mark.parametrize("every", [1, 5, 7])
 @pytest.mark.parametrize("kind", ["cubic", "mixed"])
 def test_progress_fires_at_every_multiple_when_sweeps_are_skipped(monkeypatch, every, kind):
     # A skipped sweep counts all of a tree's children at once; the hook

@@ -211,20 +211,23 @@ def test_deep_caterpillar_round_trips():
 
 
 def test_parse_rejects_malformed():
-    for bad in [
-        "(a,b;",            # unbalanced
-        "(a,b):1;",         # branch length
-        "(a:0.1,b);",       # branch length
-        "(a,a);",           # duplicate species
-        "(a,'b);",          # unterminated quote
-        "(a,b); junk",      # trailing text
-        "(a,());",          # unlabelled leaf
-        "(a,b);(c,d);",      # second tree
-        "",                 # empty
-        ";",                # no nodes
+    for bad, message, position in [
+        ("(a,b;", "expected ',' or ')'", 4),                        # unbalanced
+        ("(a,b):1;", "branch lengths are not supported", 5),
+        ("(a:0.1,b);", "branch lengths are not supported", 2),
+        ("(a,a);", "species 'a' appears twice", 3),
+        ("(a,'b);", "unterminated quoted name", 3),
+        ("(a,b); junk", "trailing characters after ';'", 7),
+        ("(a,());", "expected a node, found ')'", 4),               # empty group
+        ("(a);", "tree contains an unlabelled leaf", 0),
+        ("(a,b);(c,d);", "trailing characters after ';'", 6),      # second tree
+        ("", "unexpected end of input", 0),
+        (";", "expected a node, found ';'", 0),                     # no nodes
     ]:
-        with pytest.raises(NewickParseError):
+        with pytest.raises(NewickParseError) as caught:
             parse_newick(bad)
+        assert str(caught.value) == f"{message} (at position {position})", bad
+        assert caught.value.position == position, bad
 
 
 def test_parse_keeps_degree2_root():
