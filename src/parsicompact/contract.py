@@ -194,7 +194,7 @@ def contract_and_update(
             x = parent[x]
             was = vu[x]
 
-    cost += sc._up(climb(), parent, kids, label, vu, vl, local, kids) - sum(old_local)
+    cost += sc._up(climb(), parent, label, vu, vl, local, kids) - sum(old_local)
     below = dict(zip(path[1:], path))  # each recomputed ancestor's path child
     was_v = state.vv[v]
 
@@ -284,7 +284,7 @@ def tree_splits(tree: MixedTree, species: dict[str, int]) -> list[tuple[int, int
     The split is the bitmask, over the species numbered by ``species``,
     of the edge's side that does not hold species 0.
     """
-    order, parent = tree.hang(next(tree.iter_nodes()))
+    order, parent, _kids = tree.hang(next(tree.iter_nodes()))
     below = [0] * len(tree.adj)
     full = (1 << len(species)) - 1
     out = []

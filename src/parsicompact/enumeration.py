@@ -49,17 +49,22 @@ expanded, only what is priced.
 
 Such a T, built, would have requeued each of its edges in its own move
 list's order before being undone; skipped, it calls requeue_edge on its
-own edge alone, as any priced-out child does.  That changes no later
-move list, because a move list reads only the order of each node's
-higher-id neighbours: :meth:`MixedTree.iter_edges` lists (u, v), u < v,
-in the order of v in adj[u].  Requeuing every edge of a tree in that
-order reaches node x first through its edges (w, x), w < x, by
-increasing w, each moving w to the end of adj[x]; then through its
-edges (x, v), v > x, in adj[x]'s order, each moving v to the end.  So
-adj[x] ends as its lower-id neighbours sorted, then its higher-id
-neighbours in their old order.  Removing and appending list entries
-never reorders the others, so after the undo every node's higher-id
-neighbours stand in the order that requeue_edge alone leaves, and a
+own edge alone, as any priced-out child does.  Likewise, when a swept
+tree's cheapest child costs more than the incumbent (with pruning on,
+or the children complete), its children are counted in one step and no
+edge is requeued, where the per-child loop would requeue each edge in
+move list order (a mixed list names an edge twice in a row, and the
+second requeue changes nothing).  Neither changes a later move list,
+because a move list reads only the order of each node's higher-id
+neighbours: :meth:`MixedTree.iter_edges` lists (u, v), u < v, in the
+order of v in adj[u].  Requeuing every edge of a tree in that order
+reaches node x first through its edges (w, x), w < x, by increasing w,
+each moving w to the end of adj[x]; then through its edges (x, v),
+v > x, in adj[x]'s order, each moving v to the end.  So adj[x] ends as
+its lower-id neighbours sorted, then its higher-id neighbours in their
+old order.  Removing and appending list entries never reorders the
+others, so after the undo every node's higher-id neighbours stand in
+the order that requeue_edge alone, or no requeue, leaves, and a
 requeue never touches the free list that decides the next node ids.
 Only the order of lower-id neighbours differs; no move list reads it,
 and no cost or canonical key depends on it.
@@ -104,6 +109,8 @@ def _mixed_row(n: int) -> list[int]:
     cold row needs neither deep recursion nor the memory of every row
     below it.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     row = _ROWS.get(n)
     if row is None:
         k = max(k for k in _ROWS if k < n)
@@ -121,20 +128,19 @@ def _mixed_row(n: int) -> list[int]:
 
 def count_mixed(n: int, m: int) -> int:
     """Exact number of mixed trees with n labelled, m unlabelled nodes."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 0 or m > max(n - 2, 0):
-        return 0
-    return _mixed_row(n)[m]
+    row = _mixed_row(n)
+    return row[m] if 0 <= m < len(row) else 0
 
 
 def count_total_mixed(n: int) -> int:
     """Exact number of mixed trees on n species (all unlabelled counts)."""
-    return sum(_mixed_row(n)) if n >= 1 else 0
+    return sum(_mixed_row(n))
 
 
 def count_cubic(n: int) -> int:
-    """(2n-5)!! leaf-labelled cubic topologies on n >= 3 species."""
+    """(2n-5)!! leaf-labelled cubic topologies on n >= 3 species, else 1."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if n <= 3:
         return 1
     out = 1
@@ -186,9 +192,11 @@ class SearchRecord:
     expanded trees, and every expanded tree is swept once by
     :meth:`Scorer.growth_costs`; a tree whose children the novel-state
     bound prices out is not expanded (nor built, below the start tree),
-    and its children are counted from its size.  An incumbent's
-    adjacency lists keep the order of higher-id neighbours that the
-    search's move lists read, not necessarily that of lower-id ones.
+    and its children are counted from its size, as are those of a swept
+    tree whose children are all priced above the incumbent.  An
+    incumbent's adjacency lists keep the order of higher-id neighbours
+    that the search's move lists read, not necessarily that of lower-id
+    ones.
     """
 
     incumbent_cost: int | None = None
@@ -345,7 +353,13 @@ class _Search:
         moves = self.moves(tree)
         self.record.sweeps += 1
         costs = self.scorer.growth_costs(tree, moves, self.order[k])
-        self._visit(tree, k, moves, costs)
+        best = self.record.incumbent_cost
+        complete = k + 1 == len(self.order)
+        if best is not None and (complete or not self.no_prune) and min(costs) > best:
+            # All priced out: one step, no requeue (see the module docstring).
+            self._count_priced_out(len(moves), complete)
+        else:
+            self._visit(tree, k, moves, costs)
 
     def _visit(self, tree: MixedTree, k: int, moves, costs):
         """Visit the children of depth-k ``tree``, one per move, each

@@ -170,30 +170,26 @@ class Scorer:
     def _bottom_up(self, tree, root, need_vl):
         """Return (cost, vu, vl, local, pre, parent, kids).
 
-        ``vl`` and ``local`` are None unless requested.  ``pre`` and
-        ``parent`` come from :meth:`MixedTree.hang`, so ``pre`` lists
-        parents before children.  ``kids[u]`` lists u's children in
-        adjacency order (None at ids not in the tree).
+        ``vl`` and ``local`` are None unless requested.  ``pre``,
+        ``parent`` and ``kids`` come from one pass of :meth:`MixedTree.hang`,
+        so ``pre`` lists parents before children and ``kids[u]`` lists u's
+        children in adjacency order (None at ids not in the tree).
         """
-        pre, parent = tree.hang(root)
-        size = len(tree.adj)
-        vu = [0] * size
-        vl = [0] * size if need_vl else None
-        local = [0] * size if need_vl else None
-        kids_of = [None] * size
-        cost = self._up(reversed(pre), parent, tree.adj, tree.label, vu, vl, local, kids_of)
-        return cost, vu, vl, local, pre, parent, kids_of
+        pre, parent, kids = tree.hang(root)
+        vu = [0] * len(kids)
+        vl = [0] * len(kids) if need_vl else None
+        local = [0] * len(kids) if need_vl else None
+        cost = self._up(reversed(pre), parent, tree.label, vu, vl, local, kids)
+        return cost, vu, vl, local, pre, parent, kids
 
-    def _up(self, nodes, parent, adj, label, vu, vl, local, kids_of):
+    def _up(self, nodes, parent, label, vu, vl, local, kids):
         """Compute VU, and VL and local cost unless ``vl`` is None, at each
         of ``nodes`` from its children's VU; returns their summed local cost.
 
-        ``nodes`` lists children before parents.  Each node's children are
-        its entries in ``adj`` other than ``parent[u]``, written to
-        ``kids_of`` as a new list; ``adj`` may be ``kids_of`` itself.
-        ``label`` gives each node's species or None.  A node's local cost
-        is its share of the MP-cost: the mutations on the edges to its
-        children.
+        ``nodes`` lists children before parents, and ``kids[u]`` lists u's
+        children; ``_up`` only reads it.  ``label`` gives each node's
+        species or None.  A node's local cost is its share of the MP-cost:
+        the mutations on the edges to its children.
         """
         need_vl = vl is not None
         vmask = self.vmask
@@ -206,29 +202,28 @@ class Scorer:
         cost = 0
         for u in nodes:
             name = label[u]
-            par = parent[u]
-            kids = kids_of[u] = [v for v in adj[u] if v != par]
+            below = kids[u]
             if name is not None:
                 x = vmask.get(name)
                 if x is None:
                     raise MissingSpeciesError(f"species {name!r} not in the matrix")
                 vu[u] = x
-                if kids:
+                if below:
                     # x holds one state per character, so each bit of
                     # vu[c] & x is one character that reaches x for free.
                     here = 0
-                    for c in kids:
+                    for c in below:
                         here += m - (vu[c] & x).bit_count()
                     cost += here
                     if need_vl:
                         local[u] = here
                 if need_vl:
                     vl[u] = 0
-            elif not kids:
+            elif not below:
                 raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
-            elif len(kids) == 2:
-                a = vu[kids[0]]
-                b = vu[kids[1]]
+            elif len(below) == 2:
+                a = vu[below[0]]
+                b = vu[below[1]]
                 meet = a & b
                 ne = ((((meet & carry) + carry) | meet) & high) >> top
                 here = m - ne.bit_count()
@@ -239,20 +234,20 @@ class Scorer:
                 if need_vl:
                     vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
                     local[u] = here
-            elif len(kids) == 1:
-                if par < 0:
+            elif len(below) == 1:
+                if parent[u] < 0:
                     # An unlabelled root with one neighbour is a leaf.
                     raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
-                c0 = vu[kids[0]]
+                c0 = vu[below[0]]
                 vu[u] = c0
                 if need_vl:
                     vl[u] = alpha & ~c0
                     local[u] = 0
             else:
-                if len(kids) == 3:
-                    vu[u], u_vl, here = self._three(vu[kids[0]], vu[kids[1]], vu[kids[2]])
+                if len(below) == 3:
+                    vu[u], u_vl, here = self._three(vu[below[0]], vu[below[1]], vu[below[2]])
                 else:
-                    vu[u], u_vl, here = self._count_many([vu[c] for c in kids])
+                    vu[u], u_vl, here = self._count_many([vu[c] for c in below])
                 cost += here
                 if need_vl:
                     vl[u] = u_vl
@@ -366,7 +361,9 @@ class Scorer:
         for the VU set of the side of edge (u, v) holding u.  The bottom-up
         pass gives D(u->parent) and each node's children; a preorder pass
         over those children gives D(parent->u) from the parent's label, or
-        else from the parent's other incoming sets.  An edge (u, v) acts as
+        else from the parent's other incoming sets.  Next to it, that pass
+        prices r1 on each edge and stores the price by the edge's child
+        endpoint, where the move loop reads it.  An edge (u, v) acts as
         an unlabelled node receiving D(u->v) and D(v->u), so with x the new
         species, |s| the number of characters whose x-state lies in s (x
         has one state per character), and an unlabelled node (or edge)
@@ -395,6 +392,8 @@ class Scorer:
         fill = self.fill
         m = self.m
         down = [0] * len(up)
+        price = [0] * len(up)  # r1 price of each edge, by its child endpoint
+        base = cost + m
         for p in pre:
             kids = kids_of[p]
             if not kids:
@@ -403,24 +402,31 @@ class Scorer:
                 fixed = vmask[label[p]]
                 for c in kids:
                     down[c] = fixed
-                continue
-            sets = [up[c] for c in kids]
-            if parent[p] >= 0:
-                sets.append(down[p])
-            if len(sets) == 2:
-                down[kids[0]] = sets[1]
-                if len(kids) == 2:
-                    down[kids[1]] = sets[0]
-            elif len(sets) == 3:
-                # Each child gets the 2-set combine of the other two sets.
-                s0, s1, s2 = sets
-                for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
-                    meet = a & b
-                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
-                    down[c] = meet | ((a | b) & ~both)
             else:
-                for i, c in enumerate(kids):
-                    down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
+                sets = [up[c] for c in kids]
+                if parent[p] >= 0:
+                    sets.append(down[p])
+                if len(sets) == 2:
+                    down[kids[0]] = sets[1]
+                    if len(kids) == 2:
+                        down[kids[1]] = sets[0]
+                elif len(sets) == 3:
+                    # Each child gets the 2-set combine of the other two sets.
+                    s0, s1, s2 = sets
+                    for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
+                        meet = a & b
+                        both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                        down[c] = meet | ((a | b) & ~both)
+                else:
+                    for i, c in enumerate(kids):
+                        down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
+            for c in kids:
+                # r1 on edge (p, c): x hung from D(c->p) and D(p->c).
+                a = up[c]
+                b = down[c]
+                meet = a & b
+                both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                price[c] = base - ((meet | ((a | b) & ~both)) & x).bit_count()
 
         at_node: dict[int, tuple[int, int]] = {}
         out = []
@@ -428,19 +434,18 @@ class Scorer:
             if kind == "r1" or kind == "r2":
                 u, v = site
                 c = v if parent[v] == u else u
+                if kind == "r1":
+                    out.append(price[c])
+                    continue
                 a = up[c]
                 b = down[c]
                 meet = a & b
                 ne = ((((meet & carry) + carry) | meet) & high) >> top
-                if kind == "r1":
-                    vv = meet | ((a | b) & ~(ne * fill))
-                    out.append(cost + m - (vv & x).bit_count())
-                else:
-                    # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
-                    out.append(cost + m + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+                # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
+                out.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
                 continue
             if kind == "r3" and label[site] is not None:
-                out.append(cost + m - (vmask[label[site]] & x).bit_count())
+                out.append(base - (vmask[label[site]] & x).bit_count())
                 continue
             got = at_node.get(site)
             if got is None:
@@ -452,7 +457,7 @@ class Scorer:
                 got = at_node[site] = (vv, len(sets) * m - local - hits)
             vv, grow_cost = got
             if kind == "r3":
-                out.append(cost + m - (vv & x).bit_count())
+                out.append(base - (vv & x).bit_count())
             else:
                 out.append(cost + grow_cost)
         return out

@@ -307,45 +307,45 @@ class MixedTree:
         kids.sort()
         return "(" + ",".join(kids) + ")" + atom
 
-    def hang(self, root: int) -> tuple[list[int], list[int]]:
-        """Nodes in breadth-first order from ``root``, and each one's parent
-        (-1 if none); iterative, so depth is not bounded by recursion."""
+    def hang(self, root: int) -> tuple[list[int], list[int], list[list[int] | None]]:
+        """Nodes in breadth-first order from ``root``, each one's parent (-1
+        if none) and children in adjacency order (None if not reached), in
+        one iterative pass.  A non-root node with one neighbour is a leaf."""
         adj = self.adj
         parent = [-1] * len(adj)
+        kids: list[list[int] | None] = [None] * len(adj)
         order = [root]
         for v in order:
+            at = adj[v]
             p = parent[v]
-            for c in adj[v]:
-                if c != p:
-                    parent[c] = v
-                    order.append(c)
-        return order, parent
-
-    def _rooted_codes(self, root: int) -> list[str | None]:
-        """Code of every node's subtree with the tree hung from ``root``."""
-        adj = self.adj
-        order, parent = self.hang(root)
-        code: list[str | None] = [None] * len(adj)
-        node_code = self._code
-        for v in reversed(order):
-            p = parent[v]
-            code[v] = node_code(v, [code[c] for c in adj[v] if c != p])
-        return code
+            if p >= 0 and len(at) == 1:
+                kids[v] = []
+                continue
+            below = kids[v] = at.copy()
+            if p >= 0:
+                below.remove(p)
+            for c in below:
+                parent[c] = v
+            order.extend(below)
+        return order, parent, kids
 
     def canonical_key(self) -> CanonicalKey:
         """Serialization equal for two trees iff they are label-isomorphic."""
         centers = self._centers()
         a = centers[0]
-        code = self._rooted_codes(a)
+        # Every node's subtree code, with the tree hung from a.
+        order, _parent, kids = self.hang(a)
+        code: list[str | None] = [None] * len(kids)
+        node_code = self._code
+        for v in reversed(order):
+            code[v] = node_code(v, [code[c] for c in kids[v]])
         best = code[a]
         if len(centers) == 2:
             # Two centers are adjacent; hung from b instead, only the two
             # centers' codes change.
             b = centers[1]
-            adj = self.adj
-            rest = self._code(a, [code[c] for c in adj[a] if c != b])
-            other = self._code(b, [code[c] for c in adj[b] if c != a] + [rest])
-            best = min(best, other)
+            rest = node_code(a, [code[c] for c in kids[a] if c != b])
+            best = min(best, node_code(b, [code[c] for c in kids[b]] + [rest]))
         return CanonicalKey((best + ";").encode())
 
     def write_newick(self) -> str:

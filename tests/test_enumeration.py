@@ -44,6 +44,13 @@ def test_count_base_cases():
     assert count_mixed(5, 4) == 0
 
 
+@pytest.mark.parametrize("n", range(-3, 1))
+def test_counts_refuse_fewer_than_one_species(n):
+    for count in (count_cubic, count_total_mixed, lambda n: count_mixed(n, 0)):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            count(n)
+
+
 def test_count_totals_small():
     for n, want in enumerate(TOTALS, start=1):
         assert count_total_mixed(n) == want
@@ -426,13 +433,29 @@ class _BuildEveryChild(_Search):
 
 
 class _CountSkippedSweeps(_Search):
-    """The search, counting the trees whose sweep the novel-state bound skips."""
+    """The search, counting the trees whose sweep the novel-state bound
+    skips and the swept trees whose children are all counted in one step."""
 
-    skipped = 0
+    counted = 0
+    visits = 0
+
+    def _visit(self, tree, k, moves, costs):
+        self.visits += 1
+        super()._visit(tree, k, moves, costs)
 
     def _count_priced_out(self, count, complete):
-        self.skipped += 1
+        self.counted += 1
         super()._count_priced_out(count, complete)
+
+    @property
+    def one_step(self):
+        # Every sweep is followed by one _visit call unless its children
+        # were counted in one step; the run's start tree adds one _visit.
+        return self.record.sweeps - (self.visits - 1)
+
+    @property
+    def skipped(self):
+        return self.counted - self.one_step
 
 
 def _search_trace(matrix, kind, build_every_child):
@@ -445,49 +468,63 @@ def _search_trace(matrix, kind, build_every_child):
     # the search does not keep it; iter_edges() reads every other order.
     shapes = [t.iter_edges() for t in rec.incumbents.values()]
     trace = rec.visited, rec.pruned, rec.generated, list(rec.incumbents), shapes
-    return trace, getattr(search, "skipped", 0)
+    return trace, search
 
 
 @pytest.mark.parametrize("kind", ["cubic", "mixed"])
 def test_skipping_priced_out_children_keeps_the_visit_order(kind):
-    skipped = 0
+    skipped = one_step = 0
     sizes = (6, 7) if kind == "cubic" else (6,)
     for n, seed in itertools.product(sizes, range(20)):
         matrix = evolved_matrix(n, 10, 4, seed=seed)
-        fast, skips = _search_trace(matrix, kind, False)
+        fast, search = _search_trace(matrix, kind, False)
         assert fast == _search_trace(matrix, kind, True)[0]
-        skipped += skips
-    # Without this the equality above could hold with the skip never taken.
+        skipped += search.skipped
+        one_step += search.one_step
+    # Without these the equality above could hold with the novel-state
+    # skip, or the one-step count of a swept tree, never taken.
     assert skipped > 0
+    assert one_step > 0
 
 
 class _SweepEveryTree(_Search):
     """The search with the novel-state bound off: every expanded tree is
-    swept and its children counted one at a time."""
+    swept and its children counted one at a time, including those of a
+    tree whose children are all priced out."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.novel = [0] * len(self.order)
 
+    def _expand(self, tree, k):
+        moves = self.moves(tree)
+        self.record.sweeps += 1
+        self._visit(tree, k, moves, self.scorer.growth_costs(tree, moves, self.order[k]))
+
 
 @pytest.mark.parametrize("every", [1, 5, 7])
 @pytest.mark.parametrize("kind", ["cubic", "mixed"])
 def test_progress_fires_at_every_multiple_when_sweeps_are_skipped(monkeypatch, every, kind):
-    # A skipped sweep counts all of a tree's children at once; the hook
-    # must still see each multiple of PROGRESS_EVERY exactly once, with
-    # the pruned and generated counts the per-child loop had there.
+    # A skipped sweep, or a sweep that prices every child out, counts all
+    # of a tree's children at once; the hook must still see each multiple
+    # of PROGRESS_EVERY exactly once, with the pruned and generated counts
+    # the per-child loop had there.
     monkeypatch.setattr("parsicompact.enumeration.PROGRESS_EVERY", every)
-    matrix = evolved_matrix(6, 10, 4, seed=1)
-    runs = []
-    for searcher in (_CountSkippedSweeps, _SweepEveryTree):
-        hits = []
-        search = searcher(matrix, list(matrix.names), kind, False,
-                          lambda r: hits.append((r.visited, r.pruned, r.generated)))
-        tree, k = search.start_tree()
-        search.run(tree, k)
-        runs.append((search, hits))
-    (fast, hits), (slow, want) = runs
-    assert fast.skipped > 0
-    visited = fast.record.visited
-    assert [v for v, _, _ in hits] == list(range(every, visited + 1, every))
-    assert hits == want and visited == slow.record.visited
+    skipped = one_step = 0
+    for seed in range(4):
+        matrix = evolved_matrix(6, 10, 4, seed=seed)
+        runs = []
+        for searcher in (_CountSkippedSweeps, _SweepEveryTree):
+            hits = []
+            search = searcher(matrix, list(matrix.names), kind, False,
+                              lambda r: hits.append((r.visited, r.pruned, r.generated)))
+            tree, k = search.start_tree()
+            search.run(tree, k)
+            runs.append((search, hits))
+        (fast, hits), (slow, want) = runs
+        visited = fast.record.visited
+        assert [v for v, _, _ in hits] == list(range(every, visited + 1, every))
+        assert hits == want and visited == slow.record.visited
+        skipped += fast.skipped
+        one_step += fast.one_step
+    assert skipped > 0 and one_step > 0
