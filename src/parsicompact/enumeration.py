@@ -179,9 +179,11 @@ class SearchRecord:
     """Outcome of one enumeration run.
 
     incumbents holds every minimum-cost tree found (canonical key ->
-    private tree copy), and most_compact narrows that to the minimum
-    node count.  Every cubic tree on n species has the same node count,
-    so a cubic search's most_compact equals its incumbents.
+    private tree copy); most_compact and min_nodes are read from it, at
+    any point of a run: the incumbents with the fewest nodes, and that
+    node count (None while there is no incumbent).  Every cubic tree on
+    n species has the same node count, so a cubic search's most_compact
+    equals its incumbents.
 
     visited counts trees reached (each depth-first run's start tree
     plus every child of an expanded tree, partial or complete,
@@ -205,7 +207,6 @@ class SearchRecord:
     pruned: int = 0
     generated: int = 0
     sweeps: int = 0
-    most_compact: dict[CanonicalKey, MixedTree] = field(default_factory=dict)
 
     def _offer(self, cost: int, tree: MixedTree):
         if self.incumbent_cost is None or cost < self.incumbent_cost:
@@ -228,19 +229,14 @@ class SearchRecord:
             for key, t in other.incumbents.items():
                 self.incumbents.setdefault(key, t)
 
-    def _finish(self):
-        if not self.incumbents:
-            return
-        fewest = min(t.num_nodes for t in self.incumbents.values())
-        self.most_compact = {
-            k: t for k, t in self.incumbents.items() if t.num_nodes == fewest
-        }
-
     @property
     def min_nodes(self) -> int | None:
-        if not self.most_compact:
-            return None
-        return min(t.num_nodes for t in self.most_compact.values())
+        return min((t.num_nodes for t in self.incumbents.values()), default=None)
+
+    @property
+    def most_compact(self) -> dict[CanonicalKey, MixedTree]:
+        fewest = self.min_nodes
+        return {k: t for k, t in self.incumbents.items() if t.num_nodes == fewest}
 
 
 def order_species(matrix: CharacterMatrix, mode: str = "input") -> list[str]:
@@ -481,7 +477,6 @@ def _enumerate(matrix, kind, order, no_prune, threads, on_progress):
         with multiprocessing.Pool(len(chunks)) as pool:
             for part in pool.map(_worker, args):
                 record._merge(part)
-    record._finish()
     return record
 
 

@@ -21,12 +21,17 @@ costs sum(children costs) + #children whose VU misses x, and forcing any
 state s costs exactly (max num - num(s)) above the node minimum.
 
 Which character groups of a set are non-empty is read in constant time
-by one carry through each group (:meth:`Scorer._fold`).  A node
-receiving two sets combines by their intersection and union.  Four or
-more sets go through a threshold count (:meth:`Scorer._count_many`):
-per t, the states that at least t of the sets hold.  Three sets use
-that count unrolled, a closed form over the pairwise and triple
-intersections (:meth:`Scorer._three`).
+by one carry through each group (:meth:`Scorer._fold`).  One rule
+combines the sets entering an unlabelled node, whatever their number: a
+threshold count (:meth:`Scorer._count_many`), per t the states that at
+least t of the sets hold.  It has specialised forms only where the
+searches run: two sets, by intersection and union, at a node with two
+children in the bottom-up pass and on every edge that
+:meth:`Scorer.growth_costs` prices; three sets, a closed form over the
+pairwise and triple intersections (:meth:`Scorer._three`).  Every other
+count, one set or four and more, goes through the threshold count, and
+so do two sets anywhere else (a growth move on an unlabelled node of
+degree 2).
 """
 
 from __future__ import annotations
@@ -155,12 +160,14 @@ class Scorer:
     @staticmethod
     def pick_root(tree: MixedTree) -> int:
         """Lowest-id unlabelled node, else lowest-id node."""
+        alive = tree.alive
         root = None
-        for u in tree.iter_nodes():
-            if tree.label[u] is None:
-                return u
-            if root is None:
-                root = u
+        for u, name in enumerate(tree.label):
+            if alive[u]:
+                if name is None:
+                    return u
+                if root is None:
+                    root = u
         if root is None:
             raise EmptyTreeError("cannot score an empty tree")
         return root
@@ -234,18 +241,12 @@ class Scorer:
                 if need_vl:
                     vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
                     local[u] = here
-            elif len(below) == 1:
-                if parent[u] < 0:
-                    # An unlabelled root with one neighbour is a leaf.
-                    raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
-                c0 = vu[below[0]]
-                vu[u] = c0
-                if need_vl:
-                    vl[u] = alpha & ~c0
-                    local[u] = 0
             else:
                 if len(below) == 3:
                     vu[u], u_vl, here = self._three(vu[below[0]], vu[below[1]], vu[below[2]])
+                elif len(below) == 1 and parent[u] < 0:
+                    # An unlabelled root with one neighbour is a leaf.
+                    raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
                 else:
                     vu[u], u_vl, here = self._count_many([vu[c] for c in below])
                 cost += here
@@ -283,14 +284,18 @@ class Scorer:
         return vu, vl, 2 * self.m - n3.bit_count() - n2.bit_count()
 
     def _count_many(self, sets):
-        """VU, VL and local cost of an unlabelled node receiving 4+ ``sets``.
+        """VU, VL and local cost of an unlabelled node receiving ``sets``.
 
-        ge[t] holds the states that at least t of the sets hold: each set
-        x raises ge[t] |= ge[t-1] & x, with t taken from high to low so
-        that x counts once.  Per character, the highest non-empty ge[t]
-        is VU (t is the max num K) and ge[t-1] minus it is VL.  The local
-        cost, the sum of d - K, is d*m minus, for each t, the characters
-        where ge[t] is non-empty.  :meth:`_three` is this count unrolled.
+        The one definition, for any number of sets: :meth:`_three` and
+        the two-child case of :meth:`_up` are it unrolled, and every
+        other count, one set or four and more, comes here.  ge[t] holds
+        the states that at least t of the sets hold: each set x raises
+        ge[t] |= ge[t-1] & x, with t taken from high to low so that x
+        counts once.  Per character, the highest non-empty ge[t] is VU (t
+        is the max num K) and ge[t-1] minus it is VL.  The local cost, the
+        sum of d - K, is d*m minus, for each t, the characters where ge[t]
+        is non-empty.  One set non-empty in every character passes
+        through: VU is the set, VL the other states and the cost 0.
         """
         ge = [self.alpha]
         for x in sets:
@@ -313,12 +318,8 @@ class Scorer:
         return vu, vl, len(sets) * self.m - total_k
 
     def _combine(self, sets):
-        """VU set and local cost of an unlabelled node receiving 2+ ``sets``."""
-        if len(sets) == 2:
-            a, b = sets
-            meet = a & b
-            ne = self._fold(meet)
-            return meet | ((a | b) & ~(ne * self.fill)), self.m - ne.bit_count()
+        """VU set and local cost of an unlabelled node receiving ``sets``:
+        three by :meth:`_three`, any other number by :meth:`_count_many`."""
         if len(sets) == 3:
             vu, _vl, local = self._three(*sets)
         else:
@@ -376,8 +377,10 @@ class Scorer:
 
         Both follow from one fact: an edge into a side with set D costs
         that side's minimum plus one per character whose state misses D.
-        Two sets combine inline, three by :meth:`_three`'s closed form, and
-        four or more by :meth:`_count_many`'s threshold count.
+        The two sets on an edge combine inline, and so do the pairs of a
+        node with three incoming sets in the down pass; a node with three
+        sets takes :meth:`_three`'s closed form, and any other count goes
+        through :meth:`_count_many`'s threshold count.
         """
         x = self.vmask.get(name)
         if x is None:
@@ -406,11 +409,7 @@ class Scorer:
                 sets = [up[c] for c in kids]
                 if parent[p] >= 0:
                     sets.append(down[p])
-                if len(sets) == 2:
-                    down[kids[0]] = sets[1]
-                    if len(kids) == 2:
-                        down[kids[1]] = sets[0]
-                elif len(sets) == 3:
+                if len(sets) == 3:
                     # Each child gets the 2-set combine of the other two sets.
                     s0, s1, s2 = sets
                     for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
@@ -418,6 +417,8 @@ class Scorer:
                         both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
                         down[c] = meet | ((a | b) & ~both)
                 else:
+                    # Each child gets the combine of the other sets: at a
+                    # node of degree 2, the one other set passes through.
                     for i, c in enumerate(kids):
                         down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
             for c in kids:

@@ -374,6 +374,46 @@ def test_bench_rejects_trials_below_one(capsys, fasta, trials):
     assert err == f"error: --trials must be >= 1, got {trials}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compact"], "this command needs --input FASTA"),
+    (["score", "--input", "{fasta}"], "score needs --tree"),
+    (["score", "--input", "{fasta}", "--tree", "no-such-tree"],
+     "--tree: no such file and not Newick text: no-such-tree"),
+    (["count", "--min-n", "0"], "bad n range 0..12"),
+    (["count", "--min-n", "5", "--max-n", "3"], "bad n range 5..3"),
+    (["bench", "--input", "{fasta}", "--min-n", "1"], "bad n range 1..8"),
+], ids=["no-input", "score-no-tree", "tree-neither", "count-min-0",
+        "count-reversed", "bench-min-1"])
+def test_argument_errors_fail_cleanly(capsys, fasta, argv, message):
+    code, out, err = run(capsys, *(a.format(fasta=fasta) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+class _OffByOneScorer(Scorer):
+    def score(self, tree, root=None):
+        result = super().score(tree, root)
+        result.mp_cost += 1
+        return result
+
+
+@pytest.mark.parametrize("command", ["compact", "search-mixed"])
+@pytest.mark.parametrize("fault", ["serialization drift for ", "emitted tree rescored to "],
+                         ids=["drift", "rescore"])
+def test_emission_recheck_refuses_a_wrong_tree(capsys, fasta, monkeypatch, command, fault):
+    # Each emitted tree is re-parsed and re-scored before it is printed;
+    # a tree that reads back as another tree, or at another cost, is an
+    # error, and nothing reaches stdout.
+    if fault.startswith("serialization"):
+        other = parse_newick("(S1,S2,S3);")
+        monkeypatch.setattr("parsicompact.cli.parse_newick", lambda text: other)
+    else:
+        monkeypatch.setattr("parsicompact.cli.Scorer", _OffByOneScorer)
+    code, out, err = run(capsys, command, "--input", fasta, "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {fault}") and err.count("\n") == 1, err
+
+
 def test_deep_caterpillar_scores_cleanly(capsys, tmp_path):
     # 2,000 nested groups: far past the interpreter's recursion limit.
     matrix = random_matrix(2000, 3, 2, seed=5)

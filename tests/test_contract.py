@@ -96,6 +96,14 @@ def test_label_label_edges_are_never_contractible():
     edge = next(iter(tree.iter_edges()))
     with pytest.raises(IllegalContractionError):
         contract_and_update(state, edge)
+    # Nor are two nodes that no edge joins, though their root sets meet.
+    tree = parse_newick("(a,(b,c));")
+    state = Scorer(matrix).score(tree)
+    a = tree.species_node("a")
+    hub = tree.adj[tree.species_node("b")][0]
+    assert tree.label[hub] is None and hub not in tree.adj[a]
+    with pytest.raises(TreeStructureError, match="no edge"):
+        contract_and_update(state, (a, hub))
 
 
 @settings(max_examples=20, deadline=None)

@@ -29,6 +29,7 @@ from conftest import (
     live_labels,
     random_mixed_tree,
     sized_matrix,
+    subdivide_with_unlabelled,
     validate,
 )
 
@@ -205,48 +206,68 @@ def test_counters_are_consistent():
     assert record.visited >= record.generated
     assert record.pruned <= record.visited
     assert record.min_nodes == min(t.num_nodes for t in record.most_compact.values())
+    # Both are read from the incumbents, so a search run on its own has them too.
+    search = _Search(matrix, list(matrix.names), "mixed", False, None)
+    search.run(*search.start_tree())
+    assert set(search.record.most_compact) == set(record.most_compact)
+    assert search.record.min_nodes == record.min_nodes
+
+
+def _with_degree_two_nodes(tree, rng):
+    """The tree, and a copy with unlabelled degree-2 nodes if it has an edge.
+
+    No search builds such a node, but the scorer must price moves around
+    one, and on one, through its general threshold count.
+    """
+    if tree.num_nodes < 2:
+        return [tree]
+    return [tree, subdivide_with_unlabelled(tree.copy(), rng, rng.randint(1, 3))]
 
 
 def test_sweep_costs_every_growth_move_exactly():
     # Trees grown by random moves carry polytomies, labelled internal
-    # nodes and degree-2 labelled nodes; every move of both searches must
-    # cost what a full rescore (and, when small, the oracle) says.
+    # nodes and degree-2 labelled nodes, and their subdivided copies
+    # degree-2 unlabelled nodes; every move of both searches must cost
+    # what a full rescore (and, when small, the oracle) says.
     rng = random.Random(2024)
-    shapes = {"polytomy": 0, "labelled internal": 0, "labelled degree 2": 0}
+    shapes = {"polytomy": 0, "labelled internal": 0, "labelled degree 2": 0,
+              "unlabelled degree 2": 0}
     checked = 0
     for _ in range(150):
         n = rng.randint(2, 8)
         matrix = random_matrix(n, rng.randint(1, 6), rng.randint(2, 4),
                                seed=rng.randrange(1 << 30))
         *placed, name = matrix.names
-        tree = random_mixed_tree(placed, rng)
-        for u in tree.iter_nodes():
-            d = tree.degree(u)
-            if tree.label[u] is None and d > 3:
-                shapes["polytomy"] += 1
-            if tree.label[u] is not None and d >= 2:
-                shapes["labelled internal"] += 1
-                shapes["labelled degree 2"] += d == 2
         scorer = Scorer(matrix)
-        for kind in ("cubic", "mixed"):
-            moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
-            costs = scorer.growth_costs(tree, moves, name)
-            assert len(costs) == len(moves)
-            for move, got in zip(moves, costs):
-                token = _Search.apply(tree, move, name)
-                assert got == scorer.cost(tree), (kind, move)
-                if tree.n_unlabelled <= 4:
-                    assert got == brute_force_best_fit(tree, matrix).mp_cost
-                tree.undo_growth(token)
-                checked += 1
+        for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):
+            for u in tree.iter_nodes():
+                d = tree.degree(u)
+                if tree.label[u] is None:
+                    shapes["polytomy"] += d > 3
+                    shapes["unlabelled degree 2"] += d == 2
+                elif d >= 2:
+                    shapes["labelled internal"] += 1
+                    shapes["labelled degree 2"] += d == 2
+            for kind in ("cubic", "mixed"):
+                moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
+                costs = scorer.growth_costs(tree, moves, name)
+                assert len(costs) == len(moves)
+                for move, got in zip(moves, costs):
+                    token = _Search.apply(tree, move, name)
+                    assert got == scorer.cost(tree), (kind, move)
+                    if tree.n_unlabelled <= 4:
+                        assert got == brute_force_best_fit(tree, matrix).mp_cost
+                    tree.undo_growth(token)
+                    checked += 1
     assert all(shapes.values()), shapes
-    assert checked > 2000
+    assert checked > 4000
 
 
 def test_sweep_costs_every_growth_move_on_eight_symbol_data():
     # Five to eight states in a column give 8-bit character groups, which
     # no other test's data and no benchmark matrix reach.  Every move of
-    # both searches must cost what building the child and rescoring says.
+    # both searches, on each tree and on a copy with unlabelled degree-2
+    # nodes, must cost what building the child and rescoring says.
     rng = random.Random(88)
     checked = 0
     for _ in range(40):
@@ -255,18 +276,18 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
         matrix = sized_matrix(sizes, rng)
         assert matrix.group_width == 8
         *placed, name = matrix.names
-        tree = random_mixed_tree(placed, rng)
         scorer = Scorer(matrix)
-        for kind in ("cubic", "mixed"):
-            moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
-            costs = scorer.growth_costs(tree, moves, name)
-            assert len(costs) == len(moves)
-            for move, got in zip(moves, costs):
-                token = _Search.apply(tree, move, name)
-                assert got == scorer.cost(tree), (kind, move)
-                tree.undo_growth(token)
-                checked += 1
-    assert checked > 500
+        for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):
+            for kind in ("cubic", "mixed"):
+                moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
+                costs = scorer.growth_costs(tree, moves, name)
+                assert len(costs) == len(moves)
+                for move, got in zip(moves, costs):
+                    token = _Search.apply(tree, move, name)
+                    assert got == scorer.cost(tree), (kind, move)
+                    tree.undo_growth(token)
+                    checked += 1
+    assert checked > 1000
 
 
 def _novel_count(matrix, placed, name):

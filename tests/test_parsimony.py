@@ -287,13 +287,14 @@ def test_fold_flags_exactly_the_non_empty_groups(widest, data):
 def test_three_set_closed_form_matches_num_definition(data):
     # README "Scoring": for d sets, with num(s) the number of sets holding
     # s and K = max num, VU = {num = K}, VL = {num = K - 1} and the cost is
-    # d - K, per character.  The threshold count takes any d; the closed
-    # form is that count unrolled for d = 3 and covers non-empty sets only.
+    # d - K, per character.  The threshold count takes any d, one and two
+    # included; the closed form is that count unrolled for d = 3 and
+    # covers non-empty sets only.
     widest = data.draw(st.sampled_from(sorted(GROUP_WIDTH)))
     m = data.draw(st.integers(1, 10))
     sizes = [widest] + data.draw(st.lists(st.integers(1, widest), min_size=m - 1, max_size=m - 1))
     sizes = data.draw(st.permutations(sizes))
-    d = data.draw(st.integers(3, 8))
+    d = data.draw(st.integers(1, 8))
     matrix = sized_matrix(sizes, random.Random(0))
     g = matrix.group_width
     assert g == GROUP_WIDTH[widest]
