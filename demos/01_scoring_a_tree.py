@@ -33,7 +33,7 @@ print("cost with A2 ancestral:", scorer.score(live).mp_cost)
 # every state that appears in at least one optimal fit over the whole
 # tree.  VV can be strictly larger than VU, which is what makes naive
 # local reasoning about contractions dangerous.
-symbols = matrix.alphabets[0].symbols
+symbols = matrix.alphabets[0]
 for node in sorted(tree.iter_nodes()):
     vv = unpack_sets(matrix, result.vv[node])[0]
     name = tree.label[node] or f"node{node}"

@@ -9,8 +9,6 @@ over every order.
 
 from .charmatrix import (
     CharacterMatrix,
-    Species,
-    StateAlphabet,
     evolved_matrix,
     parse_fasta,
     random_matrix,
@@ -91,9 +89,7 @@ __all__ = [
     "ScoreResult",
     "Scorer",
     "SearchRecord",
-    "Species",
     "SpeciesNameError",
-    "StateAlphabet",
     "TreeStructureError",
     "UnlabelledLeafError",
     "brute_force_best_fit",

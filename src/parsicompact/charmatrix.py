@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetTooLargeError,
@@ -32,44 +31,15 @@ WORD_WIDTH = 64
 DEFAULT_REJECT = frozenset("-.?*nNxX")
 
 
-@dataclass(frozen=True)
-class StateAlphabet:
-    """Ordered set of state symbols for one character column."""
-
-    character_index: int
-    symbols: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be unique")
-        if len(self.symbols) > WORD_WIDTH:
-            raise AlphabetTooLargeError(
-                f"character {self.character_index}: {len(self.symbols)} states "
-                f"exceed the {WORD_WIDTH}-bit flag word"
-            )
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class Species:
-    """One species: a name and its m-tuple of state indices."""
-
-    name: str
-    value: tuple[int, ...]
-
-
 class CharacterMatrix:
     """Immutable n-species x m-characters state matrix.
 
     Construct via :func:`parse_fasta`, :meth:`from_rows`, or the synthetic
-    generators.  Packed attributes (used by the parsimony engine):
+    generators; :meth:`from_rows` is the one way in for outside data, and
+    the one place it is checked.  ``names`` lists the species in input
+    order, ``alphabets[c]`` is the sorted tuple of column c's symbols, and
+    ``values`` maps each species name to its m-tuple of state indices into
+    them.  Packed attributes (used by the parsimony engine):
 
     * ``group_width`` -- bits reserved per character (max alphabet size)
     * ``group_low`` -- int with bit 0 of every character group set
@@ -77,37 +47,23 @@ class CharacterMatrix:
     * ``value_mask`` -- species name -> packed singleton-per-character mask
     """
 
-    def __init__(self, species: list[Species], alphabets: list[StateAlphabet]):
-        if not species:
-            raise EmptyInputError("matrix needs at least one species")
-        if not alphabets:
-            raise EmptyInputError("matrix needs at least one character")
-        names = [sp.name for sp in species]
-        if len(set(names)) != len(names):
-            dup = next(nm for nm in names if names.count(nm) > 1)
-            raise DuplicateSpeciesError(f"duplicate species name {dup!r}")
-        m = len(alphabets)
-        for sp in species:
-            if len(sp.value) != m:
-                raise LengthMismatchError(
-                    f"species {sp.name!r} has {len(sp.value)} characters, expected {m}"
-                )
-            for c, state in enumerate(sp.value):
-                if not 0 <= state < alphabets[c].size:
-                    raise ValueError(
-                        f"species {sp.name!r} state {state} outside alphabet {c}"
-                    )
-        self.species = tuple(species)
-        self.alphabets = tuple(alphabets)
-        self.n = len(species)
-        self.m = m
-        self._build_packed()
-
-    def _build_packed(self):
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        alphabets: tuple[tuple[str, ...], ...],
+        values: dict[str, tuple[int, ...]],
+    ):
+        """Take parts that :meth:`from_rows` has checked, and pack them;
+        :meth:`from_rows` is the way in."""
+        self.names = names
+        self.alphabets = alphabets
+        self.values = values
+        self.n = len(names)
+        self.m = len(alphabets)
         # Each group is the widest alphabet rounded up to a power of two.
         # The scoring engine's fold needs only room for every state: its
         # carry stays inside a group of any width.
-        widest = max(a.size for a in self.alphabets)
+        widest = max(len(a) for a in alphabets)
         g = 1 << (widest - 1).bit_length() if widest > 1 else 1
         self.group_width = g
         low = 0
@@ -115,29 +71,23 @@ class CharacterMatrix:
             low |= 1 << (c * g)
         self.group_low = low
         self.alpha_all = 0
-        for c, a in enumerate(self.alphabets):
-            self.alpha_all |= ((1 << a.size) - 1) << (c * g)
+        for c, a in enumerate(alphabets):
+            self.alpha_all |= ((1 << len(a)) - 1) << (c * g)
         self.value_mask = {}
-        for sp in self.species:
+        for name, value in values.items():
             packed = 0
-            for c, state in enumerate(sp.value):
+            for c, state in enumerate(value):
                 packed |= 1 << (c * g + state)
-            self.value_mask[sp.name] = packed
-        self.values = {sp.name: sp.value for sp in self.species}
+            self.value_mask[name] = packed
 
     # -- views -----------------------------------------------------------
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sp.name for sp in self.species)
-
-    def symbol_row(self, i: int) -> str:
-        """Reconstruct species i's character states as a symbol string."""
-        sp = self.species[i]
-        return "".join(self.alphabets[c].symbols[s] for c, s in enumerate(sp.value))
-
     def rows(self) -> list[tuple[str, str]]:
-        return [(sp.name, self.symbol_row(i)) for i, sp in enumerate(self.species)]
+        alphabets = self.alphabets
+        return [
+            (name, "".join(alphabets[c][s] for c, s in enumerate(self.values[name])))
+            for name in self.names
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, CharacterMatrix):
@@ -159,7 +109,11 @@ class CharacterMatrix:
         Alphabets are inferred per column from the observed symbols, in
         sorted order.  Gap/unknown symbols raise unless ``allow_ambiguity``
         turns each of them into an ordinary extra state.  A name must be
-        non-empty and hold no whitespace, which a FASTA header cannot carry.
+        non-empty, hold no whitespace, which a FASTA header cannot carry,
+        and name one record only.  Of several faults, the first of these
+        raises: no records, an empty sequence, per record an empty name,
+        whitespace or a wrong length, an ambiguity symbol, a column with
+        more than 64 states, a duplicate name.
         """
         if isinstance(rows, Mapping):
             rows = rows.items()
@@ -189,12 +143,21 @@ class CharacterMatrix:
         alphabets = []
         for c in range(m):
             symbols = tuple(sorted({seq[c] for _, seq in rows}))
-            alphabets.append(StateAlphabet(c, symbols))
-        species = [
-            Species(name, tuple(alphabets[c].index[seq[c]] for c in range(m)))
-            for name, seq in rows
-        ]
-        return cls(species, alphabets)
+            if len(symbols) > WORD_WIDTH:
+                raise AlphabetTooLargeError(
+                    f"character {c}: {len(symbols)} states "
+                    f"exceed the {WORD_WIDTH}-bit flag word"
+                )
+            alphabets.append(symbols)
+        names = tuple(name for name, _ in rows)
+        if len(set(names)) != len(names):
+            dup = next(nm for nm in names if names.count(nm) > 1)
+            raise DuplicateSpeciesError(f"duplicate species name {dup!r}")
+        index = [{s: i for i, s in enumerate(a)} for a in alphabets]
+        values = {
+            name: tuple(index[c][seq[c]] for c in range(m)) for name, seq in rows
+        }
+        return cls(names, tuple(alphabets), values)
 
 
 def parse_fasta(source, allow_ambiguity: bool = False) -> CharacterMatrix:

@@ -86,7 +86,8 @@ PROGRESS_EVERY = 10_000
 
 def zero_min_cost_edges(state: ScoreResult) -> list[tuple[int, int]]:
     """Edges whose endpoint root sets intersect in every character, each
-    as (smaller id, larger id), in order of the lower node's id.
+    as (smaller id, larger id), in order of the id of the edge's child
+    end, the end whose ``state.parent`` is the other.
 
     Label-label edges are excluded: contracting one would discard a
     species, so they are never candidates.
@@ -313,7 +314,6 @@ class CompactSearcher:
 
     def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False,
                  on_progress=None):
-        self.matrix = matrix
         self.oracle_check = oracle_check
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)

@@ -78,7 +78,6 @@ number of distinct canonical keys both equal the recurrence.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 from .charmatrix import CharacterMatrix
@@ -275,7 +274,6 @@ class _Search:
     """Shared DFS machinery for the cubic and mixed enumerations."""
 
     def __init__(self, matrix, order, kind, no_prune, on_progress):
-        self.matrix = matrix
         self.order = order
         self.kind = kind
         self.no_prune = no_prune
@@ -468,6 +466,8 @@ def _enumerate(matrix, kind, order, no_prune, threads, on_progress):
         search.run(t, k)
         record = search.record
     else:
+        import multiprocessing
+
         seed = _Search(matrix, names, kind, no_prune, None)
         jobs = seed.frontier(4 * threads)
         record = SearchRecord()

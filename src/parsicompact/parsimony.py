@@ -56,7 +56,7 @@ def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], .
     out = []
     for c in range(matrix.m):
         grp = (packed >> (c * g)) & fill
-        out.append(frozenset(s for s in range(matrix.alphabets[c].size) if (grp >> s) & 1))
+        out.append(frozenset(s for s in range(len(matrix.alphabets[c])) if (grp >> s) & 1))
     return tuple(out)
 
 
@@ -160,10 +160,10 @@ class Scorer:
     @staticmethod
     def pick_root(tree: MixedTree) -> int:
         """Lowest-id unlabelled node, else lowest-id node."""
-        alive = tree.alive
+        adj = tree.adj
         root = None
         for u, name in enumerate(tree.label):
-            if alive[u]:
+            if adj[u] is not None:
                 if name is None:
                     return u
                 if root is None:
@@ -517,7 +517,7 @@ def brute_force_best_fit(
             if name not in matrix.values:
                 raise MissingSpeciesError(f"species {name!r} not in the matrix")
             fixed[u] = matrix.values[name]
-    work = sum(a.size ** len(unlabelled) for a in matrix.alphabets)
+    work = sum(len(a) ** len(unlabelled) for a in matrix.alphabets)
     if work > cap:
         raise OracleTooLargeError(
             f"{work} candidate assignments exceed the oracle cap {cap}"
@@ -530,7 +530,7 @@ def brute_force_best_fit(
         best = None
         opts: list[tuple[int, ...]] = []
         fixed_c = {u: v[c] for u, v in fixed.items()}
-        for assign in product(range(alpha.size), repeat=len(unlabelled)):
+        for assign in product(range(len(alpha)), repeat=len(unlabelled)):
             cost = 0
             for a, b in edges:
                 sa = fixed_c[a] if a in fixed_c else assign[index[a]]

@@ -39,18 +39,20 @@ class CanonicalKey:
 
 
 class MixedTree:
-    """Unrooted tree with optional species labels on any node."""
+    """Unrooted tree with optional species labels on any node.
 
-    __slots__ = ("adj", "label", "alive", "_free", "_where", "n_labelled", "n_unlabelled")
+    ``adj[u]`` lists node u's neighbours, or is None when slot u is free,
+    that is, holds no node; ``label[u]`` is u's species or None.  Freed
+    slots are reused last-freed first.
+    """
+
+    __slots__ = ("adj", "label", "_free", "_where")
 
     def __init__(self):
-        self.adj: list[list[int]] = []
+        self.adj: list[list[int] | None] = []
         self.label: list[str | None] = []
-        self.alive: list[bool] = []
         self._free: list[int] = []
         self._where: dict[str, int] = {}
-        self.n_labelled = 0
-        self.n_unlabelled = 0
 
     @classmethod
     def single(cls, name: str) -> "MixedTree":
@@ -65,32 +67,27 @@ class MixedTree:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
         if self._free:
             u = self._free.pop()
-            self.alive[u] = True
-            self.adj[u].clear()
+            self.adj[u] = []
             self.label[u] = name
         else:
             u = len(self.adj)
             self.adj.append([])
             self.label.append(name)
-            self.alive.append(True)
-        if name is None:
-            self.n_unlabelled += 1
-        else:
+        if name is not None:
             self._where[name] = u
-            self.n_labelled += 1
         return u
 
     def _free_node(self, u: int):
-        if self.adj[u]:
+        at = self.adj[u]
+        if at is None:
+            raise TreeStructureError(f"no node {u}")
+        if at:
             raise TreeStructureError(f"cannot free node {u} with live edges")
         name = self.label[u]
-        if name is None:
-            self.n_unlabelled -= 1
-        else:
+        if name is not None:
             del self._where[name]
-            self.n_labelled -= 1
             self.label[u] = None
-        self.alive[u] = False
+        self.adj[u] = None
         self._free.append(u)
 
     def add_edge(self, u: int, v: int):
@@ -102,7 +99,8 @@ class MixedTree:
         self.adj[v].remove(u)
 
     def _require_edge(self, u: int, v: int):
-        if not (self.alive[u] and self.alive[v] and v in self.adj[u]):
+        at = self.adj[u]
+        if at is None or self.adj[v] is None or v not in at:
             raise TreeStructureError(f"no edge ({u}, {v})")
 
     def _set_label(self, u: int, name: str):
@@ -112,15 +110,11 @@ class MixedTree:
             raise AlreadyLabelledError(f"node {u} already labelled {self.label[u]!r}")
         self.label[u] = name
         self._where[name] = u
-        self.n_labelled += 1
-        self.n_unlabelled -= 1
 
     def _clear_label(self, u: int):
         name = self.label[u]
         self.label[u] = None
         del self._where[name]
-        self.n_labelled -= 1
-        self.n_unlabelled += 1
 
     # -- views ---------------------------------------------------------------
 
@@ -128,14 +122,13 @@ class MixedTree:
         return len(self.adj[u])
 
     def iter_nodes(self):
-        for u in range(len(self.adj)):
-            if self.alive[u]:
+        for u, at in enumerate(self.adj):
+            if at is not None:
                 yield u
 
     def iter_edges(self):
         """Every edge once, as (u, v) with u < v, in a new list."""
-        alive = self.alive
-        return [(u, v) for u, at in enumerate(self.adj) if alive[u] for v in at if u < v]
+        return [(u, v) for u, at in enumerate(self.adj) if at is not None for v in at if u < v]
 
     def species_node(self, name: str) -> int:
         try:
@@ -145,7 +138,15 @@ class MixedTree:
 
     @property
     def num_nodes(self) -> int:
-        return self.n_labelled + self.n_unlabelled
+        return len(self.adj) - len(self._free)
+
+    @property
+    def n_labelled(self) -> int:
+        return len(self._where)
+
+    @property
+    def n_unlabelled(self) -> int:
+        return len(self.adj) - len(self._free) - len(self._where)
 
     def __repr__(self):
         return (
@@ -161,24 +162,18 @@ class MixedTree:
         holds them."""
         t = cls()
         for ks, p in zip(kids, parent):
-            t.adj.append([] if ks is None else [p, *ks] if p >= 0 else list(ks))
+            t.adj.append(None if ks is None else [p, *ks] if p >= 0 else list(ks))
         t.label = list(label)
-        t.alive = [ks is not None for ks in kids]
-        t._free = [x for x, live in enumerate(t.alive) if not live]
+        t._free = [x for x, ks in enumerate(kids) if ks is None]
         t._where = {name: x for x, name in enumerate(t.label) if name is not None}
-        t.n_labelled = len(t._where)
-        t.n_unlabelled = len(t.alive) - len(t._free) - t.n_labelled
         return t
 
     def copy(self) -> "MixedTree":
         t = MixedTree.__new__(MixedTree)
-        t.adj = [list(nbrs) for nbrs in self.adj]
+        t.adj = [None if at is None else at.copy() for at in self.adj]
         t.label = list(self.label)
-        t.alive = list(self.alive)
         t._free = list(self._free)
         t._where = dict(self._where)
-        t.n_labelled = self.n_labelled
-        t.n_unlabelled = self.n_unlabelled
         return t
 
     # -- growth rules (with O(1) undo) ----------------------------------------
@@ -212,7 +207,7 @@ class MixedTree:
 
     def grow_rule_3(self, node: int, name: str):
         """Attach a new leaf labelled ``name`` to ``node`` (any degree)."""
-        if not self.alive[node]:
+        if self.adj[node] is None:
             raise TreeStructureError(f"no node {node}")
         leaf = self.add_node(name)
         self.add_edge(node, leaf)
@@ -220,7 +215,7 @@ class MixedTree:
 
     def grow_rule_4(self, node: int, name: str):
         """Put label ``name`` on an existing unlabelled node."""
-        if not self.alive[node]:
+        if self.adj[node] is None:
             raise TreeStructureError(f"no node {node}")
         self._set_label(node, name)
         return ("r4", node, name)
@@ -257,7 +252,7 @@ class MixedTree:
         This is the net effect on the tree of grow_rule_1 or grow_rule_2
         on edge (u, v) followed by :meth:`undo_growth`: the undo re-appends
         the subdivided edge, which decides the order of later move lists.
-        Everything else (labels, counters, the node ids the next
+        Everything else (labels, the node ids the next
         :meth:`add_node` calls return) ends up as it was, and rules 3 and 4
         undo without a trace, so a search may skip building a child and
         call this instead.  The search also calls it alone for a child
@@ -278,11 +273,10 @@ class MixedTree:
 
     def _centers(self) -> list[int]:
         adj = self.adj
-        alive = self.alive
-        nodes = [u for u in range(len(adj)) if alive[u]]
+        nodes = [u for u, at in enumerate(adj) if at is not None]
         if len(nodes) <= 2:
             return nodes
-        deg = [len(nbrs) for nbrs in adj]
+        deg = [0 if at is None else len(at) for at in adj]
         layer = [u for u in nodes if deg[u] == 1]
         remaining = len(nodes)
         while remaining > 2:

@@ -94,8 +94,8 @@ def subdivide_with_unlabelled(tree: MixedTree, rng: random.Random, count: int):
 
 # -- independent oracles over the tree arena ---------------------------------
 #
-# Each is written from the arena's primitives (adj, label, alive and the
-# node and edge edits), so it checks the program without sharing its code.
+# Each is written from the arena's primitives (adj, label and the node and
+# edge edits), so it checks the program without sharing its code.
 
 
 def num_edges(tree: MixedTree) -> int:
@@ -105,7 +105,8 @@ def num_edges(tree: MixedTree) -> int:
 
 def validate(tree: MixedTree):
     """Raise TreeStructureError unless the tree is a connected tree with
-    no unlabelled leaf, distinct labels and a true label counter."""
+    no unlabelled leaf and distinct labels, each of which the tree's
+    species index maps to its node."""
     nodes = list(tree.iter_nodes())
     if not nodes:
         raise TreeStructureError("empty tree")
@@ -129,8 +130,8 @@ def validate(tree: MixedTree):
     labels = [tree.label[u] for u in nodes if tree.label[u] is not None]
     if len(labels) != len(set(labels)):
         raise TreeStructureError("duplicate species labels")
-    if len(labels) != tree.n_labelled:
-        raise TreeStructureError("label counter out of sync")
+    if tree._where != {tree.label[u]: u for u in nodes if tree.label[u] is not None}:
+        raise TreeStructureError("species index out of sync")
 
 
 def contract_edge(tree: MixedTree, u: int, v: int) -> int:
@@ -164,7 +165,7 @@ def suppress_degree2_unlabelled(tree: MixedTree) -> MixedTree:
     while again:
         again = False
         for u in list(tree.iter_nodes()):
-            if tree.label[u] is not None or not tree.alive[u]:
+            if tree.label[u] is not None or tree.adj[u] is None:
                 continue
             d = len(tree.adj[u])
             if d == 2:

@@ -31,8 +31,7 @@ ROWS = [("a", "AC"), ("b", "AG"), ("c", "TC")]
 def test_from_rows_alphabets_sorted_per_column():
     m = CharacterMatrix.from_rows(ROWS)
     assert m.n == 3 and m.m == 2
-    assert m.alphabets[0].symbols == ("A", "T")
-    assert m.alphabets[1].symbols == ("C", "G")
+    assert m.alphabets == (("A", "T"), ("C", "G"))
     assert m.values["a"] == (0, 0)
     assert m.values["c"] == (1, 0)
 
@@ -52,13 +51,27 @@ def test_from_rows_rejects_bad_input():
     for name in ("a b", " ", "a\tb"):
         with pytest.raises(SpeciesNameError):
             CharacterMatrix.from_rows([(name, "A"), ("c", "C")])
+    # With a duplicate name and another fault, the other fault is reported.
+    pool = [c for c in map(chr, range(33, 200)) if c not in set("-.?*nNxX")]
+    wide = [(f"sp{i}", s) for i, s in enumerate(pool[:65])] + [("sp0", "A")]
+    with pytest.raises(
+        AlphabetTooLargeError, match="^character 0: 65 states exceed the 64-bit flag word$"
+    ):
+        CharacterMatrix.from_rows(wide)
+    with pytest.raises(
+        AmbiguousSymbolError,
+        match=r"^record 'a' contains gap/ambiguity symbol\(s\) \['-'\]; pass allow_ambiguity",
+    ):
+        CharacterMatrix.from_rows([("a", "A-"), ("a", "AC")])
+    with pytest.raises(LengthMismatchError, match="^record 'a' has length 1, expected 2$"):
+        CharacterMatrix.from_rows([("a", "AC"), ("a", "A")])
 
 
 def test_ambiguity_symbols_rejected_by_default():
     with pytest.raises(AmbiguousSymbolError):
         CharacterMatrix.from_rows([("a", "A-"), ("b", "AC")])
     m = CharacterMatrix.from_rows([("a", "A-"), ("b", "AC")], allow_ambiguity=True)
-    assert m.alphabets[1].symbols == ("-", "C")
+    assert m.alphabets[1] == ("-", "C")
 
 
 def test_alphabet_cap():
@@ -66,7 +79,7 @@ def test_alphabet_cap():
     rows = [(f"sp{i}", s) for i, s in enumerate(pool[:65])]
     with pytest.raises(AlphabetTooLargeError):
         CharacterMatrix.from_rows(rows)
-    assert CharacterMatrix.from_rows(rows[:64]).alphabets[0].size == 64
+    assert len(CharacterMatrix.from_rows(rows[:64]).alphabets[0]) == 64
 
 
 def test_parse_fasta_multiline_and_blank_lines():
@@ -113,14 +126,14 @@ def test_packed_layout_invariants(n, m, states, seed):
     matrix = random_matrix(n, m, states, seed)
     g = matrix.group_width
     assert g & (g - 1) == 0
-    assert g >= max(a.size for a in matrix.alphabets)
+    assert g >= max(len(a) for a in matrix.alphabets)
     for name in matrix.names:
         packed = matrix.value_mask[name]
         for c, state in enumerate(matrix.values[name]):
             group = (packed >> (c * g)) & ((1 << g) - 1)
             assert group == 1 << state
     assert matrix.alpha_all == sum(
-        ((1 << a.size) - 1) << (c * g) for c, a in enumerate(matrix.alphabets)
+        ((1 << len(a)) - 1) << (c * g) for c, a in enumerate(matrix.alphabets)
     )
 
 
@@ -156,7 +169,7 @@ def test_generators_deterministic_and_shaped():
         assert a == b
         assert a != c
         assert a.n == 6 and a.m == 10
-        assert all(alpha.size <= 4 for alpha in a.alphabets)
+        assert all(len(alpha) <= 4 for alpha in a.alphabets)
         assert a.names == tuple(f"S{i}" for i in range(1, 7))
 
 
@@ -165,9 +178,9 @@ def test_evolved_matrix_is_clumpier_than_uniform():
     rng = random.Random(0)
     seeds = [rng.randrange(1 << 30) for _ in range(20)]
     ev = sum(
-        a.size for s in seeds for a in evolved_matrix(8, 12, 4, seed=s).alphabets
+        len(a) for s in seeds for a in evolved_matrix(8, 12, 4, seed=s).alphabets
     )
     un = sum(
-        a.size for s in seeds for a in random_matrix(8, 12, 4, seed=s).alphabets
+        len(a) for s in seeds for a in random_matrix(8, 12, 4, seed=s).alphabets
     )
     assert ev < un

@@ -289,7 +289,7 @@ def test_search_is_serial_by_default(capsys, fasta, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the default run started a process pool")
 
-    monkeypatch.setattr("parsicompact.enumeration.multiprocessing.Pool", no_pool)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     for command in ("compact", "search-cubic", "search-mixed"):
         code, out, err = run(capsys, command, "--input", fasta)
         assert code == 0 and out and err == ""

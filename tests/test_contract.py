@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parsicompact import (
@@ -56,7 +56,13 @@ def test_zero_edges_match_direct_min_cost(seed):
         su, sv = unpack_sets(matrix, vv[u]), unpack_sets(matrix, vv[v])
         if all(a & b for a, b in zip(su, sv)):
             want.add((min(u, v), max(u, v)))
-    assert {tuple(sorted(e)) for e in zero_min_cost_edges(state)} == want
+    zero = zero_min_cost_edges(state)
+    assert {tuple(sorted(e)) for e in zero} == want
+    # Listed by the id of each edge's child end, with the state hung from
+    # its root; each node is the child end of one edge at most.
+    ends = [u if state.parent[u] == v else v for u, v in zero]
+    assert all(state.parent[x] >= 0 for x in ends)
+    assert ends == sorted(set(ends))
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,7 +168,7 @@ def check_arrays_match(child, tree):
     """The child's arrays describe ``tree``, contracted independently."""
     assert edge_set(child) == set(tree.iter_edges())
     assert child.label == tree.label
-    assert [ks is not None for ks in child.kids] == tree.alive
+    assert [ks is None for ks in child.kids] == [at is None for at in tree.adj]
     for x, ks in enumerate(child.kids):
         for c in ks or ():
             assert child.parent[c] == x, (x, c)
@@ -296,6 +302,25 @@ def test_pipeline_matches_exhaustive_most_compact(seed):
     assert pipe.mp_cost == mixed.incumbent_cost
     assert set(pipe.trees) == set(mixed.most_compact)
     assert pipe.best_node_count == mixed.min_nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    m=st.integers(2, 8),
+    states=st.integers(2, 4),
+    rate=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 10**6),
+)
+@example(n=6, m=6, states=2, rate=0.0, seed=0)
+def test_contraction_visits_exactly_the_mp_mixed_trees(n, m, states, rate, seed):
+    # Every MP mixed tree is a cost-keeping contraction of a cubic MP
+    # tree, and every state is an MP mixed tree with a key of its own: the
+    # memo holds exactly the MP mixed trees.  Rate 0 gives identical data.
+    matrix = evolved_matrix(n, m, states, seed=seed, mutation_rate=rate)
+    mixed, pipe = run_both(matrix)
+    assert pipe.explored_states == len(mixed.incumbents)
+    assert set(pipe.trees) == set(mixed.most_compact)
 
 
 def test_pipeline_matches_every_contraction_order():
@@ -447,6 +472,7 @@ def test_from_arrays_rebuilds_the_scored_tree(seed):
         built = tree_of(Scorer(matrix).score(t))
         validate(built)
         assert built.canonical_key() == t.canonical_key()
-        assert (built.label, built.alive) == (t.label, t.alive)
+        assert built.label == t.label
+        assert [at is None for at in built.adj] == [at is None for at in t.adj]
         assert (built.n_labelled, built.n_unlabelled) == (t.n_labelled, t.n_unlabelled)
         assert set(built.iter_edges()) == set(t.iter_edges())

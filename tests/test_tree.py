@@ -136,8 +136,8 @@ def test_contract_edge_merges_v_into_u():
     assert contract_edge(t, u, v) == u
     validate(t)
     assert len(t.adj) == size
-    assert not t.alive[v]
-    assert all(t.alive[w] for w in kept)
+    assert t.adj[v] is None
+    assert all(t.adj[w] is not None for w in kept)
     assert sorted(t.label[w] for w in moved) == ["a", "b"]
     assert all(w in t.adj[u] for w in moved)
     assert t.label[u] == "x" and t.species_node("x") == u
@@ -247,3 +247,15 @@ def test_species_node_missing():
     t = MixedTree.single("a")
     with pytest.raises(TreeStructureError):
         t.species_node("nope")
+
+
+def test_free_slots_are_refused():
+    t = MixedTree.single("a")
+    b = t.add_node("b")
+    t._free_node(b)
+    assert t.adj[b] is None and t.num_nodes == 1
+    with pytest.raises(TreeStructureError, match=f"no node {b}"):
+        t._free_node(b)
+    with pytest.raises(TreeStructureError, match=f"no node {b}"):
+        t.grow_rule_3(b, "c")
+    assert t.num_nodes == 1 and t.add_node() == b and t.num_nodes == 2
