@@ -32,7 +32,7 @@ print("mixed optimum:", mixed.incumbent_cost,
       "over", len(mixed.incumbents), "trees,",
       mixed.visited, "states visited")
 print("most compact, with", mixed.min_nodes, "nodes:")
-for key in sorted(mixed.most_compact, key=lambda k: k.data):
+for key in sorted(mixed.most_compact):
     print("  ", key.as_text())
 
 # The bound removes most of the space but keeps every optimum: rerun

@@ -24,7 +24,7 @@ matrix = evolved_matrix(6, 8, 4, seed=11)
 
 # Start from one optimal cubic tree and walk a single contraction chain.
 cubic = enumerate_cubic(matrix)
-key = min(cubic.incumbents, key=lambda k: k.data)
+key = min(cubic.incumbents)
 # A state is the tree's scoring: its sets and shape, hung from one root.
 state = Scorer(matrix).score(cubic.incumbents[key])
 print("start:", cubic.incumbents[key].write_newick(), "cost", state.mp_cost)

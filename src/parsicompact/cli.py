@@ -125,15 +125,14 @@ def _emit(args, row, extra, summary):
         _emit_tsv(list(row), [row])
 
 
-def _verified_newicks(trees, matrix, want_cost):
-    """Serialize trees sorted canonically, re-checking each before emit."""
+def _verified_newicks(texts, matrix, want_cost):
+    """Canonical Newick texts, sorted, each re-checked before emit: it
+    must re-parse to the same text and re-score to ``want_cost``."""
     scorer = Scorer(matrix)
-    out = []
-    for key in sorted(trees, key=lambda k: k.data):
-        item = trees[key]
-        text = item if isinstance(item, str) else item.write_newick()
+    out = sorted(texts)
+    for text in out:
         reparsed = parse_newick(text)
-        if reparsed.canonical_key() != key:
+        if reparsed.write_newick() != text:
             raise ParsicompactError(f"serialization drift for {text}")
         # The full pass, not Scorer.cost: on search-mixed this is the only
         # call of Scorer.score, which the traced benchmark needs to fire.
@@ -142,7 +141,6 @@ def _verified_newicks(trees, matrix, want_cost):
             raise ParsicompactError(
                 f"emitted tree rescored to {got}, expected {want_cost}: {text}"
             )
-        out.append(text)
     return out
 
 
@@ -254,7 +252,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     elapsed = (time.monotonic() - t0) * 1000.0
     best = record.most_compact
     t0 = time.monotonic()
-    newicks = _verified_newicks(best, matrix, record.incumbent_cost)
+    texts = [k.as_text() for k in best]
+    newicks = _verified_newicks(texts, matrix, record.incumbent_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
     row = {
         "n": matrix.n,
@@ -289,7 +288,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     )
     elapsed = (time.monotonic() - t0) * 1000.0
     t0 = time.monotonic()
-    newicks = _verified_newicks(result.trees, matrix, result.mp_cost)
+    newicks = _verified_newicks(result.trees.values(), matrix, result.mp_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
     cubic = result.cubic_record
     row = {

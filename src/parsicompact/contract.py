@@ -26,7 +26,7 @@ signature.  The work splits two ways:
 * once per distinct state -- copy the parent's arrays and rewire them,
   update its sets from its parent's with the checks, the scan for
   contractible edges, and, for a state with none, the tree built from
-  its arrays and that tree's canonical Newick text;
+  its arrays and that tree's canonical key;
 * once per arc, i.e. per contraction order step -- the contraction
   count and, when the child is already in the memo, the check that its
   root set at the merged node is the intersection of the parent's sets
@@ -322,7 +322,7 @@ class CompactSearcher:
         self.holders: dict[int, int] = {}  # split bit -> start trees holding it
         self.by_edges: dict[int, int] = {}  # edge count -> start trees with it
         self.memo: dict[int, dict[int, int]] = {}  # key -> root set by signature
-        self.final: list[tuple[int, int, str]] = []  # (nodes, key, Newick)
+        self.final: list[tuple[int, int, CanonicalKey]] = []  # (nodes, key, canonical key)
         self.sources = 0
         self.contractions = 0
         self.memo_hits = 0
@@ -365,7 +365,7 @@ class CompactSearcher:
         zero = zero_min_cost_edges(state)
         if not zero:
             tree = MixedTree.from_arrays(state.parent, kids, state.label)
-            self.final.append((tree.num_nodes, key, tree.write_newick()))
+            self.final.append((tree.num_nodes, key, tree.canonical_key()))
         if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
             self.on_progress(self)
         return zero
@@ -403,10 +403,10 @@ class CompactSearcher:
         everyone = (1 << self.sources) - 1
         trees = {}
         raw = 0
-        for nodes, key, text in self.final:
+        for nodes, key, canon in self.final:
             if nodes != best:
                 continue
-            trees[CanonicalKey(text.encode())] = text
+            trees[canon] = canon.as_text()
             held = everyone  # the start trees holding every split of this tree
             while key:
                 low = key & -key
@@ -449,7 +449,7 @@ def most_compact_pipeline(
     )
     t1 = time.monotonic()
     searcher = CompactSearcher(matrix, oracle_check=oracle_check, on_progress=on_progress)
-    for key in sorted(cubic.incumbents, key=lambda k: k.data):
+    for key in sorted(cubic.incumbents):
         searcher.add_source(cubic.incumbents[key])
     out = searcher.finalize()
     out.mp_cost = cubic.incumbent_cost

@@ -31,7 +31,8 @@ children in the bottom-up pass and on every edge that
 pairwise and triple intersections (:meth:`Scorer._three`).  Every other
 count, one set or four and more, goes through the threshold count, and
 so do two sets anywhere else (a growth move on an unlabelled node of
-degree 2).
+degree 2).  Outside the inline two-set forms, :meth:`Scorer._combine`
+is the one place that picks the closed form or the threshold count.
 """
 
 from __future__ import annotations
@@ -242,13 +243,10 @@ class Scorer:
                     vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
                     local[u] = here
             else:
-                if len(below) == 3:
-                    vu[u], u_vl, here = self._three(vu[below[0]], vu[below[1]], vu[below[2]])
-                elif len(below) == 1 and parent[u] < 0:
+                if len(below) == 1 and parent[u] < 0:
                     # An unlabelled root with one neighbour is a leaf.
                     raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
-                else:
-                    vu[u], u_vl, here = self._count_many([vu[c] for c in below])
+                vu[u], u_vl, here = self._combine([vu[c] for c in below])
                 cost += here
                 if need_vl:
                     vl[u] = u_vl
@@ -318,13 +316,11 @@ class Scorer:
         return vu, vl, len(sets) * self.m - total_k
 
     def _combine(self, sets):
-        """VU set and local cost of an unlabelled node receiving ``sets``:
+        """VU, VL and local cost of an unlabelled node receiving ``sets``:
         three by :meth:`_three`, any other number by :meth:`_count_many`."""
         if len(sets) == 3:
-            vu, _vl, local = self._three(*sets)
-        else:
-            vu, _vl, local = self._count_many(sets)
-        return vu, local
+            return self._three(*sets)
+        return self._count_many(sets)
 
     # -- top-down pass ---------------------------------------------------------
 
@@ -453,7 +449,7 @@ class Scorer:
                 sets = [up[c] for c in kids_of[site]]
                 if parent[site] >= 0:
                     sets.append(down[site])
-                vv, local = self._combine(sets)
+                vv, _vl, local = self._combine(sets)
                 hits = sum((s & x).bit_count() for s in sets)
                 got = at_node[site] = (vv, len(sets) * m - local - hits)
             vv, grow_cost = got

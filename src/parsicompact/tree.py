@@ -25,9 +25,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CanonicalKey:
-    """Value object identifying a tree up to labelled isomorphism."""
+    """Value object identifying a tree up to labelled isomorphism.
+
+    Keys sort as their canonical Newick texts do: UTF-8 keeps code-point
+    order.
+    """
 
     data: bytes
 

@@ -1,4 +1,4 @@
-"""The package's public names: what ``from parsicompact import *`` gives."""
+"""The package's public names, and the source rules its modules keep."""
 
 import ast
 from pathlib import Path
@@ -53,3 +53,30 @@ def test_no_module_imports_a_name_it_does_not_use():
             if names:
                 unused[str(path.relative_to(root))] = names
     assert unused == {}
+
+
+def _key_format_uses(source: str) -> list[str]:
+    """Calls of ``CanonicalKey(...)`` and reads of an attribute ``data``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "CanonicalKey":
+                out.append(f"CanonicalKey(...) (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "data":
+            out.append(f".data (line {node.lineno})")
+    return out
+
+
+def test_only_tree_module_knows_the_canonical_key_format():
+    # A key is the UTF-8 of canonical Newick; every other module goes
+    # through canonical_key(), as_text() and write_newick().
+    root = Path(__file__).resolve().parent.parent
+    uses = {}
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name != "tree.py":
+            found = _key_format_uses(path.read_text(encoding="utf-8"))
+            if found:
+                uses[str(path.relative_to(root))] = found
+    assert uses == {}

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parsicompact import (
-    Scorer, evolved_matrix, parse_fasta, parse_newick, random_matrix, write_fasta,
+    Scorer, count_cubic, count_total_mixed, evolved_matrix, parse_fasta, parse_newick,
+    random_matrix, write_fasta,
 )
 from parsicompact.cli import BENCH_COLUMNS, main
 
@@ -191,6 +192,55 @@ def test_trees_out_file(capsys, fasta, tmp_path):
     lines = dest.read_text().strip().split("\n")
     assert lines and all(parse_newick(t) for t in lines)
     assert "mp_cost" in out  # tsv summary still on stdout
+
+
+@pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])
+def test_allow_ambiguity_flag(capsys, tmp_path, command):
+    gapped = tmp_path / "gapped.fasta"
+    gapped.write_text(">a\nA-G\n>b\nACG\n>c\nTCG\n>d\nTCA\n")
+    code, out, err = run(capsys, command, "--input", str(gapped))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith("(flag: --allow-ambiguity)\n")
+    assert err.count("\n") == 1, err
+    code, out, err = run(capsys, command, "--input", str(gapped), "--allow-ambiguity",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["mp_cost"] >= 0
+
+
+@pytest.mark.parametrize("command, total, count", [
+    ("search-mixed", 396, count_total_mixed), ("search-cubic", 15, count_cubic),
+])
+def test_no_prune_generates_every_tree(capsys, tmp_path, command, total, count):
+    assert count(5) == total
+    five = tmp_path / "five.fasta"
+    five.write_text(write_fasta(evolved_matrix(5, 8, 4, seed=2)))
+    code, out, _ = run(capsys, command, "--input", str(five), "--format", "json")
+    assert code == 0
+    pruned = json.loads(out)
+    code, out, _ = run(capsys, command, "--input", str(five), "--format", "json",
+                       "--no-prune")
+    assert code == 0
+    full = json.loads(out)
+    assert full["generated"] == total and full["pruned"] == 0
+    for key in ("mp_cost", "mp_trees", "min_nodes", "trees"):
+        assert full[key] == pruned[key], key
+
+
+@pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])
+def test_diverse_order_finds_the_same_trees(capsys, fasta, command):
+    results = []
+    for order in ("input", "diverse"):
+        code, out, _ = run(capsys, command, "--input", fasta, "--format", "json",
+                           "--order", order)
+        assert code == 0
+        results.append(json.loads(out))
+    given_order, diverse = results
+    assert diverse["mp_cost"] == given_order["mp_cost"]
+    assert diverse["trees"] == given_order["trees"]
+    # The two orders walk different search trees to the same answer.
+    visited = "cubic_visited" if command == "compact" else "visited"
+    assert diverse[visited] != given_order[visited]
 
 
 def test_columns_and_subset(capsys, fasta):
