@@ -43,7 +43,7 @@ while True:
 result = most_compact_pipeline(matrix)
 print("\nall most compact optima:", result.dedup_count,
       "trees with", result.best_node_count, "nodes at cost", result.mp_cost)
-for text in result.trees.values():
-    print("  ", text)
+for key in result.trees:
+    print("  ", key.as_text())
 print("explored", result.explored_states, "distinct states via",
       result.contractions, "contractions from", result.sources, "cubic optima")

@@ -2,9 +2,8 @@
 
 A matrix holds n species, each an m-tuple of character states.  Every
 column gets its own alphabet inferred from the symbols observed in it.
-Alongside the symbolic view the matrix precomputes a packed bit-flag
-representation (one group of bits per character) that the scoring engine
-uses for word-parallel set algebra across all characters at once.
+The scoring engine packs these states into bit-flag sets itself
+(:class:`~parsicompact.parsimony.Scorer`).
 """
 
 from __future__ import annotations
@@ -39,12 +38,7 @@ class CharacterMatrix:
     the one place it is checked.  ``names`` lists the species in input
     order, ``alphabets[c]`` is the sorted tuple of column c's symbols, and
     ``values`` maps each species name to its m-tuple of state indices into
-    them.  Packed attributes (used by the parsimony engine):
-
-    * ``group_width`` -- bits reserved per character (max alphabet size)
-    * ``group_low`` -- int with bit 0 of every character group set
-    * ``alpha_all`` -- int with every character's alphabet states set
-    * ``value_mask`` -- species name -> packed singleton-per-character mask
+    them.
     """
 
     def __init__(
@@ -53,32 +47,13 @@ class CharacterMatrix:
         alphabets: tuple[tuple[str, ...], ...],
         values: dict[str, tuple[int, ...]],
     ):
-        """Take parts that :meth:`from_rows` has checked, and pack them;
-        :meth:`from_rows` is the way in."""
+        """Take parts that :meth:`from_rows` has checked; :meth:`from_rows`
+        is the way in."""
         self.names = names
         self.alphabets = alphabets
         self.values = values
         self.n = len(names)
         self.m = len(alphabets)
-        # Each group is the widest alphabet rounded up to a power of two.
-        # The scoring engine's fold needs only room for every state: its
-        # carry stays inside a group of any width.
-        widest = max(len(a) for a in alphabets)
-        g = 1 << (widest - 1).bit_length() if widest > 1 else 1
-        self.group_width = g
-        low = 0
-        for c in range(self.m):
-            low |= 1 << (c * g)
-        self.group_low = low
-        self.alpha_all = 0
-        for c, a in enumerate(alphabets):
-            self.alpha_all |= ((1 << len(a)) - 1) << (c * g)
-        self.value_mask = {}
-        for name, value in values.items():
-            packed = 0
-            for c, state in enumerate(value):
-                packed |= 1 << (c * g + state)
-            self.value_mask[name] = packed
 
     # -- views -----------------------------------------------------------
 

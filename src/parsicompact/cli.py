@@ -288,7 +288,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     )
     elapsed = (time.monotonic() - t0) * 1000.0
     t0 = time.monotonic()
-    newicks = _verified_newicks(result.trees.values(), matrix, result.mp_cost)
+    newicks = _verified_newicks([k.as_text() for k in result.trees], matrix, result.mp_cost)
     emit_ms = (time.monotonic() - t0) * 1000.0
     cubic = result.cubic_record
     row = {

@@ -247,8 +247,8 @@ def _shadow_check(tree, w, vv, want_cost, scorer):
 class CompactResultSet:
     """Most compact trees found, plus bookkeeping of the exploration.
 
-    trees maps canonical key -> canonical Newick text of each
-    minimum-node-count tree; len(trees) is the dedup count.  raw_count
+    trees lists the canonical key of each minimum-node-count tree, in
+    the order found; len(trees) is the dedup count.  raw_count
     is the number of contraction orders, summed over all start trees,
     that arrive at those trees: k! for each pair (X, T) of a result X and
     a start tree T whose splits include X's, with k the number of edges
@@ -259,7 +259,7 @@ class CompactResultSet:
     """
 
     best_node_count: int | None
-    trees: dict[CanonicalKey, str]
+    trees: list[CanonicalKey]
     explored_states: int
     mp_cost: int | None = None
     raw_count: int = 0
@@ -401,12 +401,12 @@ class CompactSearcher:
     def finalize(self) -> CompactResultSet:
         best = min((nodes for nodes, _, _ in self.final), default=None)
         everyone = (1 << self.sources) - 1
-        trees = {}
+        trees = []
         raw = 0
         for nodes, key, canon in self.final:
             if nodes != best:
                 continue
-            trees[canon] = canon.as_text()
+            trees.append(canon)
             held = everyone  # the start trees holding every split of this tree
             while key:
                 low = key & -key

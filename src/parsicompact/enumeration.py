@@ -284,11 +284,11 @@ class _Search:
         # order[:k]; each costs every child of a depth-k tree at least
         # one more mutation than the tree (see the module docstring).
         self.novel = []
-        seen = 0
+        seen = set()  # (character, state) pairs held by order[:k]
         for name in order:
-            x = self.scorer.vmask[name]
-            self.novel.append((x & ~seen).bit_count())
-            seen |= x
+            states = set(enumerate(matrix.values[name]))
+            self.novel.append(len(states - seen))
+            seen |= states
 
     # -- move generation ---------------------------------------------------
 

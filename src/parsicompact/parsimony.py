@@ -50,9 +50,16 @@ from .errors import (
 from .tree import MixedTree
 
 
+def group_width(matrix: CharacterMatrix) -> int:
+    """Bits per character group of a packed set: the widest alphabet rounded
+    up to a power of two.  The fold's carry stays inside a group of any width."""
+    widest = max(len(a) for a in matrix.alphabets)
+    return 1 << (widest - 1).bit_length()
+
+
 def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], ...]:
     """A packed set as one frozenset of state indices per character."""
-    g = matrix.group_width
+    g = group_width(matrix)
     fill = (1 << g) - 1
     out = []
     for c in range(matrix.m):
@@ -134,9 +141,15 @@ class Scorer:
 
     def __init__(self, matrix: CharacterMatrix):
         self.matrix = matrix
-        g = matrix.group_width
-        low = matrix.group_low
-        self.alpha = matrix.alpha_all
+        g = group_width(matrix)
+        # Each species' states, one bit per character; alpha holds every
+        # state of every character, and low bit 0 of every group.
+        self.vmask = {
+            name: sum(1 << (c * g + s) for c, s in enumerate(value))
+            for name, value in matrix.values.items()
+        }
+        self.alpha = sum(((1 << len(a)) - 1) << (c * g) for c, a in enumerate(matrix.alphabets))
+        low = sum(1 << (c * g) for c in range(matrix.m))
         self.fill = (1 << g) - 1
         # The fold's constants: each group's top bit, and each group's
         # g-1 low bits all set.
@@ -144,7 +157,6 @@ class Scorer:
         self.high = low << self.top
         self.carry = low * ((1 << self.top) - 1)
         self.m = matrix.m
-        self.vmask = matrix.value_mask
 
     def _fold(self, x: int) -> int:
         """Bit 0 of each character group of ``x`` set iff any bit of it is.

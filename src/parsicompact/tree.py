@@ -81,11 +81,15 @@ class MixedTree:
             self._where[name] = u
         return u
 
-    def _free_node(self, u: int):
+    def _at(self, u: int) -> list[int]:
+        """adj[u]; a free slot raises TreeStructureError."""
         at = self.adj[u]
         if at is None:
             raise TreeStructureError(f"no node {u}")
-        if at:
+        return at
+
+    def _free_node(self, u: int):
+        if self._at(u):
             raise TreeStructureError(f"cannot free node {u} with live edges")
         name = self.label[u]
         if name is not None:
@@ -95,10 +99,12 @@ class MixedTree:
         self._free.append(u)
 
     def add_edge(self, u: int, v: int):
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        at_u, at_v = self._at(u), self._at(v)
+        at_u.append(v)
+        at_v.append(u)
 
     def remove_edge(self, u: int, v: int):
+        self._require_edge(u, v)
         self.adj[u].remove(v)
         self.adj[v].remove(u)
 
@@ -123,7 +129,7 @@ class MixedTree:
     # -- views ---------------------------------------------------------------
 
     def degree(self, u: int) -> int:
-        return len(self.adj[u])
+        return len(self._at(u))
 
     def iter_nodes(self):
         for u, at in enumerate(self.adj):
@@ -211,16 +217,14 @@ class MixedTree:
 
     def grow_rule_3(self, node: int, name: str):
         """Attach a new leaf labelled ``name`` to ``node`` (any degree)."""
-        if self.adj[node] is None:
-            raise TreeStructureError(f"no node {node}")
+        self._at(node)
         leaf = self.add_node(name)
         self.add_edge(node, leaf)
         return ("r3", node, leaf)
 
     def grow_rule_4(self, node: int, name: str):
         """Put label ``name`` on an existing unlabelled node."""
-        if self.adj[node] is None:
-            raise TreeStructureError(f"no node {node}")
+        self._at(node)
         self._set_label(node, name)
         return ("r4", node, name)
 

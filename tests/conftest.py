@@ -217,3 +217,132 @@ def oracle_vv_union(oracle: OracleResult) -> dict[int, tuple[frozenset[int], ...
             for i, u in enumerate(oracle.unlabelled):
                 out[u][c].add(assign[i])
     return {u: tuple(frozenset(s) for s in sets) for u, sets in out.items()}
+
+
+# -- minimum spanning trees of the species' Hamming graph ---------------------
+
+
+def hamming_distances(matrix: CharacterMatrix) -> list[list[int]]:
+    """dist[i][j]: characters where species i and j differ, in input order."""
+    rows = [matrix.values[name] for name in matrix.names]
+    return [[sum(a != b for a, b in zip(r, s)) for s in rows] for r in rows]
+
+
+def _merged(comp: list[int], edges) -> list[int]:
+    """Component ids after joining the components of each edge's ends."""
+    for i, j in edges:
+        a, b = comp[i], comp[j]
+        if a != b:
+            comp = [a if c == b else c for c in comp]
+    return comp
+
+
+def _weight_classes(matrix: CharacterMatrix):
+    """Kruskal by weight class.  For each distinct distance w, from low to
+    high: w, the pairs at distance w that join different components of
+    the lighter pairs' graph, and those components (comp[i] is species
+    i's).  Every MST takes, from each class, a forest of its pairs that
+    joins all the components they join, and any such choice is an MST."""
+    dist = hamming_distances(matrix)
+    n = len(dist)
+    by_weight: dict[int, list[tuple[int, int]]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            by_weight.setdefault(dist[i][j], []).append((i, j))
+    comp = list(range(n))
+    for w in sorted(by_weight):
+        edges = [(i, j) for i, j in by_weight[w] if comp[i] != comp[j]]
+        yield w, edges, comp
+        comp = _merged(comp, edges)
+
+
+def _class_forests(edges, comp) -> list[list[tuple[int, int]]]:
+    """Every acyclic subset of ``edges`` (over components ``comp``) that
+    joins all the components ``edges`` join, by backtracking."""
+    rank = len(set(comp)) - len(set(_merged(comp, edges)))
+    out = []
+
+    def walk(k, comp, chosen):
+        if len(chosen) == rank:
+            out.append(chosen)
+            return
+        if len(chosen) + len(edges) - k < rank:
+            return
+        i, j = edges[k]
+        if comp[i] != comp[j]:
+            walk(k + 1, _merged(comp, [edges[k]]), chosen + [edges[k]])
+        walk(k + 1, comp, chosen)
+
+    walk(0, comp, [])
+    return out
+
+
+def kruskal_mst_edges(matrix: CharacterMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """W and the edge list of every minimum spanning tree of the species'
+    Hamming graph (species numbered in input order): one maximal forest
+    per weight class, every combination once."""
+    weight = 0
+    choices = []
+    for w, edges, comp in _weight_classes(matrix):
+        forests = _class_forests(edges, comp)
+        weight += w * len(forests[0])
+        choices.append(forests)
+    return weight, [sum(pick, []) for pick in product(*choices)]
+
+
+def kruskal_msts(matrix: CharacterMatrix) -> tuple[int, list[str]]:
+    """W and the sorted canonical Newick of every minimum spanning tree."""
+    weight, edge_lists = kruskal_mst_edges(matrix)
+    texts = []
+    for edges in edge_lists:
+        tree = MixedTree()
+        for name in matrix.names:
+            tree.add_node(name)
+        for u, v in edges:
+            tree.add_edge(u, v)
+        texts.append(tree.write_newick())
+    return weight, sorted(texts)
+
+
+def _determinant(a: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = [row[:] for row in a]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def matrix_tree_mst_count(matrix: CharacterMatrix) -> int:
+    """The number of MSTs by Kirchhoff's matrix-tree theorem: per weight
+    class, the maximal forests of its pairs, as a multigraph on the
+    components, number the determinant of its Laplacian less one row and
+    column per component of the merged graph; the classes multiply."""
+    count = 1
+    for _w, edges, comp in _weight_classes(matrix):
+        after = _merged(comp, edges)
+        first = {}
+        for i, c in enumerate(comp):
+            first.setdefault(after[i], c)
+        kept = sorted(set(comp) - set(first.values()))
+        at = {c: k for k, c in enumerate(kept)}
+        laplacian = [[0] * len(kept) for _ in kept]
+        for i, j in edges:
+            a, b = at.get(comp[i]), at.get(comp[j])
+            for x, y in ((a, b), (b, a)):
+                if x is not None:
+                    laplacian[x][x] += 1
+                    if y is not None:
+                        laplacian[x][y] -= 1
+        count *= _determinant(laplacian)
+    return count

@@ -194,7 +194,7 @@ def test_criterion_9_emitted_trees_respect_size_bounds():
         n = matrix.n
         mixed = enumerate_mixed(matrix)
         pipe = most_compact_pipeline(matrix)
-        trees = [parse_newick(t) for t in pipe.trees.values()]
+        trees = [parse_newick(k.as_text()) for k in pipe.trees]
         trees += list(mixed.most_compact.values())
         for tree in trees:
             assert tree.n_unlabelled <= n - 2

@@ -80,3 +80,41 @@ def test_only_tree_module_knows_the_canonical_key_format():
             if found:
                 uses[str(path.relative_to(root))] = found
     assert uses == {}
+
+
+PACKING_NAMES = {"vmask", "alpha", "value_mask", "alpha_all", "group_low", "group_width"}
+
+
+def _packing_names(source: str) -> list[str]:
+    """Names, attributes, arguments, definitions and imports of a packing name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in PACKING_NAMES:
+            out.append(f"{name} (line {node.lineno})")
+    return out
+
+
+def test_only_parsimony_module_knows_the_packed_set_format():
+    # The scorer packs each species' states into bit groups; the matrix
+    # keeps names, alphabets and state indices, and every other module
+    # reads those or the scorer's fold constants.
+    root = Path(__file__).resolve().parent.parent
+    uses = {}
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name != "parsimony.py":
+            found = _packing_names(path.read_text(encoding="utf-8"))
+            if found:
+                uses[str(path.relative_to(root))] = found
+    assert uses == {}

@@ -16,6 +16,7 @@ from parsicompact import (
     DuplicateSpeciesError,
     EmptyInputError,
     LengthMismatchError,
+    Scorer,
     SpeciesNameError,
     evolved_matrix,
     parse_fasta,
@@ -24,6 +25,7 @@ from parsicompact import (
     subsample_species,
     write_fasta,
 )
+from parsicompact.parsimony import group_width
 
 ROWS = [("a", "AC"), ("b", "AG"), ("c", "TC")]
 
@@ -123,16 +125,21 @@ def test_fasta_round_trip(n, m, states, seed):
     seed=st.integers(0, 10**6),
 )
 def test_packed_layout_invariants(n, m, states, seed):
+    # The matrix keeps states as indices; only the scorer packs them.
     matrix = random_matrix(n, m, states, seed)
-    g = matrix.group_width
+    assert set(vars(matrix)) == {"names", "alphabets", "values", "n", "m"}
+    scorer = Scorer(matrix)
+    g = group_width(matrix)
     assert g & (g - 1) == 0
     assert g >= max(len(a) for a in matrix.alphabets)
+    assert g < 2 * max(len(a) for a in matrix.alphabets)
     for name in matrix.names:
-        packed = matrix.value_mask[name]
+        packed = scorer.vmask[name]
         for c, state in enumerate(matrix.values[name]):
             group = (packed >> (c * g)) & ((1 << g) - 1)
             assert group == 1 << state
-    assert matrix.alpha_all == sum(
+        assert packed >> (m * g) == 0
+    assert scorer.alpha == sum(
         ((1 << len(a)) - 1) << (c * g) for c, a in enumerate(matrix.alphabets)
     )
 

@@ -28,6 +28,10 @@ from parsicompact import (
 from parsicompact.contract import CompactSearcher, tree_splits
 from conftest import (
     contract_edge,
+    hamming_distances,
+    kruskal_mst_edges,
+    kruskal_msts,
+    matrix_tree_mst_count,
     random_instance,
     random_mixed_tree,
     subdivide_with_unlabelled,
@@ -361,8 +365,8 @@ def test_identical_data_contracts_to_all_fully_labelled_trees(n):
     assert result.best_node_count == n
     # Every mixed tree without unlabelled nodes: Cayley's n**(n-2).
     assert result.dedup_count == n ** (n - 2)
-    for text in result.trees.values():
-        tree = parse_newick(text)
+    for key in result.trees:
+        tree = parse_newick(key.as_text())
         assert tree.n_unlabelled == 0 and tree.num_nodes == n
 
 
@@ -387,8 +391,7 @@ def hamming_msts(matrix):
     """W, the weight of a minimum spanning tree of the species' Hamming
     graph, and the canonical Newick of every spanning tree of weight W."""
     names = matrix.names
-    rows = [matrix.values[name] for name in names]
-    dist = [[sum(a != b for a, b in zip(r, s)) for s in rows] for r in rows]
+    dist = hamming_distances(matrix)
     weight = None
     texts = []
     for edges in prufer_edge_lists(len(names)):
@@ -442,9 +445,53 @@ def test_most_compact_trees_are_the_msts_exactly_when_mp_equals_w(shape, want):
     assert result.mp_cost <= weight
     assert (result.best_node_count == n) == (result.mp_cost == weight)
     if result.mp_cost == weight:
-        assert sorted(result.trees.values()) == msts
+        assert sorted(k.as_text() for k in result.trees) == msts
     if rate == 0:
         assert len(msts) == n ** (n - 2)  # Cayley
+
+
+@pytest.mark.parametrize("shape", [shape for shape, _want in MST_PINNED])
+def test_kruskal_msts_are_the_prufer_msts(shape):
+    # The weight-class enumerator (conftest) against every spanning tree
+    # by Prüfer sequence, and its count against the matrix-tree theorem.
+    n, states, seed, rate = shape
+    matrix = evolved_matrix(n, 8, states, seed=seed, mutation_rate=rate)
+    weight, msts = kruskal_msts(matrix)
+    assert (weight, msts) == hamming_msts(matrix)
+    assert len(msts) == matrix_tree_mst_count(matrix)
+
+
+# evolved_matrix(n, m, states, seed, rate) -> (W, MSTs).  Shapes and seeds
+# pinned before the counts were read.  Identical data gives Cayley's
+# n**(n-2); the n = 8 shape is CI's MST fixture, and the n = 10 one the
+# diverged benchmark's.
+MST_COUNTS = [
+    ((3, 4, 2, 0, 0.0), (0, 3)),
+    ((5, 4, 2, 0, 0.0), (0, 125)),
+    ((7, 4, 2, 0, 0.0), (0, 16807)),
+    ((8, 8, 2, 0, 0.08), (2, 2304)),
+    ((8, 8, 2, 1, 0.08), (4, 3125)),
+    ((8, 8, 2, 2, 0.08), (2, 2500)),
+    ((9, 10, 2, 0, 0.1), (6, 96)),
+    ((9, 10, 2, 1, 0.1), (8, 64)),
+    ((9, 10, 2, 2, 0.1), (4, 1024)),
+    ((10, 30, 4, 1000, 0.15), (80, 8)),
+    ((10, 30, 4, 1001, 0.15), (75, 6)),
+]
+
+
+@pytest.mark.parametrize("shape, want", MST_COUNTS)
+def test_kruskal_mst_counts_follow_the_matrix_tree_theorem(shape, want):
+    n, m, states, seed, rate = shape
+    matrix = evolved_matrix(n, m, states, seed=seed, mutation_rate=rate)
+    weight, edge_lists = kruskal_mst_edges(matrix)
+    assert (weight, len(edge_lists)) == want
+    assert matrix_tree_mst_count(matrix) == len(edge_lists)
+    dist = hamming_distances(matrix)
+    assert len({frozenset(edges) for edges in edge_lists}) == len(edge_lists)
+    for edges in edge_lists:
+        assert len(edges) == n - 1
+        assert sum(dist[i][j] for i, j in edges) == weight
 
 
 def test_compact_search_single_tree():
@@ -457,8 +504,8 @@ def test_compact_search_single_tree():
     result = searcher.finalize()
     assert result.sources == 1
     assert result.best_node_count <= tree.num_nodes
-    for text in result.trees.values():
-        assert Scorer(matrix).cost(parse_newick(text)) == cubic.incumbent_cost
+    for key in result.trees:
+        assert Scorer(matrix).cost(parse_newick(key.as_text())) == cubic.incumbent_cost
 
 
 def split_set(tree, names):
@@ -522,7 +569,7 @@ def test_contraction_counters_are_pinned(shape, want):
         n, m, states, seed, rate = shape
         matrix = evolved_matrix(n, m, states, seed=seed, mutation_rate=rate)
     result = most_compact_pipeline(matrix)
-    digest = hashlib.sha256("\n".join(sorted(result.trees.values())).encode())
+    digest = hashlib.sha256("\n".join(sorted(k.as_text() for k in result.trees)).encode())
     got = (result.explored_states, result.contractions, result.raw_count,
            result.best_node_count, digest.hexdigest()[:16])
     assert got == want

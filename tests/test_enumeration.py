@@ -23,6 +23,7 @@ from parsicompact import (
     random_matrix,
 )
 from parsicompact.enumeration import _GROWTH, _Search
+from parsicompact.parsimony import group_width
 from conftest import (
     SYMBOLS,
     contract_edge,
@@ -274,7 +275,7 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
         n = rng.randint(5, 8)
         sizes = [n] + [rng.randint(1, n) for _ in range(rng.randint(0, 5))]
         matrix = sized_matrix(sizes, rng)
-        assert matrix.group_width == 8
+        assert group_width(matrix) == 8
         *placed, name = matrix.names
         scorer = Scorer(matrix)
         for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):

@@ -259,3 +259,26 @@ def test_free_slots_are_refused():
     with pytest.raises(TreeStructureError, match=f"no node {b}"):
         t.grow_rule_3(b, "c")
     assert t.num_nodes == 1 and t.add_node() == b and t.num_nodes == 2
+
+
+def test_edge_primitives_refuse_a_free_slot_before_changing_anything():
+    t = MixedTree.single("a")
+    a = t.species_node("a")
+    t.grow_rule_3(a, "b")
+    b = t.species_node("b")
+    c = t.add_node("c")
+    t._free_node(c)
+    before = (repr(t.adj), list(t.label), t.num_nodes)
+    with pytest.raises(TreeStructureError, match=f"no node {c}"):
+        t.degree(c)
+    for u, v in ((a, c), (c, a)):
+        with pytest.raises(TreeStructureError, match=f"no node {c}"):
+            t.add_edge(u, v)
+        assert (repr(t.adj), list(t.label), t.num_nodes) == before
+        with pytest.raises(TreeStructureError, match="no edge"):
+            t.remove_edge(u, v)
+        assert (repr(t.adj), list(t.label), t.num_nodes) == before
+    t.remove_edge(a, b)
+    with pytest.raises(TreeStructureError, match=f"no edge \\({b}, {a}\\)"):
+        t.remove_edge(b, a)
+    assert t.adj[a] == [] and t.adj[b] == []
