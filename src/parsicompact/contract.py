@@ -20,8 +20,8 @@ edge share only that edge's bit, and the merged node's signature is
 the XOR of theirs.  A contraction merges an edge into its first
 endpoint, so the other nodes keep their ids and their signatures.
 
-One memo, keyed by split set, holds every state's root sets by node
-signature.  The work splits two ways:
+One memo, keyed by split set, holds each state's signature and VV
+lists, by node id, as the state built them.  The work splits two ways:
 
 * once per distinct state -- copy the parent's arrays and rewire them,
   update its sets from its parent's with the checks, the scan for
@@ -29,9 +29,10 @@ signature.  The work splits two ways:
   its arrays and that tree's canonical key;
 * once per arc, i.e. per contraction order step -- the contraction
   count and, when the child is already in the memo, the check that its
-  root set at the merged node is the intersection of the parent's sets
-  at the two endpoints.  The child's key is looked up before the child
-  is built, so a state reached again is never rebuilt.
+  root set at the merged node, found by a scan of its signatures, is
+  the intersection of the parent's sets at the two endpoints.  The
+  child's key is looked up before the child is built, so a state
+  reached again is never rebuilt.
 
 The number of contraction orders is counted in closed form.  A most
 compact tree X is reachable from a start tree T exactly when every split
@@ -51,17 +52,13 @@ local cost.  Those arrays are the whole state: it keeps no
 :class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
 for a state with no contractible edge and for ``--oracle-check``.
 A child's arrays are copies of its parent's, rewired once, with v's
-slot dead, and the scorer's own kernels recompute only what can
-change.  A node's VU, VL and local cost depend only on its label and
-its children's VU, and only the merged node and its ancestors have new
-subtrees; a node's VV depends only on its parent's VV and its own VU
-and VL.  So the upward pass stops at the first node whose VU comes out
-as its parent saw it before, and the downward pass enters a child only
-when its parent's VV changed or its own sets were recomputed, or when
-it moved to a parent whose VV differs from its old parent's.  Every
-skipped node keeps inputs that did not change, so the update is exact,
-not a local rule over old root sets; the merged node's set must still
-come out as the intersection.
+slot dead, and the scorer's own kernels recompute only the nodes whose
+inputs may change (:func:`contract_and_update` says which).  A node's VU,
+VL and local cost depend only on its label and its children's VU, and
+its VV only on its parent's VV and its own VU and VL, so every node the
+update skips keeps inputs that did not change: the update is exact,
+not a local rule over old root sets, and the merged node's set must
+still come out as the intersection.
 
 Contraction never makes an edge contractible that was not before; that
 is tested, but the search does not rely on it: every newly built state
@@ -117,21 +114,23 @@ def contract_and_update(
     """Contract zero-min-cost edge (u, v) into u; derive the child's sets.
 
     The child keeps the parent's root, or u when v was the root, and its
-    arrays are copies of the parent's with v's slot dead.  v's children
-    move under u; when v was u's parent, u also takes v's place under v's
-    parent.  u takes v's label if v has one; the label list is copied
-    only then.  Only u and its ancestors have new subtrees, so VU, VL and
-    local cost are recomputed at u and then up its ancestors, stopping
-    at the first node whose VU, all its parent reads of it, comes out as
-    that parent saw it before (for u, v's VU when u took v's place).  VV
-    is then recomputed down from the topmost recomputed node, entering
-    every child of a node whose VV changed, else the recomputed child,
-    and at u the moved children when u's VV differs from v's, their old
-    parent's.  The child's cost is the parent's less v's local cost plus
-    the change in local cost at the recomputed nodes; it must equal the
-    parent's, and u's root set must be the intersection of the
-    endpoints'.  With ``oracle_check`` the derived root sets and cost are
-    compared against an independent full rescore from another root.
+    arrays are copies of the parent's with v's slot dead; it shares each
+    inner kids list it does not change.  v's children move under u; when
+    v was u's parent, u also takes v's place under v's parent.  u takes
+    v's label if v has one; the label list is copied only then.  Only u
+    and its ancestors have new subtrees, so VU, VL and local cost are
+    recomputed, one node at a time, at u and then up its ancestors,
+    stopping at the first node whose VU, all its parent reads of it,
+    comes out as that parent saw it before (for u, v's VU when u took
+    v's place).  VV is then recomputed down from the topmost recomputed
+    node, entering every child of a node whose VV changed, else the
+    recomputed child, and at u the moved children when u's VV differs
+    from v's, their old parent's.  The child's cost is the parent's less
+    v's local cost plus the change in local cost at the recomputed
+    nodes; it must equal the parent's, and u's root set must be the
+    intersection of the endpoints'.  With ``oracle_check`` the derived
+    root sets and cost are compared against an independent full rescore
+    from another root.
     """
     u, v = edge
     sc = state.scorer
@@ -158,14 +157,18 @@ def contract_and_update(
         if p < 0:
             root = u
         else:
-            kids[p] = [u if c == v else c for c in kids[p]]
-        moved = [c for c in kids[v] if c != u]
+            ks = kids[p] = kids[p].copy()
+            ks[ks.index(v)] = u
+        moved = kids[v].copy()
+        moved.remove(u)
         kids[u] = kids[u] + moved
-        handed = vu[v]
+        was = vu[v]  # what u's parent read of it before
     else:
         moved = kids[v]
-        kids[u] = [c for c in kids[u] if c != v] + moved
-        handed = vu[u]
+        ks = kids[u] = kids[u].copy()
+        ks.remove(v)
+        ks += moved
+        was = vu[u]
     for c in moved:
         parent[c] = u
     if label[v] is not None:
@@ -176,46 +179,30 @@ def contract_and_update(
     parent[v] = -1
     kids[v] = None
     vu[v] = vl[v] = vv[v] = local[v] = 0
-    # The two passes run the scorer's kernels over generators that pick
-    # the next node after each one is recomputed.
-    path = []
-    old_local = []
-
-    def climb():
-        # u, then its ancestors, up to the first whose VU (all its parent
-        # reads of it) comes out as its parent saw it before.
-        x = u
-        was = handed
-        while True:
-            path.append(x)
-            old_local.append(local[x])
-            yield x
-            if vu[x] == was or parent[x] < 0:
-                return
-            x = parent[x]
-            was = vu[x]
-
-    cost += sc._up(climb(), parent, label, vu, vl, local, kids) - sum(old_local)
-    below = dict(zip(path[1:], path))  # each recomputed ancestor's path child
-    was_v = state.vv[v]
-
-    def descend():
-        # From the topmost recomputed node: every child of a node whose VV
-        # changed, else the recomputed child, and at u the moved children
-        # if u's VV differs from v's, their parent's before.
-        stack = [path[-1]]
-        while stack:
-            x = stack.pop()
-            old = vv[x]
-            yield x
-            if vv[x] != old:
-                stack.extend(kids[x])
-            elif x in below:
-                stack.append(below[x])
-            elif x == u and vv[u] != was_v:
-                stack.extend(moved)
-
-    sc._top_down(descend(), parent, vu, vl, vv)
+    x = u
+    below = None  # each recomputed ancestor's path child
+    while True:
+        cost -= local[x]
+        cost += sc._up((x,), parent, label, vu, vl, local, kids)
+        p = parent[x]
+        if vu[x] == was or p < 0:
+            break
+        if below is None:
+            below = {}
+        below[p] = x
+        was = vu[p]
+        x = p
+    stack = [x]  # the topmost recomputed node
+    while stack:
+        x = stack.pop()
+        old = vv[x]
+        sc._top_down((x,), parent, vu, vl, vv)
+        if vv[x] != old:
+            stack += kids[x]
+        elif below is not None and x in below:
+            stack.append(below[x])
+        elif x == u and vv[u] != state.vv[v]:
+            stack += moved
     if vv[u] != meet:
         raise ParsicompactError(
             "merged-node root set differs from the endpoint intersection"
@@ -321,7 +308,7 @@ class CompactSearcher:
         self.bit: dict[int, int] = {}  # split -> its bit
         self.holders: dict[int, int] = {}  # split bit -> start trees holding it
         self.by_edges: dict[int, int] = {}  # edge count -> start trees with it
-        self.memo: dict[int, dict[int, int]] = {}  # key -> root set by signature
+        self.memo: dict[int, tuple[list, list]] = {}  # key -> (signature, VV) by node id
         self.final: list[tuple[int, int, CanonicalKey]] = []  # (nodes, key, canonical key)
         self.sources = 0
         self.contractions = 0
@@ -359,12 +346,10 @@ class CompactSearcher:
 
     def _store(self, key: int, state: ScoreResult, sig: list[int]) -> list[tuple[int, int]]:
         """Memoize a new state; returns its contractible edges."""
-        kids = state.kids
-        vv = state.vv
-        self.memo[key] = {s: vv[x] for x, s in enumerate(sig) if kids[x] is not None}
+        self.memo[key] = (sig, state.vv)
         zero = zero_min_cost_edges(state)
         if not zero:
-            tree = MixedTree.from_arrays(state.parent, kids, state.label)
+            tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
             self.final.append((tree.num_nodes, key, tree.canonical_key()))
         if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
             self.on_progress(self)
@@ -384,16 +369,24 @@ class CompactSearcher:
                 merged = sig[u] ^ sig[v]
                 to = key ^ (sig[u] & sig[v])
                 self.contractions += 1
-                sets = self.memo.get(to)
-                if sets is None:
+                got = self.memo.get(to)
+                if got is None:
                     child = contract_and_update(state, edge, self.oracle_check)
                     csig = sig.copy()
                     csig[u] = merged
                     stack.append((child, csig, to, self._store(to, child, csig)))
                 else:
                     self.memo_hits += 1
-                    if sets.get(merged) != vv[u] & vv[v]:
-                        # The check contract_and_update makes on the merged node.
+                    # The check contract_and_update makes on the merged
+                    # node.  A dead slot keeps the signature it died with,
+                    # which holds the bit of a contracted edge, a split no
+                    # later state has: only a live node can match.
+                    msig, mvv = got
+                    try:
+                        ok = mvv[msig.index(merged)] == vv[u] & vv[v]
+                    except ValueError:
+                        ok = False
+                    if not ok:
                         raise ParsicompactError(
                             "merged-node root set differs from the endpoint intersection"
                         )

@@ -82,8 +82,11 @@ class MixedTree:
         return u
 
     def _at(self, u: int) -> list[int]:
-        """adj[u]; a free slot raises TreeStructureError."""
-        at = self.adj[u]
+        """adj[u]; a free slot or an id outside the arena raises TreeStructureError."""
+        try:
+            at = self.adj[u] if u >= 0 else None
+        except IndexError:
+            at = None
         if at is None:
             raise TreeStructureError(f"no node {u}")
         return at
@@ -109,8 +112,12 @@ class MixedTree:
         self.adj[v].remove(u)
 
     def _require_edge(self, u: int, v: int):
-        at = self.adj[u]
-        if at is None or self.adj[v] is None or v not in at:
+        # Only u needs its bounds checked: adj[v] is read once v is in adj[u].
+        try:
+            at = self.adj[u] if u >= 0 else None
+        except IndexError:
+            at = None
+        if at is None or v not in at or self.adj[v] is None:
             raise TreeStructureError(f"no edge ({u}, {v})")
 
     def _set_label(self, u: int, name: str):

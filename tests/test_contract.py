@@ -12,6 +12,7 @@ from parsicompact import (
     CharacterMatrix,
     IllegalContractionError,
     MixedTree,
+    ParsicompactError,
     contract_and_update,
     enumerate_cubic,
     enumerate_mixed,
@@ -180,6 +181,14 @@ def check_arrays_match(child, tree):
     assert tree_of(child).canonical_key() == tree.canonical_key()
 
 
+def arrays_of(state):
+    """A state's cost, root and arrays, inner kids lists copied too."""
+    return (state.mp_cost, state.root, list(state.parent),
+            [None if ks is None else list(ks) for ks in state.kids],
+            list(state.label), list(state.vu), list(state.vl), list(state.vv),
+            list(state.local))
+
+
 def check_every_order(state, matrix, tree):
     """Contract every order from ``state``, checking each child's derived
     sets against fresh scores; returns the rewire cases met on the way.
@@ -192,6 +201,7 @@ def check_every_order(state, matrix, tree):
     cost) come from a score at the child's own root.
     """
     cases = set()
+    before = arrays_of(state)
     for u, v in zero_min_cost_edges(state):
         if state.parent[v] == u:
             cases.add("v below u")
@@ -202,6 +212,9 @@ def check_every_order(state, matrix, tree):
         if tree.label[v] is not None:
             cases.add("v labelled")
         child = contract_and_update(state, (u, v))
+        # The child shares the parent's untouched inner lists, so an edit
+        # in place that reached one would show here.
+        assert arrays_of(state) == before
         after = tree.copy()
         contract_edge(after, u, v)
         check_arrays_match(child, after)
@@ -506,6 +519,37 @@ def test_compact_search_single_tree():
     assert result.best_node_count <= tree.num_nodes
     for key in result.trees:
         assert Scorer(matrix).cost(parse_newick(key.as_text())) == cubic.incumbent_cost
+
+
+@pytest.mark.parametrize("fault", ["root set", "signature"])
+def test_memo_hit_check_refuses_a_corrupt_entry(fault):
+    # Identical data on four species: both start trees contract their
+    # central edge into the star, so the second reaches it as a memo hit
+    # whose merged node is the star's centre.  One stored entry is
+    # corrupted at that node, in its VV or by dropping its signature;
+    # the hit's check must refuse it as a ParsicompactError.
+    matrix = CharacterMatrix.from_rows([(f"S{i}", "A") for i in range(1, 5)])
+    first, second = parse_newick("(S1,S2,(S3,S4));"), parse_newick("(S1,S3,(S2,S4));")
+    clean = CompactSearcher(matrix)
+    clean.add_source(first)
+    clean.add_source(second)  # passes the check while the memo is intact
+    searcher = CompactSearcher(matrix)
+    searcher.add_source(first)
+    hits = searcher.memo_hits
+    star = sum(b for split, b in searcher.bit.items() if split.bit_count() in (1, 3))
+    sig, vv = searcher.memo[star]
+    centre = sig.index(star)
+    if fault == "root set":
+        vv = vv.copy()
+        vv[centre] ^= 1
+    else:
+        sig = sig.copy()
+        sig[centre] = 0
+    searcher.memo[star] = (sig, vv)
+    with pytest.raises(ParsicompactError,
+                       match="merged-node root set differs from the endpoint intersection"):
+        searcher.add_source(second)
+    assert searcher.memo_hits > hits
 
 
 def split_set(tree, names):

@@ -282,3 +282,31 @@ def test_edge_primitives_refuse_a_free_slot_before_changing_anything():
     with pytest.raises(TreeStructureError, match=f"no edge \\({b}, {a}\\)"):
         t.remove_edge(b, a)
     assert t.adj[a] == [] and t.adj[b] == []
+
+
+def test_ids_outside_the_arena_are_refused_before_changing_anything():
+    # A negative id would read from the end of the arena, and one past it
+    # would raise a bare IndexError; both are no node.
+    t = parse_newick("(a,b);")
+    a = t.species_node("a")
+
+    def state():
+        return (repr(t.adj), list(t.label), list(t._free), dict(t._where))
+
+    before = state()
+    for bad in (-1, len(t.adj)):
+        for name, args in [
+            ("degree", (bad,)),
+            ("add_edge", (a, bad)),
+            ("add_edge", (bad, a)),
+            ("remove_edge", (a, bad)),
+            ("remove_edge", (bad, a)),
+            ("grow_rule_1", ((a, bad), "c")),
+            ("grow_rule_1", ((bad, a), "c")),
+            ("grow_rule_3", (bad, "c")),
+            ("grow_rule_4", (bad, "c")),
+        ]:
+            with pytest.raises(TreeStructureError):
+                getattr(t, name)(*args)
+            assert state() == before, (name, args)
+    assert t.write_newick() == parse_newick("(a,b);").write_newick()
