@@ -63,11 +63,12 @@ class NewickParseError(ParsicompactError):
         self.position = position
 
 
-# --- scoring ------------------------------------------------------------
-
 class EmptyTreeError(ParsicompactError):
-    """Scoring requested on a tree with no nodes."""
+    """A tree with no nodes given where one needs a node: to score it, key it
+    or write it as Newick."""
 
+
+# --- scoring ------------------------------------------------------------
 
 class UnlabelledLeafError(ParsicompactError):
     """A leaf without a species label cannot be scored."""

@@ -475,8 +475,8 @@ class Scorer:
         """Full pass: cost plus VU/VL/VV for every node.
 
         The cost is root-independent.  Without ``root`` the pass roots at
-        :meth:`pick_root`'s node.  A labelled node holds its species'
-        states fixed.
+        :meth:`pick_root`'s node; a ``root`` that is not a live node raises
+        TreeStructureError.  A labelled node holds its species' states fixed.
         """
         if root is None:
             root = self.pick_root(tree)

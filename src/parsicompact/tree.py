@@ -6,10 +6,14 @@ without copying the tree.  A node optionally carries a species label;
 every leaf must be labelled, internal nodes may be.  "Internal" always
 means degree >= 2.
 
-Canonical form and Newick output share one serialization: root the tree
-at its center (lexicographically smaller code of the <= 2 centers) and
-sort child subtree codes recursively, so equal keys <=> label-preserving
-isomorphism regardless of node numbering or display rooting.
+Canonical form and Newick output share one serialization: the tree
+rooted at its center (the smaller text of the <= 2 centers), with each
+node's child codes sorted, so equal keys <=> label-preserving isomorphism
+regardless of node numbering or display rooting.  One pass builds it
+while finding the centers: leaves are peeled layer by layer, and each
+peeled node's code goes to its one unpeeled neighbour (the classic
+tree-isomorphism pass of Aho, Hopcroft and Ullman).  Newick is parsed by
+one loop over the text with an explicit stack.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from functools import lru_cache
 from .errors import (
     AlreadyLabelledError,
     DuplicateLabelError,
+    EmptyTreeError,
     NewickParseError,
     TreeStructureError,
 )
@@ -83,10 +88,7 @@ class MixedTree:
 
     def _at(self, u: int) -> list[int]:
         """adj[u]; a free slot or an id outside the arena raises TreeStructureError."""
-        try:
-            at = self.adj[u] if u >= 0 else None
-        except IndexError:
-            at = None
+        at = self.adj[u] if 0 <= u < len(self.adj) else None
         if at is None:
             raise TreeStructureError(f"no node {u}")
         return at
@@ -113,10 +115,7 @@ class MixedTree:
 
     def _require_edge(self, u: int, v: int):
         # Only u needs its bounds checked: adj[v] is read once v is in adj[u].
-        try:
-            at = self.adj[u] if u >= 0 else None
-        except IndexError:
-            at = None
+        at = self.adj[u] if 0 <= u < len(self.adj) else None
         if at is None or v not in at or self.adj[v] is None:
             raise TreeStructureError(f"no edge ({u}, {v})")
 
@@ -152,6 +151,30 @@ class MixedTree:
             return self._where[name]
         except KeyError:
             raise TreeStructureError(f"species {name!r} not in tree") from None
+
+    def hang(self, root: int) -> tuple[list[int], list[int], list[list[int] | None]]:
+        """Nodes in breadth-first order from ``root``, each one's parent (-1
+        if none) and children in adjacency order (None if not reached), in
+        one iterative pass.  A non-root node with one neighbour is a leaf.
+        A ``root`` that is not a live node raises TreeStructureError."""
+        self._at(root)
+        adj = self.adj
+        parent = [-1] * len(adj)
+        kids: list[list[int] | None] = [None] * len(adj)
+        order = [root]
+        for v in order:
+            at = adj[v]
+            p = parent[v]
+            if p >= 0 and len(at) == 1:
+                kids[v] = []
+                continue
+            below = kids[v] = at.copy()
+            if p >= 0:
+                below.remove(p)
+            for c in below:
+                parent[c] = v
+            order.extend(below)
+        return order, parent, kids
 
     @property
     def num_nodes(self) -> int:
@@ -286,27 +309,6 @@ class MixedTree:
 
     # -- canonical form and Newick I/O -----------------------------------------
 
-    def _centers(self) -> list[int]:
-        adj = self.adj
-        nodes = [u for u, at in enumerate(adj) if at is not None]
-        if len(nodes) <= 2:
-            return nodes
-        deg = [0 if at is None else len(at) for at in adj]
-        layer = [u for u in nodes if deg[u] == 1]
-        remaining = len(nodes)
-        while remaining > 2:
-            remaining -= len(layer)
-            nxt = []
-            for u in layer:
-                deg[u] = 0
-                for v in adj[u]:
-                    if deg[v] > 1:
-                        deg[v] -= 1
-                        if deg[v] == 1:
-                            nxt.append(v)
-            layer = nxt
-        return layer
-
     def _code(self, v: int, kids: list[str]) -> str:
         """Code of node v over its children's codes (sorts ``kids``)."""
         name = self.label[v]
@@ -316,45 +318,44 @@ class MixedTree:
         kids.sort()
         return "(" + ",".join(kids) + ")" + atom
 
-    def hang(self, root: int) -> tuple[list[int], list[int], list[list[int] | None]]:
-        """Nodes in breadth-first order from ``root``, each one's parent (-1
-        if none) and children in adjacency order (None if not reached), in
-        one iterative pass.  A non-root node with one neighbour is a leaf."""
-        adj = self.adj
-        parent = [-1] * len(adj)
-        kids: list[list[int] | None] = [None] * len(adj)
-        order = [root]
-        for v in order:
-            at = adj[v]
-            p = parent[v]
-            if p >= 0 and len(at) == 1:
-                kids[v] = []
-                continue
-            below = kids[v] = at.copy()
-            if p >= 0:
-                below.remove(p)
-            for c in below:
-                parent[c] = v
-            order.extend(below)
-        return order, parent, kids
-
     def canonical_key(self) -> CanonicalKey:
-        """Serialization equal for two trees iff they are label-isomorphic."""
-        centers = self._centers()
-        a = centers[0]
-        # Every node's subtree code, with the tree hung from a.
-        order, _parent, kids = self.hang(a)
-        code: list[str | None] = [None] * len(kids)
+        """Serialization equal for two trees iff they are label-isomorphic.
+
+        One pass peels the leaves layer by layer.  A peeled node's code is
+        built from the codes its peeled neighbours passed it, then passed to
+        its one unpeeled neighbour.  The one or two nodes left are the
+        centres; two centres are adjacent, and the key is the smaller of the
+        two rootings.
+        """
+        adj = self.adj
+        nodes = [u for u, at in enumerate(adj) if at is not None]
+        if not nodes:
+            raise EmptyTreeError("an empty tree has no canonical form")
+        deg = [0 if at is None else len(at) for at in adj]  # unpeeled neighbours
+        below: list[list[str]] = [[] for _ in adj]  # codes passed to each node
         node_code = self._code
-        for v in reversed(order):
-            code[v] = node_code(v, [code[c] for c in kids[v]])
-        best = code[a]
-        if len(centers) == 2:
-            # Two centers are adjacent; hung from b instead, only the two
-            # centers' codes change.
-            b = centers[1]
-            rest = node_code(a, [code[c] for c in kids[a] if c != b])
-            best = min(best, node_code(b, [code[c] for c in kids[b]] + [rest]))
+        left = len(nodes)
+        layer = nodes if left <= 2 else [u for u in nodes if deg[u] == 1]
+        while left > 2:
+            left -= len(layer)
+            nxt = []
+            for u in layer:
+                deg[u] = 0
+                code = node_code(u, below[u])
+                for v in adj[u]:  # u's one unpeeled neighbour takes its code
+                    if deg[v]:
+                        below[v].append(code)
+                        deg[v] -= 1
+                        if deg[v] == 1:
+                            nxt.append(v)
+                        break
+            layer = nxt
+        if len(layer) == 1:
+            best = node_code(layer[0], below[layer[0]])
+        else:
+            a, b = layer
+            code_a, code_b = node_code(a, below[a]), node_code(b, below[b])
+            best = min(node_code(a, below[a] + [code_b]), node_code(b, below[b] + [code_a]))
         return CanonicalKey((best + ";").encode())
 
     def write_newick(self) -> str:
@@ -378,99 +379,93 @@ def _quote_name(name: str) -> str:
     return "'" + name.replace("'", "''") + "'"
 
 
+# parse_newick's states: a node must start, with "(" or a name; in an
+# unquoted or a quoted name; after ")", where the group's node may take a
+# name; a node is read, to be added at the next non-blank; after ";".
+_NODE, _NAME, _QUOTED, _LABEL, _READ, _END = range(6)
+_WHITESPACE = frozenset(" \t\r\n")
+
+
 def parse_newick(text: str) -> MixedTree:
     """Parse Newick into a MixedTree, keeping the structure exactly as written.
 
     Internal node names become species labels.  Branch lengths are not
     part of this tree model and are rejected.  A rooted display (top-level
     unlabelled degree-2 node) is kept as written.
+
+    One loop reads a character a turn, with one stack frame (position of
+    "(", child nodes) per open group, so nesting depth is not bounded by the
+    recursion limit.  A node is added once read, after its children.
     """
     tree = MixedTree()
-    i = 0
+    adj, label, where = tree.adj, tree.label, tree._where
     n = len(text)
-
-    def error(msg, pos):
-        raise NewickParseError(msg, pos)
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i] in " \t\r\n":
-            i += 1
-
-    def parse_name() -> str | None:
-        nonlocal i
-        skip_ws()
-        if i < n and text[i] == "'":
-            start = i
-            i += 1
-            out = []
-            while i < n:
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        out.append("'")
-                        i += 2
-                    else:
-                        i += 1
-                        return "".join(out)
-                else:
-                    out.append(text[i])
-                    i += 1
-            error("unterminated quoted name", start)
-        start = i
-        while i < n and text[i] not in _DELIMITERS:
-            i += 1
-        return text[start:i] if i > start else None
-
-    def finish_node(name, pos) -> int:
-        skip_ws()
-        if i < n and text[i] == ":":
-            error("branch lengths are not supported", i)
-        try:
-            return tree.add_node(name)
-        except DuplicateLabelError:
-            error(f"species {name!r} appears twice", pos)
-
-    # One frame (position of "(", child nodes) per open parenthesis; an
-    # explicit stack, so nesting depth is not bounded by the recursion
-    # limit.  A node is added when its subtree closes, children first.
-    open_groups: list[tuple[int, list[int]]] = []
-    root = None
-    while root is None:
-        skip_ws()
-        if i >= n:
-            error("unexpected end of input", i)
-        if text[i] == "(":
-            open_groups.append((i, []))
+    i = start = pos = 0  # pos: where an error about the node being read points
+    state, name, kids, stack = _NODE, None, [], []
+    while True:
+        c = text[i] if i < n else ""
+        if state == _NAME:
+            if c and c not in _DELIMITERS:
+                i += 1
+                continue
+            name, state = text[start:i], _READ
+        elif state == _QUOTED:
+            if c == "'" and text.startswith("'", i + 1):
+                i += 1  # '' stands for '
+            elif c == "'":
+                name, state = text[start + 1 : i].replace("''", "'"), _READ
+            elif not c:
+                raise NewickParseError("unterminated quoted name", start)
             i += 1
             continue
-        name_pos = i
-        name = parse_name()
-        if name is None:
-            error(f"expected a node, found {text[i]!r}", i)
-        node = finish_node(name, name_pos)
-        while open_groups:
-            open_groups[-1][1].append(node)
-            skip_ws()
-            if i < n and text[i] == ",":
-                i += 1
-                break
-            if i >= n or text[i] != ")":
-                error("expected ',' or ')'", i)
+        if c in _WHITESPACE:
             i += 1
-            open_pos, children = open_groups.pop()
-            node = finish_node(parse_name(), open_pos)
-            for c in children:
-                tree.add_edge(node, c)
+        elif state == _READ:
+            if c == ":":
+                raise NewickParseError("branch lengths are not supported", i)
+            node = len(adj)
+            if name is not None:
+                if name in where:
+                    raise NewickParseError(f"species {name!r} appears twice", pos)
+                where[name] = node
+            adj.append(kids)  # its children; its parent is appended later
+            label.append(name)
+            for k in kids:
+                adj[k].append(node)
+            if not stack:
+                if c != ";":
+                    raise NewickParseError("expected ';'", i)
+                state = _END
+            else:
+                stack[-1][1].append(node)
+                if c == ",":
+                    state = _NODE
+                elif c == ")":
+                    pos, kids = stack.pop()
+                    name, state = None, _LABEL
+                else:
+                    raise NewickParseError("expected ',' or ')'", i)
+            i += 1
+        elif state == _END:
+            if c:
+                raise NewickParseError("trailing characters after ';'", i)
+            break
+        elif c == "(" and state == _NODE:
+            stack.append((i, []))
+            i += 1
+        elif c == "'" or c and c not in _DELIMITERS:
+            if state == _NODE:  # a leaf
+                pos, kids = i, []
+            start, state = i, _QUOTED if c == "'" else _NAME
+            i += 1
+        elif state == _LABEL:
+            state = _READ
         else:
-            root = node
-    skip_ws()
-    if i >= n or text[i] != ";":
-        error("expected ';'", i)
-    i += 1
-    skip_ws()
-    if i != n:
-        error("trailing characters after ';'", i)
-    for u in tree.iter_nodes():
-        if tree.degree(u) <= 1 and tree.label[u] is None and tree.num_nodes > 1:
-            error("tree contains an unlabelled leaf", 0)
+            raise NewickParseError(
+                f"expected a node, found {c!r}" if c else "unexpected end of input", i
+            )
+    # Every leaf is named and every other node but the last, the root, has
+    # a parent and a child, so only the root can be an unlabelled leaf.
+    if len(adj) > 1 and len(adj[-1]) == 1 and label[-1] is None:
+        raise NewickParseError("tree contains an unlabelled leaf", 0)
     return tree

@@ -14,6 +14,7 @@ from parsicompact import (
     MixedTree,
     OracleTooLargeError,
     Scorer,
+    TreeStructureError,
     UnlabelledLeafError,
     brute_force_best_fit,
     contract_and_update,
@@ -97,6 +98,20 @@ def test_root_invariance(seed):
     costs = {Scorer(matrix).score(tree, u).mp_cost
              for u in tree.iter_nodes()}
     assert len(costs) == 1
+
+
+def test_score_refuses_a_root_that_is_not_a_live_node():
+    # A negative root would hang the tree from the end of the arena, one
+    # past it would raise a bare IndexError, and a free slot holds no node.
+    matrix = CharacterMatrix.from_rows([("a", "A"), ("b", "C"), ("c", "A"), ("d", "C")])
+    tree = parse_newick("((a,b),c,d);")
+    free = tree.add_node()
+    tree._free_node(free)
+    scorer = Scorer(matrix)
+    assert {scorer.score(tree, u).mp_cost for u in tree.iter_nodes()} == {2}
+    for bad in (-1, len(tree.adj), free):
+        with pytest.raises(TreeStructureError, match=f"no node {bad}"):
+            scorer.score(tree, root=bad)
 
 
 @settings(max_examples=30, deadline=None)

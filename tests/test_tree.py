@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     DuplicateLabelError,
+    EmptyTreeError,
     IllegalContractionError,
     MixedTree,
     NewickParseError,
@@ -223,11 +224,62 @@ def test_parse_rejects_malformed():
         ("(a,b);(c,d);", "trailing characters after ';'", 6),      # second tree
         ("", "unexpected end of input", 0),
         (";", "expected a node, found ';'", 0),                     # no nodes
+        ("'a''", "unterminated quoted name", 0),                    # '' is a quote
+        ("((a,b)a,c);", "species 'a' appears twice", 1),            # at its "("
+        ("(a,b)c :1;", "branch lengths are not supported", 7),      # after a blank
+        ("(a,b)[c];", "expected ';'", 5),                           # no comments
+        ("(a,b)'c", "unterminated quoted name", 5),                 # group's name
     ]:
         with pytest.raises(NewickParseError) as caught:
             parse_newick(bad)
         assert str(caught.value) == f"{message} (at position {position})", bad
         assert caught.value.position == position, bad
+
+
+def test_blanks_and_quoted_names_round_trip():
+    # Blanks around every token are skipped; '' in a quoted name is one
+    # quote, and '' alone is the empty name.
+    assert parse_newick(" ( 'x y' , b ) ; ").write_newick() == "('x y',b);"
+    text = "('a''b',c)'';"
+    tree = parse_newick(text)
+    assert live_labels(tree) == ["", "a'b", "c"]
+    assert tree.write_newick() == text
+
+
+def test_canonical_texts_of_the_peel_edge_cases():
+    # A path of four has two centres, b and c; the key is the smaller
+    # rooting, at c, whichever centre the peel lists first.
+    for text in ("(((a)b)c)d;", "(((d)c)b)a;"):
+        assert parse_newick(text).write_newick() == "((a)b,d)c;", text
+    # One node, and two nodes (two centres, no peel).
+    assert parse_newick("a;").write_newick() == "a;"
+    assert parse_newick("(a)b;").write_newick() == "(a)b;"
+    assert parse_newick("(b)a;").write_newick() == "(a)b;"
+
+
+def test_free_slots_key_as_the_compact_rebuild():
+    # Growth then undo leaves freed slots 6 and 7 between live nodes.
+    tree = parse_newick("((a,b)x,c,d);")
+    token = tree.grow_rule_1(next(iter(tree.iter_edges())), "z")
+    tree.grow_rule_3(tree.species_node("c"), "e")
+    tree.undo_growth(token)
+    assert sorted(tree._free) == [6, 7] and len(tree.adj) == 9
+    compact = parse_newick("((a,b)x,(e)c,d);")
+    assert tree.canonical_key() == compact.canonical_key()
+    assert tree.write_newick() == "((a,b)x,(e)c,d);"
+    # A dead slot from the arrays of a scored tree.
+    star = MixedTree.from_arrays(
+        [-1, 0, -1, 0, 0], [[1, 3, 4], [], None, [], []], [None, "a", None, "b", "c"]
+    )
+    assert star._free == [2]
+    assert star.canonical_key() == parse_newick("(a,b,c);").canonical_key()
+    assert star.write_newick() == "(a,b,c);"
+
+
+def test_an_empty_tree_has_no_canonical_form():
+    for call in (MixedTree().canonical_key, MixedTree().write_newick):
+        with pytest.raises(EmptyTreeError, match="empty tree"):
+            call()
 
 
 def test_parse_keeps_degree2_root():
@@ -305,6 +357,7 @@ def test_ids_outside_the_arena_are_refused_before_changing_anything():
             ("grow_rule_1", ((bad, a), "c")),
             ("grow_rule_3", (bad, "c")),
             ("grow_rule_4", (bad, "c")),
+            ("hang", (bad,)),
         ]:
             with pytest.raises(TreeStructureError):
                 getattr(t, name)(*args)
