@@ -14,18 +14,22 @@ Adding a species can never lower the MP-cost, so a partial tree's cost is
 an admissible bound and strictly-worse partial trees are pruned.  Equal
 cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one directional sweep of the expanded tree
-(:meth:`Scorer.growth_costs`), which costs every growth move in O(1)
-big-int operations instead of rescoring each child; only the tree each
-depth-first run starts from is scored in full, and it then takes the
-same per-child step as every child, through a move that stands for a
-tree already built.  Only the children that survive the bound are
-applied to the tree (and undone): a child priced above the incumbent
-is counted -- visited, plus pruned, or generated when complete -- but
-never built.  Building and undoing an edge move
-re-appends that edge to both endpoints' adjacency lists, which orders
-every later move list, so a skipped edge move still makes that one
-change (:meth:`MixedTree.requeue_edge`) and every move list is the
-same as if every child were built.
+(:meth:`Scorer.growth_costs`), which lists every growth move and costs
+each in O(1) big-int operations instead of rescoring each child.  It
+lists them in the order the search visits them: r1 on each edge, in
+:meth:`MixedTree.iter_edges`' order, each followed in mixed search by
+r2 on the same edge; then, in mixed search, r3 on each node, in
+:meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
+followed by r4.  Only the tree each depth-first run starts from is
+scored in full, and it then takes the same per-child step as every
+child, through a move that stands for a tree already built.  Only the
+children that survive the bound are applied to the tree (and undone):
+a child priced above the incumbent is counted -- visited, plus pruned,
+or generated when complete -- but never built.  Building and undoing
+an edge move re-appends that edge to both endpoints' adjacency lists,
+which orders every later move list, so a skipped edge move still makes
+that one change (:meth:`MixedTree.requeue_edge`) and every move list
+is the same as if every child were built.
 
 Many expanded trees need no sweep at all.  Let novel[k] count the
 characters where species order[k]'s state is held by none of
@@ -56,8 +60,9 @@ edge is requeued, where the per-child loop would requeue each edge in
 move list order (a mixed list names an edge twice in a row, and the
 second requeue changes nothing).  Neither changes a later move list,
 because a move list reads only the order of each node's higher-id
-neighbours: :meth:`MixedTree.iter_edges` lists (u, v), u < v, in the
-order of v in adj[u].  Requeuing every edge of a tree in that order
+neighbours: its node moves go by id, and its edge moves follow
+:meth:`MixedTree.iter_edges`, which lists (u, v), u < v, in the order
+of v in adj[u].  Requeuing every edge of a tree in that order
 reaches node x first through its edges (w, x), w < x, by increasing w,
 each moving w to the end of adj[x]; then through its edges (x, v),
 v > x, in adj[x]'s order, each moving v to the end.  So adj[x] ends as
@@ -290,20 +295,7 @@ class _Search:
             self.novel.append(len(states - seen))
             seen |= states
 
-    # -- move generation ---------------------------------------------------
-
-    def moves(self, tree: MixedTree):
-        if self.kind == "cubic":
-            return [("r1", e) for e in tree.iter_edges()]
-        out = []
-        for e in tree.iter_edges():
-            out.append(("r1", e))
-            out.append(("r2", e))
-        for u in tree.iter_nodes():
-            out.append(("r3", u))
-            if tree.label[u] is None:
-                out.append(("r4", u))
-        return out
+    # -- growth ------------------------------------------------------------
 
     @staticmethod
     def apply(tree, move, name):
@@ -344,9 +336,8 @@ class _Search:
         return 3 * nodes - 2 + unlabelled
 
     def _expand(self, tree: MixedTree, k: int):
-        moves = self.moves(tree)
         self.record.sweeps += 1
-        costs = self.scorer.growth_costs(tree, moves, self.order[k])
+        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.kind == "mixed")
         best = self.record.incumbent_cost
         complete = k + 1 == len(self.order)
         if best is not None and (complete or not self.no_prune) and min(costs) > best:
@@ -440,7 +431,8 @@ class _Search:
             nxt = []
             for tree, depth in level:
                 name = self.order[depth]
-                for move in self.moves(tree):
+                moves, _ = self.scorer.growth_costs(tree, name, self.kind == "mixed")
+                for move in moves:
                     token = self.apply(tree, move, name)
                     nxt.append((tree.copy(), depth + 1))
                     tree.undo_growth(token)

@@ -42,6 +42,7 @@ from itertools import product
 
 from .charmatrix import CharacterMatrix
 from .errors import (
+    DuplicateLabelError,
     EmptyTreeError,
     MissingSpeciesError,
     OracleTooLargeError,
@@ -134,7 +135,9 @@ class Scorer:
 
     Reusable across many trees; enumeration keeps a single instance and
     calls :meth:`growth_costs` on each tree it expands whose children
-    are not all priced out by the novel-state bound.
+    are not all priced out by the novel-state bound.  That one sweep
+    lists the tree's children, as growth moves in the order the search
+    visits them, and prices each.
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
@@ -359,20 +362,25 @@ class Scorer:
         """MP-cost only; the branch-and-bound inner loop."""
         return self._bottom_up(tree, self.pick_root(tree), False)[0]
 
-    def growth_costs(self, tree: MixedTree, moves, name: str) -> list[int]:
-        """MP-cost of every tree that one growth move of ``name`` makes.
+    def growth_costs(self, tree: MixedTree, name: str, mixed: bool) -> tuple[list, list[int]]:
+        """Every tree that one growth move of ``name`` makes, with its MP-cost.
 
-        ``moves`` holds ("r1" | "r2", edge) and ("r3" | "r4", node) pairs,
-        named after the MixedTree growth rules; the result lists one cost
-        per move, in order, and the tree is left untouched.
+        Returns (moves, costs): ``moves`` holds ("r1" | "r2", edge) and
+        ("r3" | "r4", node) pairs, named after the MixedTree growth rules,
+        and ``costs`` one cost per move, in order; the tree is left
+        untouched.  The sweep lists the moves it prices, in the order the
+        searches visit them: r1 on each edge, in :meth:`MixedTree.iter_edges`'
+        order, each followed by r2 on the same edge when ``mixed``; then,
+        when ``mixed``, r3 on each node, in :meth:`MixedTree.iter_nodes`'
+        order, each unlabelled one followed by r4.  Without ``mixed`` the
+        list is the cubic search's, r1 alone.  A ``name`` the tree already
+        holds raises DuplicateLabelError, as a growth rule would.
 
         One directional sweep replaces a rescore per child.  Write D(u->v)
         for the VU set of the side of edge (u, v) holding u.  The bottom-up
         pass gives D(u->parent) and each node's children; a preorder pass
         over those children gives D(parent->u) from the parent's label, or
-        else from the parent's other incoming sets.  Next to it, that pass
-        prices r1 on each edge and stores the price by the edge's child
-        endpoint, where the move loop reads it.  An edge (u, v) acts as
+        else from the parent's other incoming sets.  An edge (u, v) acts as
         an unlabelled node receiving D(u->v) and D(v->u), so with x the new
         species, |s| the number of characters whose x-state lies in s (x
         has one state per character), and an unlabelled node (or edge)
@@ -385,17 +393,21 @@ class Scorer:
 
         Both follow from one fact: an edge into a side with set D costs
         that side's minimum plus one per character whose state misses D.
-        The two sets on an edge combine inline, and so do the pairs of a
-        node with three incoming sets in the down pass; a node with three
-        sets takes :meth:`_three`'s closed form, and any other count goes
-        through :meth:`_count_many`'s threshold count.
+        After the two passes, one loop over the edges lists and prices r1
+        and r2 from one inline combine of the edge's two sets, as the down
+        pass combines the pairs of a node with three incoming sets.  One
+        loop over the nodes then lists and prices r3 and r4: a node with
+        three sets takes :meth:`_three`'s closed form, and any other count
+        goes through :meth:`_count_many`'s threshold count.
         """
         x = self.vmask.get(name)
         if x is None:
             raise MissingSpeciesError(f"species {name!r} not in the matrix")
+        label = tree.label
+        if name in label:
+            raise DuplicateLabelError(f"species {name!r} already labels a node")
         root = self.pick_root(tree)
         cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root, False)
-        label = tree.label
         vmask = self.vmask
         carry = self.carry
         high = self.high
@@ -403,8 +415,6 @@ class Scorer:
         fill = self.fill
         m = self.m
         down = [0] * len(up)
-        price = [0] * len(up)  # r1 price of each edge, by its child endpoint
-        base = cost + m
         for p in pre:
             kids = kids_of[p]
             if not kids:
@@ -429,47 +439,39 @@ class Scorer:
                     # node of degree 2, the one other set passes through.
                     for i, c in enumerate(kids):
                         down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
-            for c in kids:
-                # r1 on edge (p, c): x hung from D(c->p) and D(p->c).
-                a = up[c]
-                b = down[c]
-                meet = a & b
-                both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
-                price[c] = base - ((meet | ((a | b) & ~both)) & x).bit_count()
 
-        at_node: dict[int, tuple[int, int]] = {}
-        out = []
-        for kind, site in moves:
-            if kind == "r1" or kind == "r2":
-                u, v = site
-                c = v if parent[v] == u else u
-                if kind == "r1":
-                    out.append(price[c])
-                    continue
-                a = up[c]
-                b = down[c]
-                meet = a & b
-                ne = ((((meet & carry) + carry) | meet) & high) >> top
+        base = cost + m
+        moves = []
+        costs = []
+        for edge in tree.iter_edges():
+            # x hung from D(c->p) and D(p->c), with c the child endpoint.
+            u, v = edge
+            c = v if parent[v] == u else u
+            a = up[c]
+            b = down[c]
+            meet = a & b
+            ne = ((((meet & carry) + carry) | meet) & high) >> top
+            moves.append(("r1", edge))
+            costs.append(base - ((meet | ((a | b) & ~(ne * fill))) & x).bit_count())
+            if mixed:
                 # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
-                out.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+                moves.append(("r2", edge))
+                costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+        if not mixed:
+            return moves, costs
+        for u in tree.iter_nodes():
+            moves.append(("r3", u))
+            if label[u] is not None:
+                costs.append(base - (vmask[label[u]] & x).bit_count())
                 continue
-            if kind == "r3" and label[site] is not None:
-                out.append(base - (vmask[label[site]] & x).bit_count())
-                continue
-            got = at_node.get(site)
-            if got is None:
-                sets = [up[c] for c in kids_of[site]]
-                if parent[site] >= 0:
-                    sets.append(down[site])
-                vv, _vl, local = self._combine(sets)
-                hits = sum((s & x).bit_count() for s in sets)
-                got = at_node[site] = (vv, len(sets) * m - local - hits)
-            vv, grow_cost = got
-            if kind == "r3":
-                out.append(base - (vv & x).bit_count())
-            else:
-                out.append(cost + grow_cost)
-        return out
+            sets = [up[c] for c in kids_of[u]]
+            if parent[u] >= 0:
+                sets.append(down[u])
+            vv, _vl, local = self._combine(sets)
+            costs.append(base - (vv & x).bit_count())
+            moves.append(("r4", u))
+            costs.append(cost + len(sets) * m - local - sum((s & x).bit_count() for s in sets))
+        return moves, costs
 
     def score(self, tree: MixedTree, root: int | None = None) -> ScoreResult:
         """Full pass: cost plus VU/VL/VV for every node.

@@ -45,6 +45,27 @@ def random_mixed_tree(names, rng: random.Random) -> MixedTree:
     return tree
 
 
+def growth_moves(tree: MixedTree, kind: str) -> list:
+    """Every growth move of a ``kind`` ("cubic" or "mixed") search on the
+    tree, in the search's visit order: r1 on each edge, each followed for
+    mixed by r2 on the same edge; then, for mixed, r3 on each node, each
+    unlabelled one followed by r4.
+
+    The reference listing that the scorer's sweep must reproduce.
+    """
+    if kind == "cubic":
+        return [("r1", e) for e in tree.iter_edges()]
+    out = []
+    for e in tree.iter_edges():
+        out.append(("r1", e))
+        out.append(("r2", e))
+    for u in tree.iter_nodes():
+        out.append(("r3", u))
+        if tree.label[u] is None:
+            out.append(("r4", u))
+    return out
+
+
 def live_labels(tree: MixedTree) -> list[str]:
     """Species labels of the tree's live nodes, sorted."""
     return sorted(tree.label[u] for u in tree.iter_nodes() if tree.label[u] is not None)

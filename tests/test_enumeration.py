@@ -27,6 +27,7 @@ from parsicompact.parsimony import group_width
 from conftest import (
     SYMBOLS,
     contract_edge,
+    growth_moves,
     live_labels,
     random_mixed_tree,
     sized_matrix,
@@ -250,8 +251,9 @@ def test_sweep_costs_every_growth_move_exactly():
                     shapes["labelled internal"] += 1
                     shapes["labelled degree 2"] += d == 2
             for kind in ("cubic", "mixed"):
-                moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
-                costs = scorer.growth_costs(tree, moves, name)
+                moves = growth_moves(tree, kind)
+                listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
+                assert listed == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
                     token = _Search.apply(tree, move, name)
@@ -262,6 +264,42 @@ def test_sweep_costs_every_growth_move_exactly():
                     checked += 1
     assert all(shapes.values()), shapes
     assert checked > 4000
+
+
+def test_sweep_lists_every_growth_move_in_the_search_order():
+    # The sweep lists the moves it prices, so its list must be the
+    # reference listing, in order, for both searches: on trees whose
+    # arena has free slots, left by an undone growth or by a contracted
+    # edge, and on trees with unlabelled degree-2 nodes.  Subdividing
+    # either reuses its free slots, so node ids need not follow the order
+    # in which the nodes were made.
+    rng = random.Random(26)
+    shapes = {"undone growth": 0, "contracted edge": 0, "unlabelled degree 2": 0}
+    for _ in range(150):
+        matrix = random_matrix(rng.randint(3, 9), 2, 3, seed=rng.randrange(1 << 30))
+        *placed, name = matrix.names
+        scorer = Scorer(matrix)
+        tree = random_mixed_tree(placed, rng)
+        undone = tree.copy()
+        undone.undo_growth(_Search.apply(undone, rng.choice(growth_moves(undone, "mixed")), name))
+        shapes["undone growth"] += None in undone.adj
+        contracted = tree.copy()
+        edges = [(u, v) for u, v in contracted.iter_edges()
+                 if contracted.label[u] is None or contracted.label[v] is None]
+        if edges:
+            contract_edge(contracted, *rng.choice(edges))
+        shapes["contracted edge"] += None in contracted.adj
+        subdivided = subdivide_with_unlabelled(
+            rng.choice((undone, contracted)).copy(), rng, rng.randint(1, 3))
+        shapes["unlabelled degree 2"] += any(
+            subdivided.label[u] is None and len(subdivided.adj[u]) == 2
+            for u in subdivided.iter_nodes())
+        for t in (tree, undone, contracted, subdivided):
+            for kind in ("cubic", "mixed"):
+                moves, costs = scorer.growth_costs(t, name, kind == "mixed")
+                assert moves == growth_moves(t, kind), kind
+                assert len(costs) == len(moves)
+    assert all(count > 20 for count in shapes.values()), shapes
 
 
 def test_sweep_costs_every_growth_move_on_eight_symbol_data():
@@ -280,8 +318,9 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
         scorer = Scorer(matrix)
         for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):
             for kind in ("cubic", "mixed"):
-                moves = _Search(matrix, matrix.names, kind, False, None).moves(tree)
-                costs = scorer.growth_costs(tree, moves, name)
+                moves = growth_moves(tree, kind)
+                listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
+                assert listed == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
                     token = _Search.apply(tree, move, name)
@@ -327,12 +366,12 @@ def test_no_child_costs_less_than_its_tree_plus_the_novel_states(seed):
         novel = _novel_count(matrix, names, new)
         assert _Search(matrix, names + [new], "mixed", False, None).novel[-1] == novel
         for kind in ("cubic", "mixed"):
-            moves = _Search(matrix, names, kind, False, None).moves(tree)
-            costs = scorer.growth_costs(tree, moves, new)
+            _, costs = scorer.growth_costs(tree, new, kind == "mixed")
             assert min(costs) >= cost + novel, (new, kind)
     assert _novel_count(matrix, names, "Y") == len(changed)
-    hang = scorer.growth_costs(tree, [("r3", tree.species_node(source))], "Y")
-    assert hang == [cost + len(changed)]
+    moves, costs = scorer.growth_costs(tree, "Y", True)
+    hang = costs[moves.index(("r3", tree.species_node(source)))]
+    assert hang == cost + len(changed)
 
 
 def _keys_digest(record):
@@ -376,7 +415,8 @@ def _next_ids(tree, count=3):
 
 def _moves_on_a_random_tree(seed):
     """(search, tree, move) for every cubic and mixed move on a random
-    mixed tree, which half the time has had an edge contracted."""
+    mixed tree, which half the time has had an edge contracted.  The
+    moves come from the reference listing, not from the sweep."""
     rng = random.Random(seed)
     matrix = random_matrix(rng.randint(2, 8), 2, 2, seed=seed)
     tree = random_mixed_tree(matrix.names, rng)
@@ -389,7 +429,7 @@ def _moves_on_a_random_tree(seed):
             contract_edge(tree, *rng.choice(edges))
     for kind in ("cubic", "mixed"):
         search = _Search(matrix, matrix.names, kind, False, None)
-        for move in search.moves(tree):
+        for move in growth_moves(tree, kind):
             yield search, tree, move
 
 
@@ -421,7 +461,7 @@ def test_a_skipped_child_leaves_every_move_list_as_a_built_one(seed):
         token = _Search.apply(built, move, "new")
         dn, du = _GROWTH[move[0]]
         count = search._child_count(tree.num_nodes + dn, tree.n_unlabelled + du)
-        assert count == len(search.moves(built)), move
+        assert count == len(growth_moves(built, search.kind)), move
         for edge in built.iter_edges():
             built.requeue_edge(*edge)
         built.undo_growth(token)
@@ -433,13 +473,15 @@ def test_a_skipped_child_leaves_every_move_list_as_a_built_one(seed):
 
 class _BuildEveryChild(_Search):
     """The search with no skipped children: every child is applied, scored
-    in full and undone, so no move list depends on requeue_edge."""
+    in full and undone, so no move list depends on requeue_edge.  It takes
+    its moves from the reference listing and its costs from full scores,
+    so it shares no code with the sweep."""
 
     def _expand(self, tree, k):
         rec = self.record
         name = self.order[k]
         complete = k + 1 == len(self.order)
-        for move in self.moves(tree):
+        for move in growth_moves(tree, self.kind):
             rec.visited += 1
             best = rec.incumbent_cost
             token = self.apply(tree, move, name)
@@ -519,9 +561,9 @@ class _SweepEveryTree(_Search):
         self.novel = [0] * len(self.order)
 
     def _expand(self, tree, k):
-        moves = self.moves(tree)
         self.record.sweeps += 1
-        self._visit(tree, k, moves, self.scorer.growth_costs(tree, moves, self.order[k]))
+        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.kind == "mixed")
+        self._visit(tree, k, moves, costs)
 
 
 @pytest.mark.parametrize("every", [1, 5, 7])

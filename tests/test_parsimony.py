@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from parsicompact import (
     CharacterMatrix,
+    DuplicateLabelError,
     EmptyTreeError,
     IllegalContractionError,
     MissingSpeciesError,
@@ -244,7 +245,23 @@ def test_unlabelled_leaf_is_rejected_under_any_numbering(leaf_first):
     with pytest.raises(UnlabelledLeafError):
         sc.score(tree)
     with pytest.raises(UnlabelledLeafError):
-        sc.growth_costs(tree, [("r3", w)], "d")
+        sc.growth_costs(tree, "d", True)
+
+
+@pytest.mark.parametrize("text", ["(a,b,c);", "(b,c,d)a;", "((b,c)a,d);"])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_sweep_refuses_a_species_the_tree_already_holds(monkeypatch, text, mixed):
+    # Growing a tree by a species it holds raises DuplicateLabelError, so
+    # pricing that growth must raise it too, with the same message,
+    # before any pass over the tree runs.
+    m = CharacterMatrix.from_rows([("a", "A"), ("b", "A"), ("c", "B"), ("d", "B")])
+    tree = parse_newick(text)
+    with pytest.raises(DuplicateLabelError) as grown:
+        tree.grow_rule_1(tree.iter_edges()[0], "a")
+    monkeypatch.setattr(MixedTree, "hang", lambda *_: pytest.fail("a pass ran"))
+    with pytest.raises(DuplicateLabelError) as swept:
+        Scorer(m).growth_costs(tree, "a", mixed)
+    assert str(swept.value) == str(grown.value)
 
 
 def test_oracle_cap():
