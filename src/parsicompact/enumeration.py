@@ -69,8 +69,8 @@ v > x, in adj[x]'s order, each moving v to the end.  So adj[x] ends as
 its lower-id neighbours sorted, then its higher-id neighbours in their
 old order.  Removing and appending list entries never reorders the
 others, so after the undo every node's higher-id neighbours stand in
-the order that requeue_edge alone, or no requeue, leaves, and a
-requeue never touches the free list that decides the next node ids.
+the order that requeue_edge alone, or no requeue, leaves.  The next node
+ids depend only on which slots are free, and a requeue frees none.
 Only the order of lower-id neighbours differs; no move list reads it,
 and no cost or canonical key depends on it.
 

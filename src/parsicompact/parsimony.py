@@ -359,7 +359,8 @@ class Scorer:
     # -- entry points --------------------------------------------------------------
 
     def cost(self, tree: MixedTree) -> int:
-        """MP-cost only; the branch-and-bound inner loop."""
+        """MP-cost only: each depth-first run scores its start tree with
+        it, and :meth:`growth_costs` prices every child after that."""
         return self._bottom_up(tree, self.pick_root(tree), False)[0]
 
     def growth_costs(self, tree: MixedTree, name: str, mixed: bool) -> tuple[list, list[int]]:

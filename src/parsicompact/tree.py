@@ -1,10 +1,10 @@
 """Mixed-labelled multifurcating unrooted trees.
 
-Nodes live in an index-addressed arena with a free list, so the
-enumeration code can apply a growth rule, recurse, and undo it in O(1)
-without copying the tree.  A node optionally carries a species label;
-every leaf must be labelled, internal nodes may be.  "Internal" always
-means degree >= 2.
+Nodes live in an index-addressed arena of two lists, adjacency and
+labels, so the enumeration code can apply a growth rule, recurse, and
+undo it without copying the tree.  A node optionally carries a species
+label; every leaf must be labelled, internal nodes may be.  "Internal"
+always means degree >= 2.
 
 Canonical form and Newick output share one serialization: the tree
 rooted at its center (the smaller text of the <= 2 centers), with each
@@ -51,17 +51,16 @@ class MixedTree:
     """Unrooted tree with optional species labels on any node.
 
     ``adj[u]`` lists node u's neighbours, or is None when slot u is free,
-    that is, holds no node; ``label[u]`` is u's species or None.  Freed
-    slots are reused last-freed first.
+    that is, holds no node; ``label[u]`` is u's species or None, and None
+    in a free slot.  These two lists are the whole tree: a new node takes
+    the lowest free slot, or a new one at the end.
     """
 
-    __slots__ = ("adj", "label", "_free", "_where")
+    __slots__ = ("adj", "label")
 
     def __init__(self):
         self.adj: list[list[int] | None] = []
         self.label: list[str | None] = []
-        self._free: list[int] = []
-        self._where: dict[str, int] = {}
 
     @classmethod
     def single(cls, name: str) -> "MixedTree":
@@ -72,18 +71,17 @@ class MixedTree:
     # -- arena primitives --------------------------------------------------
 
     def add_node(self, name: str | None = None) -> int:
-        if name is not None and name in self._where:
+        adj, label = self.adj, self.label
+        if name is not None and name in label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
-        if self._free:
-            u = self._free.pop()
-            self.adj[u] = []
-            self.label[u] = name
-        else:
-            u = len(self.adj)
-            self.adj.append([])
-            self.label.append(name)
-        if name is not None:
-            self._where[name] = u
+        try:
+            u = adj.index(None)
+        except ValueError:
+            adj.append([])
+            label.append(name)
+            return len(adj) - 1
+        adj[u] = []
+        label[u] = name
         return u
 
     def _at(self, u: int) -> list[int]:
@@ -96,12 +94,8 @@ class MixedTree:
     def _free_node(self, u: int):
         if self._at(u):
             raise TreeStructureError(f"cannot free node {u} with live edges")
-        name = self.label[u]
-        if name is not None:
-            del self._where[name]
-            self.label[u] = None
+        self.label[u] = None
         self.adj[u] = None
-        self._free.append(u)
 
     def add_edge(self, u: int, v: int):
         at_u, at_v = self._at(u), self._at(v)
@@ -120,22 +114,14 @@ class MixedTree:
             raise TreeStructureError(f"no edge ({u}, {v})")
 
     def _set_label(self, u: int, name: str):
-        if name in self._where:
+        label = self.label
+        if name in label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
-        if self.label[u] is not None:
-            raise AlreadyLabelledError(f"node {u} already labelled {self.label[u]!r}")
-        self.label[u] = name
-        self._where[name] = u
-
-    def _clear_label(self, u: int):
-        name = self.label[u]
-        self.label[u] = None
-        del self._where[name]
+        if label[u] is not None:
+            raise AlreadyLabelledError(f"node {u} already labelled {label[u]!r}")
+        label[u] = name
 
     # -- views ---------------------------------------------------------------
-
-    def degree(self, u: int) -> int:
-        return len(self._at(u))
 
     def iter_nodes(self):
         for u, at in enumerate(self.adj):
@@ -147,10 +133,13 @@ class MixedTree:
         return [(u, v) for u, at in enumerate(self.adj) if at is not None for v in at if u < v]
 
     def species_node(self, name: str) -> int:
-        try:
-            return self._where[name]
-        except KeyError:
-            raise TreeStructureError(f"species {name!r} not in tree") from None
+        # None would find a free or an unlabelled slot.
+        if name is not None:
+            try:
+                return self.label.index(name)
+            except ValueError:
+                pass
+        raise TreeStructureError(f"species {name!r} not in tree")
 
     def hang(self, root: int) -> tuple[list[int], list[int], list[list[int] | None]]:
         """Nodes in breadth-first order from ``root``, each one's parent (-1
@@ -178,15 +167,15 @@ class MixedTree:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.adj) - len(self._free)
+        return len(self.adj) - self.adj.count(None)
 
     @property
     def n_labelled(self) -> int:
-        return len(self._where)
+        return len(self.label) - self.label.count(None)
 
     @property
     def n_unlabelled(self) -> int:
-        return len(self.adj) - len(self._free) - len(self._where)
+        return self.label.count(None) - self.adj.count(None)
 
     def __repr__(self):
         return (
@@ -204,16 +193,12 @@ class MixedTree:
         for ks, p in zip(kids, parent):
             t.adj.append(None if ks is None else [p, *ks] if p >= 0 else list(ks))
         t.label = list(label)
-        t._free = [x for x, ks in enumerate(kids) if ks is None]
-        t._where = {name: x for x, name in enumerate(t.label) if name is not None}
         return t
 
     def copy(self) -> "MixedTree":
         t = MixedTree.__new__(MixedTree)
         t.adj = [None if at is None else at.copy() for at in self.adj]
         t.label = list(self.label)
-        t._free = list(self._free)
-        t._where = dict(self._where)
         return t
 
     # -- growth rules (with O(1) undo) ----------------------------------------
@@ -225,10 +210,12 @@ class MixedTree:
         """
         u, v = edge
         self._require_edge(u, v)
-        if name in self._where:
+        _require_species(name)
+        if name in self.label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
         w = self.add_node()
-        leaf = self.add_node(name)
+        leaf = self.add_node()
+        self.label[leaf] = name  # checked once, above
         self.remove_edge(u, v)
         self.add_edge(u, w)
         self.add_edge(w, v)
@@ -239,6 +226,7 @@ class MixedTree:
         """Subdivide ``edge`` with a new degree-2 node labelled ``name``."""
         u, v = edge
         self._require_edge(u, v)
+        _require_species(name)
         w = self.add_node(name)
         self.remove_edge(u, v)
         self.add_edge(u, w)
@@ -248,6 +236,7 @@ class MixedTree:
     def grow_rule_3(self, node: int, name: str):
         """Attach a new leaf labelled ``name`` to ``node`` (any degree)."""
         self._at(node)
+        _require_species(name)
         leaf = self.add_node(name)
         self.add_edge(node, leaf)
         return ("r3", node, leaf)
@@ -255,6 +244,7 @@ class MixedTree:
     def grow_rule_4(self, node: int, name: str):
         """Put label ``name`` on an existing unlabelled node."""
         self._at(node)
+        _require_species(name)
         self._set_label(node, name)
         return ("r4", node, name)
 
@@ -279,8 +269,7 @@ class MixedTree:
             self.remove_edge(node, leaf)
             self._free_node(leaf)
         elif kind == "r4":
-            _, node, _name = token
-            self._clear_label(node)
+            self.label[token[1]] = None
         else:
             raise ValueError(f"unknown growth token {token!r}")
 
@@ -290,15 +279,16 @@ class MixedTree:
         This is the net effect on the tree of grow_rule_1 or grow_rule_2
         on edge (u, v) followed by :meth:`undo_growth`: the undo re-appends
         the subdivided edge, which decides the order of later move lists.
-        Everything else (labels, the node ids the next
-        :meth:`add_node` calls return) ends up as it was, and rules 3 and 4
-        undo without a trace, so a search may skip building a child and
-        call this instead.  The search also calls it alone for a child
-        that, built, would have requeued each of its own edges before the
-        undo: what the search relies on is that :meth:`iter_edges` and the
-        next node ids come out the same either way, since both read only
-        the order of each node's higher-id neighbours and the free list
-        (the proof is in ``enumeration``'s module docstring).
+        Everything else (labels, and which slots are free, so the node ids
+        the next :meth:`add_node` calls return) ends up as it was, and
+        rules 3 and 4 undo without a trace, so a search may skip building a
+        child and call this instead.  The search also calls it alone for a
+        child that, built, would have requeued each of its own edges before
+        the undo: what the search relies on is that :meth:`iter_edges` and
+        the next node ids come out the same either way, since the first
+        reads only the order of each node's higher-id neighbours and the
+        second only which slots are free, which no requeue changes (the
+        proof is in ``enumeration``'s module docstring).
         """
         at_u = self.adj[u]
         at_u.remove(v)
@@ -367,6 +357,13 @@ class MixedTree:
         return self.canonical_key().as_text()
 
 
+def _require_species(name):
+    """A growth rule's species name must be a str: None would make or
+    leave an unlabelled node."""
+    if not isinstance(name, str):
+        raise TreeStructureError(f"species name {name!r} is not a str")
+
+
 # Characters that end an unquoted Newick name; a name holding any of
 # them is written quoted.
 _DELIMITERS = frozenset("(),:;'[] \t\r\n")
@@ -398,7 +395,8 @@ def parse_newick(text: str) -> MixedTree:
     recursion limit.  A node is added once read, after its children.
     """
     tree = MixedTree()
-    adj, label, where = tree.adj, tree.label, tree._where
+    adj, label = tree.adj, tree.label
+    names = set()
     n = len(text)
     i = start = pos = 0  # pos: where an error about the node being read points
     state, name, kids, stack = _NODE, None, [], []
@@ -425,9 +423,9 @@ def parse_newick(text: str) -> MixedTree:
                 raise NewickParseError("branch lengths are not supported", i)
             node = len(adj)
             if name is not None:
-                if name in where:
+                if name in names:
                     raise NewickParseError(f"species {name!r} appears twice", pos)
-                where[name] = node
+                names.add(name)
             adj.append(kids)  # its children; its parent is appended later
             label.append(name)
             for k in kids:

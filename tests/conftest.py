@@ -126,8 +126,8 @@ def num_edges(tree: MixedTree) -> int:
 
 def validate(tree: MixedTree):
     """Raise TreeStructureError unless the tree is a connected tree with
-    no unlabelled leaf and distinct labels, each of which the tree's
-    species index maps to its node."""
+    no unlabelled leaf and distinct labels, with one label slot per arena
+    slot and no label in a free slot."""
     nodes = list(tree.iter_nodes())
     if not nodes:
         raise TreeStructureError("empty tree")
@@ -151,8 +151,10 @@ def validate(tree: MixedTree):
     labels = [tree.label[u] for u in nodes if tree.label[u] is not None]
     if len(labels) != len(set(labels)):
         raise TreeStructureError("duplicate species labels")
-    if tree._where != {tree.label[u]: u for u in nodes if tree.label[u] is not None}:
-        raise TreeStructureError("species index out of sync")
+    if len(tree.label) != len(tree.adj) or any(
+        at is None and name is not None for at, name in zip(tree.adj, tree.label)
+    ):
+        raise TreeStructureError("labels out of step with the arena")
 
 
 def contract_edge(tree: MixedTree, u: int, v: int) -> int:
@@ -170,7 +172,7 @@ def contract_edge(tree: MixedTree, u: int, v: int) -> int:
             raise IllegalContractionError(
                 f"both endpoints labelled ({tree.label[u]!r}, {name!r})"
             )
-        tree._clear_label(v)
+        tree.label[v] = None
         tree._set_label(u, name)
     tree.remove_edge(u, v)
     for y in list(tree.adj[v]):

@@ -118,3 +118,54 @@ def test_only_parsimony_module_knows_the_packed_set_format():
             if found:
                 uses[str(path.relative_to(root))] = found
     assert uses == {}
+
+
+ARENA_LISTS = {"adj", "label"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _into_arena(node) -> bool:
+    """Whether ``node`` is an attribute ``adj`` or ``label``, or an item of
+    one (at any depth)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in ARENA_LISTS
+
+
+def _arena_writes(source: str) -> list[str]:
+    """Item stores and deletions into, and mutating calls on, an ``adj`` or
+    ``label`` list reached as an attribute.  Binding the attribute itself
+    is not such a write."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and _into_arena(node.func.value)
+        ):
+            out.append(f".{node.func.attr}(...) (line {node.lineno})")
+            continue
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Subscript) and _into_arena(target.value):
+                out.append(f"item store (line {node.lineno})")
+    return out
+
+
+def test_only_tree_module_writes_into_the_arena():
+    # A tree is its adj and label lists, and every count and id rule is
+    # derived from them, so every write into them stays in one module.
+    root = Path(__file__).resolve().parent.parent
+    writes = {}
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name != "tree.py":
+            found = _arena_writes(path.read_text(encoding="utf-8"))
+            if found:
+                writes[str(path.relative_to(root))] = found
+    assert writes == {}

@@ -143,11 +143,11 @@ def test_cubic_incumbents_are_cubic():
     matrix = random_matrix(6, 5, 4, seed=3)
     record = enumerate_cubic(matrix)
     for tree in record.incumbents.values():
-        assert all(tree.degree(u) in (1, 3) for u in tree.iter_nodes())
-        leaves = [u for u in tree.iter_nodes() if tree.degree(u) == 1]
+        assert all(len(tree.adj[u]) in (1, 3) for u in tree.iter_nodes())
+        leaves = [u for u in tree.iter_nodes() if len(tree.adj[u]) == 1]
         assert sorted(tree.label[u] for u in leaves) == sorted(matrix.names)
         assert all(tree.label[u] is None for u in tree.iter_nodes()
-                   if tree.degree(u) == 3)
+                   if len(tree.adj[u]) == 3)
 
 
 def test_mixed_optimum_never_worse_than_cubic():
@@ -243,7 +243,7 @@ def test_sweep_costs_every_growth_move_exactly():
         scorer = Scorer(matrix)
         for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):
             for u in tree.iter_nodes():
-                d = tree.degree(u)
+                d = len(tree.adj[u])
                 if tree.label[u] is None:
                     shapes["polytomy"] += d > 3
                     shapes["unlabelled degree 2"] += d == 2
@@ -405,7 +405,8 @@ def _arena_state(tree):
     alive = list(tree.iter_nodes())
     return ({u: list(tree.adj[u]) for u in alive},
             {u: tree.label[u] for u in alive},
-            dict(tree._where), tree.n_labelled, tree.n_unlabelled)
+            {name: u for u, name in enumerate(tree.label) if name is not None},
+            tree.n_labelled, tree.n_unlabelled)
 
 
 def _next_ids(tree, count=3):

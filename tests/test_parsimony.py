@@ -54,7 +54,7 @@ def test_vv_can_exceed_fitch_sets():
     # On a binary tree rooted at its degree-2 node, VU is the Fitch set.
     tree = parse_newick("(((A1,B1),A2),B2);")
     root = next(u for u in tree.iter_nodes() if tree.label[u] is None
-                and tree.degree(u) == 2)
+                and len(tree.adj[u]) == 2)
     result = Scorer(TWO_STATE).score(tree, root)
     assert result.mp_cost == 2
     grew = 0

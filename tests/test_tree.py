@@ -17,6 +17,7 @@ from parsicompact import (
 )
 from conftest import (
     contract_edge,
+    growth_moves,
     live_labels,
     num_edges,
     random_mixed_tree,
@@ -106,10 +107,10 @@ def test_split_and_contract_are_inverse():
     assert split.canonical_key() != joined.canonical_key()
     center = split.species_node("e")
     (w,) = [u for u in split.iter_nodes() if split.label[u] is None]
-    assert split.degree(center) == 3 and split.degree(w) == 3
+    assert len(split.adj[center]) == 3 and len(split.adj[w]) == 3
     merged = contract_edge(split, center, w)
     validate(split)
-    assert split.label[merged] == "e" and split.degree(merged) == 4
+    assert split.label[merged] == "e" and len(split.adj[merged]) == 4
     assert split.canonical_key() == joined.canonical_key()
 
 
@@ -142,7 +143,7 @@ def test_contract_edge_merges_v_into_u():
     assert sorted(t.label[w] for w in moved) == ["a", "b"]
     assert all(w in t.adj[u] for w in moved)
     assert t.label[u] == "x" and t.species_node("x") == u
-    assert t.degree(u) == 4 and t.n_unlabelled == 0
+    assert len(t.adj[u]) == 4 and t.n_unlabelled == 0
 
 
 def test_suppress_degree2_unlabelled():
@@ -159,7 +160,7 @@ def test_suppress_degree2_unlabelled():
 def test_suppress_keeps_labelled_degree2():
     t = parse_newick("((a)b)c;")
     suppress_degree2_unlabelled(t)
-    assert t.num_nodes == 3 and t.degree(t.species_node("b")) == 2
+    assert t.num_nodes == 3 and len(t.adj[t.species_node("b")]) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +170,7 @@ def test_canonical_key_is_id_invariant(seed, n):
     names = [f"s{i}" for i in range(n)]
     tree = random_mixed_tree(names, rng)
     # Rebuild on a different arena layout: random insertion order via copy
-    # plus churn (allocate and free junk ids to shift the free list).
+    # plus churn (allocate and free junk ids to leave free slots).
     other = tree.copy()
     junk = [other.add_node() for _ in range(rng.randint(1, 5))]
     for u in junk:
@@ -263,7 +264,8 @@ def test_free_slots_key_as_the_compact_rebuild():
     token = tree.grow_rule_1(next(iter(tree.iter_edges())), "z")
     tree.grow_rule_3(tree.species_node("c"), "e")
     tree.undo_growth(token)
-    assert sorted(tree._free) == [6, 7] and len(tree.adj) == 9
+    assert [u for u, at in enumerate(tree.adj) if at is None] == [6, 7]
+    assert len(tree.adj) == 9
     compact = parse_newick("((a,b)x,(e)c,d);")
     assert tree.canonical_key() == compact.canonical_key()
     assert tree.write_newick() == "((a,b)x,(e)c,d);"
@@ -271,7 +273,7 @@ def test_free_slots_key_as_the_compact_rebuild():
     star = MixedTree.from_arrays(
         [-1, 0, -1, 0, 0], [[1, 3, 4], [], None, [], []], [None, "a", None, "b", "c"]
     )
-    assert star._free == [2]
+    assert star.adj[2] is None and star.num_nodes == 4
     assert star.canonical_key() == parse_newick("(a,b,c);").canonical_key()
     assert star.write_newick() == "(a,b,c);"
 
@@ -284,14 +286,14 @@ def test_an_empty_tree_has_no_canonical_form():
 
 def test_parse_keeps_degree2_root():
     t = parse_newick("((a,b),(c,d));")
-    degrees = sorted(t.degree(u) for u in t.iter_nodes())
+    degrees = sorted(len(t.adj[u]) for u in t.iter_nodes())
     assert degrees == [1, 1, 1, 1, 2, 3, 3]
 
 
 def test_polytomy_and_internal_labels_parse():
     t = parse_newick("((a,b,c)d,e,f)g;")
-    assert t.degree(t.species_node("g")) == 3
-    assert t.degree(t.species_node("d")) == 4
+    assert len(t.adj[t.species_node("g")]) == 3
+    assert len(t.adj[t.species_node("d")]) == 4
     assert t.n_unlabelled == 0
 
 
@@ -313,6 +315,80 @@ def test_free_slots_are_refused():
     assert t.num_nodes == 1 and t.add_node() == b and t.num_nodes == 2
 
 
+def test_a_new_node_takes_the_lowest_free_slot():
+    t = parse_newick("(a,b,c);")
+    extra = [t.add_node() for _ in range(3)]
+    for u in extra:  # freed in increasing id order
+        t._free_node(u)
+    assert [t.add_node() for _ in range(4)] == [4, 5, 6, 7]
+
+
+# Where each growth rule's undo token holds the ids of the nodes it adds.
+NEW_IDS = {"r1": slice(3, 5), "r2": slice(3, 4), "r3": slice(2, 3), "r4": slice(0, 0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), parsed=st.booleans())
+def test_grow_and_undo_in_stack_order_reuse_ids_last_freed_first(seed, parsed):
+    # The searches undo growth in reverse order, so the lowest free slot
+    # is always the one freed last: the ids must match a model that keeps
+    # freed ids on a stack.
+    rng = random.Random(seed)
+    if parsed:
+        names = [f"s{i}" for i in range(rng.randint(1, 6))]
+        tree = parse_newick(random_mixed_tree(names, rng).write_newick())
+    else:
+        tree = MixedTree.single("s0")
+    end, freed = len(tree.adj), []
+    tokens, taken = [], []  # per growth, its undo token and the model's ids
+
+    def take():
+        nonlocal end
+        if freed:
+            return freed.pop()
+        end += 1
+        return end - 1
+
+    for step in range(40):
+        if tokens and rng.random() < 0.4:
+            tree.undo_growth(tokens.pop())
+            freed.extend(reversed(taken.pop()))
+            continue
+        kind, site = rng.choice(growth_moves(tree, "mixed"))
+        token = getattr(tree, f"grow_rule_{kind[1]}")(site, f"n{step}")
+        got = list(token[NEW_IDS[kind]])
+        want = [take() for _ in got]
+        assert got == want, (kind, token)
+        tokens.append(token)
+        taken.append(want)
+        validate(tree)
+
+
+def test_growth_rules_refuse_a_name_that_is_not_a_str():
+    # None would build an unlabelled leaf (rule 3) or count as a label
+    # (rule 4); the refusal comes before the tree changes.
+    t = parse_newick("((a,b),c,d);")
+    a = t.species_node("a")
+    hub = t.adj[a][0]
+    before = (repr(t.adj), list(t.label))
+    for rule, site in [
+        (t.grow_rule_1, (a, hub)),
+        (t.grow_rule_2, (a, hub)),
+        (t.grow_rule_3, a),
+        (t.grow_rule_4, hub),
+    ]:
+        for bad in (None, 7):
+            with pytest.raises(TreeStructureError, match="is not a str"):
+                rule(site, bad)
+            assert (repr(t.adj), list(t.label)) == before
+    t._free_node(t.add_node())  # a free slot and unlabelled nodes hold None
+    for missing in (None, "e"):
+        with pytest.raises(TreeStructureError, match="not in tree"):
+            t.species_node(missing)
+    assert (t.n_labelled, t.n_unlabelled) == (4, 2)
+    assert t.write_newick() == parse_newick("((a,b),c,d);").write_newick()
+
+
 def test_edge_primitives_refuse_a_free_slot_before_changing_anything():
     t = MixedTree.single("a")
     a = t.species_node("a")
@@ -322,7 +398,7 @@ def test_edge_primitives_refuse_a_free_slot_before_changing_anything():
     t._free_node(c)
     before = (repr(t.adj), list(t.label), t.num_nodes)
     with pytest.raises(TreeStructureError, match=f"no node {c}"):
-        t.degree(c)
+        t.hang(c)
     for u, v in ((a, c), (c, a)):
         with pytest.raises(TreeStructureError, match=f"no node {c}"):
             t.add_edge(u, v)
@@ -343,12 +419,11 @@ def test_ids_outside_the_arena_are_refused_before_changing_anything():
     a = t.species_node("a")
 
     def state():
-        return (repr(t.adj), list(t.label), list(t._free), dict(t._where))
+        return (repr(t.adj), list(t.label))
 
     before = state()
     for bad in (-1, len(t.adj)):
         for name, args in [
-            ("degree", (bad,)),
             ("add_edge", (a, bad)),
             ("add_edge", (bad, a)),
             ("remove_edge", (a, bad)),
