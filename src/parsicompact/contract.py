@@ -133,6 +133,9 @@ def contract_and_update(
     from another root.
     """
     u, v = edge
+    parent = state.parent  # -1 in a free slot, so no edge reaches one
+    if not (0 <= u < len(parent) and 0 <= v < len(parent)) or parent[u] != v and parent[v] != u:
+        raise TreeStructureError(f"no edge ({u}, {v})")
     sc = state.scorer
     label = state.label
     if label[u] is not None and label[v] is not None:
@@ -143,9 +146,7 @@ def contract_and_update(
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
     root = state.root
-    parent = state.parent.copy()
-    if parent[u] != v and parent[v] != u:
-        raise TreeStructureError(f"no edge ({u}, {v})")
+    parent = parent.copy()
     kids = state.kids.copy()
     vu = state.vu.copy()
     vl = state.vl.copy()

@@ -199,7 +199,9 @@ class SearchRecord:
     :meth:`Scorer.growth_costs`; a tree whose children the novel-state
     bound prices out is not expanded (nor built, below the start tree),
     and its children are counted from its size, as are those of a swept
-    tree whose children are all priced above the incumbent.  An
+    tree whose children are all priced above the incumbent.  With
+    ``threads > 1``, visited omits the pool frontier's own trees, those
+    above its last level: each worker counts from that level down.  An
     incumbent's adjacency lists keep the order of higher-id neighbours
     that the search's move lists read, not necessarily that of lower-id
     ones.
@@ -483,7 +485,8 @@ def enumerate_cubic(
     """Branch-and-bound over all cubic leaf-labelled topologies.
 
     Returns a SearchRecord whose incumbents are exactly the cubic
-    MP-trees.  With no_prune the full (2n-5)!! space is generated.
+    MP-trees.  With no_prune the full (2n-5)!! space is generated; with
+    ``threads > 1``, visited omits the pool frontier's own trees.
     """
     return _enumerate(matrix, "cubic", order, no_prune, threads, on_progress)
 
@@ -499,6 +502,7 @@ def enumerate_mixed(
     """Branch-and-bound over every mixed-labelled tree.
 
     incumbents = all minimum-cost mixed trees; most_compact = the subset
-    with the fewest nodes.
+    with the fewest nodes.  With ``threads > 1``, visited omits the pool
+    frontier's own trees.
     """
     return _enumerate(matrix, "mixed", order, no_prune, threads, on_progress)

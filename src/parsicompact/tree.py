@@ -1,10 +1,11 @@
 """Mixed-labelled multifurcating unrooted trees.
 
 Nodes live in an index-addressed arena of two lists, adjacency and
-labels, so the enumeration code can apply a growth rule, recurse, and
-undo it without copying the tree.  A node optionally carries a species
-label; every leaf must be labelled, internal nodes may be.  "Internal"
-always means degree >= 2.
+labels.  Once built, a tree changes only through its four growth rules,
+their undo and ``requeue_edge``, so the enumeration code can apply a
+growth rule, recurse, and undo it without copying the tree.  A node
+optionally carries a species label; every leaf must be labelled,
+internal nodes may be.  "Internal" always means degree >= 2.
 
 Canonical form and Newick output share one serialization: the tree
 rooted at its center (the smaller text of the <= 2 centers), with each
@@ -52,8 +53,9 @@ class MixedTree:
 
     ``adj[u]`` lists node u's neighbours, or is None when slot u is free,
     that is, holds no node; ``label[u]`` is u's species or None, and None
-    in a free slot.  These two lists are the whole tree: a new node takes
-    the lowest free slot, or a new one at the end.
+    in a free slot.  These two lists are the whole tree.  The growth rules
+    are built from two edits, subdividing an edge and hanging a leaf, and
+    a new node takes the lowest free slot, or a new one at the end.
     """
 
     __slots__ = ("adj", "label")
@@ -65,24 +67,11 @@ class MixedTree:
     @classmethod
     def single(cls, name: str) -> "MixedTree":
         t = cls()
-        t.add_node(name)
+        t._require_name(name)
+        t._new_node(name, [])
         return t
 
-    # -- arena primitives --------------------------------------------------
-
-    def add_node(self, name: str | None = None) -> int:
-        adj, label = self.adj, self.label
-        if name is not None and name in label:
-            raise DuplicateLabelError(f"species {name!r} already labels a node")
-        try:
-            u = adj.index(None)
-        except ValueError:
-            adj.append([])
-            label.append(name)
-            return len(adj) - 1
-        adj[u] = []
-        label[u] = name
-        return u
+    # -- checks and edits behind the growth rules ----------------------------
 
     def _at(self, u: int) -> list[int]:
         """adj[u]; a free slot or an id outside the arena raises TreeStructureError."""
@@ -91,35 +80,48 @@ class MixedTree:
             raise TreeStructureError(f"no node {u}")
         return at
 
-    def _free_node(self, u: int):
-        if self._at(u):
-            raise TreeStructureError(f"cannot free node {u} with live edges")
-        self.label[u] = None
-        self.adj[u] = None
-
-    def add_edge(self, u: int, v: int):
-        at_u, at_v = self._at(u), self._at(v)
-        at_u.append(v)
-        at_v.append(u)
-
-    def remove_edge(self, u: int, v: int):
-        self._require_edge(u, v)
-        self.adj[u].remove(v)
-        self.adj[v].remove(u)
-
     def _require_edge(self, u: int, v: int):
         # Only u needs its bounds checked: adj[v] is read once v is in adj[u].
         at = self.adj[u] if 0 <= u < len(self.adj) else None
         if at is None or v not in at or self.adj[v] is None:
             raise TreeStructureError(f"no edge ({u}, {v})")
 
-    def _set_label(self, u: int, name: str):
-        label = self.label
-        if name in label:
+    def _require_name(self, name):
+        """A new species name: a str (None is no species) on no node yet."""
+        if not isinstance(name, str):
+            raise TreeStructureError(f"species name {name!r} is not a str")
+        if name in self.label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
-        if label[u] is not None:
-            raise AlreadyLabelledError(f"node {u} already labelled {label[u]!r}")
-        label[u] = name
+
+    def _new_node(self, name: str | None, at: list[int]) -> int:
+        """Id of a new node, in the lowest free slot or a new one at the end."""
+        adj = self.adj
+        try:
+            u = adj.index(None)
+        except ValueError:
+            adj.append(at)
+            self.label.append(name)
+            return len(adj) - 1
+        adj[u] = at
+        self.label[u] = name
+        return u
+
+    def _subdivide(self, u: int, v: int, name: str | None) -> int:
+        """Id of a new node w on edge (u, v): adj[w] is [u, v], w ends adj[u] and adj[v]."""
+        w = self._new_node(name, [u, v])
+        at = self.adj[u]
+        at.remove(v)
+        at.append(w)
+        at = self.adj[v]
+        at.remove(u)
+        at.append(w)
+        return w
+
+    def _hang(self, node: int, name: str) -> int:
+        """Hang a new leaf with species ``name`` on ``node``; returns its id."""
+        leaf = self._new_node(name, [node])
+        self.adj[node].append(leaf)
+        return leaf
 
     # -- views ---------------------------------------------------------------
 
@@ -204,72 +206,65 @@ class MixedTree:
     # -- growth rules (with O(1) undo) ----------------------------------------
 
     def grow_rule_1(self, edge: tuple[int, int], name: str):
-        """Subdivide ``edge`` with a new unlabelled node; hang leaf ``name`` on it.
-
-        Returns an undo token for :meth:`undo_growth`.
-        """
+        """Subdivide ``edge`` with a new unlabelled node; hang leaf ``name`` on it."""
         u, v = edge
         self._require_edge(u, v)
-        _require_species(name)
-        if name in self.label:
-            raise DuplicateLabelError(f"species {name!r} already labels a node")
-        w = self.add_node()
-        leaf = self.add_node()
-        self.label[leaf] = name  # checked once, above
-        self.remove_edge(u, v)
-        self.add_edge(u, w)
-        self.add_edge(w, v)
-        self.add_edge(w, leaf)
-        return ("r1", u, v, w, leaf)
+        self._require_name(name)
+        w = self._subdivide(u, v, None)
+        return ("r1", u, v, w, self._hang(w, name))
 
     def grow_rule_2(self, edge: tuple[int, int], name: str):
         """Subdivide ``edge`` with a new degree-2 node labelled ``name``."""
         u, v = edge
         self._require_edge(u, v)
-        _require_species(name)
-        w = self.add_node(name)
-        self.remove_edge(u, v)
-        self.add_edge(u, w)
-        self.add_edge(w, v)
-        return ("r2", u, v, w)
+        self._require_name(name)
+        return ("r2", u, v, self._subdivide(u, v, name))
 
     def grow_rule_3(self, node: int, name: str):
         """Attach a new leaf labelled ``name`` to ``node`` (any degree)."""
         self._at(node)
-        _require_species(name)
-        leaf = self.add_node(name)
-        self.add_edge(node, leaf)
-        return ("r3", node, leaf)
+        self._require_name(name)
+        return ("r3", node, self._hang(node, name))
 
     def grow_rule_4(self, node: int, name: str):
         """Put label ``name`` on an existing unlabelled node."""
         self._at(node)
-        _require_species(name)
-        self._set_label(node, name)
+        self._require_name(name)
+        label = self.label
+        if label[node] is not None:
+            raise AlreadyLabelledError(f"node {node} already labelled {label[node]!r}")
+        label[node] = name
         return ("r4", node, name)
 
     def undo_growth(self, token):
+        """Undo the growth rule that returned ``token``.
+
+        A rule checks its site and name before it writes; the undo trusts
+        its token: each token is undone once, in stack order (the latest
+        growth first), so its ids still name the nodes that growth added
+        and the edge it subdivided.  That edge goes back to the end of both
+        its ends' adjacency lists.
+        """
         kind = token[0]
-        if kind == "r1":
-            _, u, v, w, leaf = token
-            self.remove_edge(w, leaf)
-            self.remove_edge(u, w)
-            self.remove_edge(w, v)
-            self.add_edge(u, v)
-            self._free_node(leaf)
-            self._free_node(w)
-        elif kind == "r2":
-            _, u, v, w = token
-            self.remove_edge(u, w)
-            self.remove_edge(w, v)
-            self.add_edge(u, v)
-            self._free_node(w)
-        elif kind == "r3":
+        adj, label = self.adj, self.label
+        if kind == "r3":
             _, node, leaf = token
-            self.remove_edge(node, leaf)
-            self._free_node(leaf)
+            adj[node].remove(leaf)
+            adj[leaf] = label[leaf] = None
         elif kind == "r4":
-            self.label[token[1]] = None
+            label[token[1]] = None
+        elif kind == "r1" or kind == "r2":
+            u, v, w = token[1:4]
+            at = adj[u]
+            at.remove(w)
+            at.append(v)
+            at = adj[v]
+            at.remove(w)
+            at.append(u)
+            adj[w] = label[w] = None
+            if kind == "r1":
+                leaf = token[4]
+                adj[leaf] = label[leaf] = None
         else:
             raise ValueError(f"unknown growth token {token!r}")
 
@@ -279,8 +274,8 @@ class MixedTree:
         This is the net effect on the tree of grow_rule_1 or grow_rule_2
         on edge (u, v) followed by :meth:`undo_growth`: the undo re-appends
         the subdivided edge, which decides the order of later move lists.
-        Everything else (labels, and which slots are free, so the node ids
-        the next :meth:`add_node` calls return) ends up as it was, and
+        Everything else (labels, and which slots are free, so the ids the
+        next growth rules give their new nodes) ends up as it was, and
         rules 3 and 4 undo without a trace, so a search may skip building a
         child and call this instead.  The search also calls it alone for a
         child that, built, would have requeued each of its own edges before
@@ -316,6 +311,8 @@ class MixedTree:
         its one unpeeled neighbour.  The one or two nodes left are the
         centres; two centres are adjacent, and the key is the smaller of the
         two rootings.
+        Nodes that are not a tree raise TreeStructureError: with one edge
+        fewer than nodes, such a graph has a cycle, which empties a layer.
         """
         adj = self.adj
         nodes = [u for u, at in enumerate(adj) if at is not None]
@@ -325,8 +322,12 @@ class MixedTree:
         below: list[list[str]] = [[] for _ in adj]  # codes passed to each node
         node_code = self._code
         left = len(nodes)
+        if sum(deg) != 2 * left - 2:
+            raise TreeStructureError(f"{left} nodes and {sum(deg) / 2:g} edges are not a tree")
         layer = nodes if left <= 2 else [u for u in nodes if deg[u] == 1]
         while left > 2:
+            if not layer:
+                raise TreeStructureError(f"the {left} nodes left after peeling hold a cycle")
             left -= len(layer)
             nxt = []
             for u in layer:
@@ -355,13 +356,6 @@ class MixedTree:
         isomorphic trees.
         """
         return self.canonical_key().as_text()
-
-
-def _require_species(name):
-    """A growth rule's species name must be a str: None would make or
-    leave an unlabelled node."""
-    if not isinstance(name, str):
-        raise TreeStructureError(f"species name {name!r} is not a str")
 
 
 # Characters that end an unquoted Newick name; a name holding any of

@@ -25,8 +25,7 @@ def random_mixed_tree(names, rng: random.Random) -> MixedTree:
     star-like, and chain-like shapes all occur.
     """
     names = list(names)
-    tree = MixedTree()
-    tree.add_node(names[0])
+    tree = MixedTree.single(names[0])
     for name in names[1:]:
         moves = [("r3", node) for node in tree.iter_nodes()]
         moves += [("r4", node) for node in tree.iter_nodes() if tree.label[node] is None]
@@ -102,21 +101,50 @@ def sized_matrix(sizes, rng: random.Random):
     return CharacterMatrix.from_rows(rows)
 
 
+# -- hand-built trees and independent oracles over the tree arena -------------
+#
+# A program tree changes only through its growth rules.  These helpers
+# write the arena lists directly, without checks, so the oracles below
+# share no code with the program, and a test can build a tree no growth
+# rule makes.
+
+
+def add_node(tree: MixedTree, name: str | None = None) -> int:
+    """A new isolated node in the lowest free slot, or a new one at the end."""
+    if None in tree.adj:
+        u = tree.adj.index(None)
+        tree.adj[u], tree.label[u] = [], name
+        return u
+    tree.adj.append([])
+    tree.label.append(name)
+    return len(tree.adj) - 1
+
+
+def add_edge(tree: MixedTree, u: int, v: int):
+    tree.adj[u].append(v)
+    tree.adj[v].append(u)
+
+
+def remove_edge(tree: MixedTree, u: int, v: int):
+    tree.adj[u].remove(v)
+    tree.adj[v].remove(u)
+
+
+def free_node(tree: MixedTree, u: int):
+    """Empty slot u; its edges must be removed first."""
+    assert not tree.adj[u], f"node {u} has live edges"
+    tree.adj[u] = tree.label[u] = None
+
+
 def subdivide_with_unlabelled(tree: MixedTree, rng: random.Random, count: int):
     """Insert `count` unlabelled degree-2 nodes on random edges, in place."""
     for _ in range(count):
         u, v = rng.choice(list(tree.iter_edges()))
-        tree.remove_edge(u, v)
-        mid = tree.add_node()
-        tree.add_edge(u, mid)
-        tree.add_edge(mid, v)
+        remove_edge(tree, u, v)
+        mid = add_node(tree)
+        add_edge(tree, u, mid)
+        add_edge(tree, mid, v)
     return tree
-
-
-# -- independent oracles over the tree arena ---------------------------------
-#
-# Each is written from the arena's primitives (adj, label and the node and
-# edge edits), so it checks the program without sharing its code.
 
 
 def num_edges(tree: MixedTree) -> int:
@@ -165,20 +193,20 @@ def contract_edge(tree: MixedTree, u: int, v: int) -> int:
     an edge between two labelled nodes would discard a species, so it is
     refused.
     """
-    tree._require_edge(u, v)
+    if v not in tree.adj[u]:
+        raise TreeStructureError(f"no edge ({u}, {v})")
     name = tree.label[v]
     if name is not None:
         if tree.label[u] is not None:
             raise IllegalContractionError(
                 f"both endpoints labelled ({tree.label[u]!r}, {name!r})"
             )
-        tree.label[v] = None
-        tree._set_label(u, name)
-    tree.remove_edge(u, v)
+        tree.label[u] = name
+    remove_edge(tree, u, v)
     for y in list(tree.adj[v]):
-        tree.remove_edge(v, y)
-        tree.add_edge(u, y)
-    tree._free_node(v)
+        remove_edge(tree, v, y)
+        add_edge(tree, u, y)
+    free_node(tree, v)
     return u
 
 
@@ -193,15 +221,15 @@ def suppress_degree2_unlabelled(tree: MixedTree) -> MixedTree:
             d = len(tree.adj[u])
             if d == 2:
                 a, b = tree.adj[u]
-                tree.remove_edge(u, a)
-                tree.remove_edge(u, b)
-                tree.add_edge(a, b)
-                tree._free_node(u)
+                remove_edge(tree, u, a)
+                remove_edge(tree, u, b)
+                add_edge(tree, a, b)
+                free_node(tree, u)
                 again = True
             elif d <= 1 and tree.num_nodes > 1:
                 for y in list(tree.adj[u]):
-                    tree.remove_edge(u, y)
-                tree._free_node(u)
+                    remove_edge(tree, u, y)
+                free_node(tree, u)
                 again = True
     return tree
 
@@ -320,9 +348,9 @@ def kruskal_msts(matrix: CharacterMatrix) -> tuple[int, list[str]]:
     for edges in edge_lists:
         tree = MixedTree()
         for name in matrix.names:
-            tree.add_node(name)
+            add_node(tree, name)
         for u, v in edges:
-            tree.add_edge(u, v)
+            add_edge(tree, u, v)
         texts.append(tree.write_newick())
     return weight, sorted(texts)
 

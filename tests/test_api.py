@@ -169,3 +169,17 @@ def test_only_tree_module_writes_into_the_arena():
             if found:
                 writes[str(path.relative_to(root))] = found
     assert writes == {}
+
+
+def test_a_tree_changes_only_through_its_growth_rules():
+    # No free-form editor: past construction, the arena changes through
+    # the four growth rules, their undo and requeue_edge alone.
+    public = {name for name in vars(parsicompact.MixedTree) if not name.startswith("_")}
+    assert public == {
+        "adj", "label",  # the arena lists
+        "iter_nodes", "iter_edges", "species_node", "hang",
+        "num_nodes", "n_labelled", "n_unlabelled",
+        "single", "from_arrays", "copy",
+        "grow_rule_1", "grow_rule_2", "grow_rule_3", "grow_rule_4",
+        "undo_growth", "requeue_edge", "canonical_key", "write_newick",
+    }

@@ -28,6 +28,8 @@ from parsicompact import (
 )
 from parsicompact.contract import CompactSearcher, tree_splits
 from conftest import (
+    add_edge,
+    add_node,
     contract_edge,
     hamming_distances,
     kruskal_mst_edges,
@@ -116,6 +118,14 @@ def test_label_label_edges_are_never_contractible():
     assert tree.label[hub] is None and hub not in tree.adj[a]
     with pytest.raises(TreeStructureError, match="no edge"):
         contract_and_update(state, (a, hub))
+    # Nor are ids that are not live slots, refused before any other check:
+    # a negative id would read another slot, and -1 is the root's parent.
+    matrix = CharacterMatrix.from_rows([(x, "A") for x in "abcd"])
+    state = Scorer(matrix).score(parse_newick("((a,b),(c,d));"))
+    assert state.parent[2] == -1
+    for u, v in ((99, 0), (0, 99), (-1, 2), (2, -1)):
+        with pytest.raises(TreeStructureError, match=f"no edge \\({u}, {v}\\)"):
+            contract_and_update(state, (u, v))
 
 
 @settings(max_examples=20, deadline=None)
@@ -414,9 +424,9 @@ def hamming_msts(matrix):
         if w == weight:
             tree = MixedTree()
             for name in names:
-                tree.add_node(name)
+                add_node(tree, name)
             for u, v in edges:
-                tree.add_edge(u, v)
+                add_edge(tree, u, v)
             texts.append(tree.write_newick())
     return weight, sorted(texts)
 
@@ -626,7 +636,7 @@ def test_searcher_refuses_start_trees_that_are_not_x_trees():
     # An unlabelled leaf is refused by the X-tree check, not by the scorer.
     leafy = parse_newick("((S1,S2),S3,S4);")
     hub = leafy.adj[leafy.species_node("S3")][0]
-    leafy.add_edge(hub, leafy.add_node())
+    add_edge(leafy, hub, add_node(leafy))
     for tree in (subdivided, parse_newick("(S1,S2,S3);"), leafy):
         with pytest.raises(TreeStructureError):
             CompactSearcher(matrix).add_source(tree)

@@ -26,6 +26,7 @@ from parsicompact.enumeration import _GROWTH, _Search
 from parsicompact.parsimony import group_width
 from conftest import (
     SYMBOLS,
+    add_node,
     contract_edge,
     growth_moves,
     live_labels,
@@ -411,7 +412,7 @@ def _arena_state(tree):
 
 def _next_ids(tree, count=3):
     probe = tree.copy()
-    return [probe.add_node() for _ in range(count)]
+    return [add_node(probe) for _ in range(count)]
 
 
 def _moves_on_a_random_tree(seed):

@@ -26,11 +26,15 @@ from parsicompact import (
 )
 from parsicompact.parsimony import group_width
 from conftest import (
+    add_edge,
+    add_node,
+    free_node,
     num_edges,
     oracle_fits,
     oracle_vv_union,
     random_instance,
     random_mixed_tree,
+    remove_edge,
     sized_matrix,
 )
 
@@ -106,8 +110,8 @@ def test_score_refuses_a_root_that_is_not_a_live_node():
     # past it would raise a bare IndexError, and a free slot holds no node.
     matrix = CharacterMatrix.from_rows([("a", "A"), ("b", "C"), ("c", "A"), ("d", "C")])
     tree = parse_newick("((a,b),c,d);")
-    free = tree.add_node()
-    tree._free_node(free)
+    free = add_node(tree)
+    free_node(tree, free)
     scorer = Scorer(matrix)
     assert {scorer.score(tree, u).mp_cost for u in tree.iter_nodes()} == {2}
     for bad in (-1, len(tree.adj), free):
@@ -176,10 +180,10 @@ def test_fitch_equals_hartigan_on_binary_leaf_trees():
             edge = rng.choice(list(tree.iter_edges()))
             tree.grow_rule_1(edge, f"S{i}")
         u, v = next(iter(tree.iter_edges()))
-        tree.remove_edge(u, v)
-        mid = tree.add_node()
-        tree.add_edge(u, mid)
-        tree.add_edge(mid, v)
+        remove_edge(tree, u, v)
+        mid = add_node(tree)
+        add_edge(tree, u, mid)
+        add_edge(tree, mid, v)
         want = brute_force_best_fit(tree, matrix).mp_cost
         assert Scorer(matrix).score(tree, mid).mp_cost == want
 
@@ -213,8 +217,7 @@ def test_scoring_errors():
         Scorer(m).cost(parse_newick("(S1,S2,S9);"))
     tree = parse_newick("(S1,S2,S3);")
     leafy = tree.copy()
-    hang = leafy.add_node()
-    leafy.add_edge(next(iter(leafy.iter_nodes())), hang)
+    add_edge(leafy, next(iter(leafy.iter_nodes())), add_node(leafy))
     with pytest.raises(UnlabelledLeafError):
         Scorer(m).cost(leafy)
     with pytest.raises(EmptyTreeError):
@@ -229,15 +232,15 @@ def test_unlabelled_leaf_is_rejected_under_any_numbering(leaf_first):
     m = CharacterMatrix.from_rows([("a", "A"), ("b", "A"), ("c", "B"), ("d", "B")])
     tree = MixedTree()
     if leaf_first:
-        x = tree.add_node()
-        w = tree.add_node()
+        x = add_node(tree)
+        w = add_node(tree)
     else:
-        w = tree.add_node()
-        x = tree.add_node()
-    a = tree.add_node("a")
-    for v in (a, tree.add_node("b"), tree.add_node("c")):
-        tree.add_edge(w, v)
-    tree.add_edge(a, x)
+        w = add_node(tree)
+        x = add_node(tree)
+    a = add_node(tree, "a")
+    for v in (a, add_node(tree, "b"), add_node(tree, "c")):
+        add_edge(tree, w, v)
+    add_edge(tree, a, x)
     assert Scorer.pick_root(tree) == min(x, w)
     sc = Scorer(m)
     with pytest.raises(UnlabelledLeafError):

@@ -16,11 +16,15 @@ from parsicompact import (
     parse_newick,
 )
 from conftest import (
+    add_edge,
+    add_node,
     contract_edge,
+    free_node,
     growth_moves,
     live_labels,
     num_edges,
     random_mixed_tree,
+    remove_edge,
     subdivide_with_unlabelled,
     suppress_degree2_unlabelled,
     validate,
@@ -172,9 +176,9 @@ def test_canonical_key_is_id_invariant(seed, n):
     # Rebuild on a different arena layout: random insertion order via copy
     # plus churn (allocate and free junk ids to leave free slots).
     other = tree.copy()
-    junk = [other.add_node() for _ in range(rng.randint(1, 5))]
+    junk = [add_node(other) for _ in range(rng.randint(1, 5))]
     for u in junk:
-        other._free_node(u)
+        free_node(other, u)
     rebuilt = parse_newick(tree.write_newick())
     assert rebuilt.canonical_key() == tree.canonical_key() == other.canonical_key()
 
@@ -284,6 +288,24 @@ def test_an_empty_tree_has_no_canonical_form():
             call()
 
 
+def test_nodes_that_are_not_a_tree_have_no_canonical_form():
+    # Arrays as from_arrays takes them: parent (-1 if none), children and
+    # species.  Three isolated nodes never leave the peel, two would key
+    # as an edge, and the forests key as one of their parts.
+    for parent, kids in [
+        ([-1, -1, -1], [[], [], []]),
+        ([-1, -1], [[], []]),
+        ([-1, 0, -1, 2], [[1], [], [3], []]),  # two disjoint edges
+        ([-1, 0, 1, -1], [[1], [2], [], []]),  # a path and a lone node
+        ([-1, 0, 1, -1, 3], [[1], [2], [], [4], []]),  # a path and an edge
+        ([-1, 0, 1, -1], [[1, 2], [2], [0], []]),  # a triangle and a lone node
+    ]:
+        tree = MixedTree.from_arrays(parent, kids, list("abcde"[: len(kids)]))
+        for call in (tree.canonical_key, tree.write_newick):
+            with pytest.raises(TreeStructureError, match="not a tree|cycle"):
+                call()
+
+
 def test_parse_keeps_degree2_root():
     t = parse_newick("((a,b),(c,d));")
     degrees = sorted(len(t.adj[u]) for u in t.iter_nodes())
@@ -305,22 +327,27 @@ def test_species_node_missing():
 
 def test_free_slots_are_refused():
     t = MixedTree.single("a")
-    b = t.add_node("b")
-    t._free_node(b)
+    b = add_node(t, "b")
+    free_node(t, b)
     assert t.adj[b] is None and t.num_nodes == 1
     with pytest.raises(TreeStructureError, match=f"no node {b}"):
-        t._free_node(b)
-    with pytest.raises(TreeStructureError, match=f"no node {b}"):
         t.grow_rule_3(b, "c")
-    assert t.num_nodes == 1 and t.add_node() == b and t.num_nodes == 2
+    assert t.num_nodes == 1
+    assert t.grow_rule_3(t.species_node("a"), "c") == ("r3", 0, b) and t.num_nodes == 2
 
 
 def test_a_new_node_takes_the_lowest_free_slot():
     t = parse_newick("(a,b,c);")
-    extra = [t.add_node() for _ in range(3)]
-    for u in extra:  # freed in increasing id order
-        t._free_node(u)
-    assert [t.add_node() for _ in range(4)] == [4, 5, 6, 7]
+    extra = [add_node(t) for _ in range(3)]
+    for u in (extra[2], extra[0], extra[1]):  # freed out of id order
+        free_node(t, u)
+    a = t.species_node("a")
+    hub = t.adj[a][0]
+    _, _, _, w, leaf = t.grow_rule_1((a, hub), "x")
+    _, _, y = t.grow_rule_3(hub, "y")
+    _, _, _, z = t.grow_rule_2((hub, y), "z")
+    assert [w, leaf, y, z] == [4, 5, 6, 7]
+    validate(t)
 
 
 # Where each growth rule's undo token holds the ids of the nodes it adds.
@@ -364,6 +391,74 @@ def test_grow_and_undo_in_stack_order_reuse_ids_last_freed_first(seed, parsed):
         validate(tree)
 
 
+def _model_grow(m, kind, site, name):
+    """Growth rule ``kind`` on model tree m from the plain edge edits."""
+    if kind == "r4":
+        m.label[site] = name
+        return ("r4", site)
+    if kind == "r3":
+        leaf = add_node(m, name)
+        add_edge(m, site, leaf)
+        return ("r3", site, leaf)
+    u, v = site
+    w = add_node(m, None if kind == "r1" else name)
+    remove_edge(m, u, v)
+    add_edge(m, u, w)
+    add_edge(m, w, v)
+    if kind == "r2":
+        return ("r2", u, v, w)
+    leaf = add_node(m, name)
+    add_edge(m, w, leaf)
+    return ("r1", u, v, w, leaf)
+
+
+def _model_undo(m, token):
+    if token[0] == "r4":
+        m.label[token[1]] = None
+        return
+    if token[0] == "r3":
+        _, node, leaf = token
+        remove_edge(m, node, leaf)
+        free_node(m, leaf)
+        return
+    u, v, w = token[1:4]
+    if token[0] == "r1":
+        remove_edge(m, w, token[4])
+        free_node(m, token[4])
+    remove_edge(m, u, w)
+    remove_edge(m, w, v)
+    add_edge(m, u, v)
+    free_node(m, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_growth_leaves_the_arena_as_the_plain_edge_edits_do(seed):
+    # Every id and every adjacency order decides a search's move lists.
+    # Nested growths and requeues reorder a node's list between a growth
+    # and its undo, so the undo must re-append the edge, not put it back
+    # where the new node was.
+    rng = random.Random(seed)
+    tree = parse_newick(random_mixed_tree(["s0", "s1", "s2"], rng).write_newick())
+    model = tree.copy()
+    tokens, tokens_m = [], []
+    for step in range(40):
+        roll = rng.random()
+        if tokens and roll < 0.35:
+            tree.undo_growth(tokens.pop())
+            _model_undo(model, tokens_m.pop())
+        elif roll < 0.5:
+            u, v = rng.choice(tree.iter_edges())
+            tree.requeue_edge(u, v)
+            remove_edge(model, u, v)
+            add_edge(model, u, v)
+        else:
+            kind, site = rng.choice(growth_moves(tree, "mixed"))
+            tokens.append(getattr(tree, f"grow_rule_{kind[1]}")(site, f"n{step}"))
+            tokens_m.append(_model_grow(model, kind, site, f"n{step}"))
+        assert (tree.adj, tree.label) == (model.adj, model.label), step
+
+
 def test_growth_rules_refuse_a_name_that_is_not_a_str():
     # None would build an unlabelled leaf (rule 3) or count as a label
     # (rule 4); the refusal comes before the tree changes.
@@ -381,7 +476,10 @@ def test_growth_rules_refuse_a_name_that_is_not_a_str():
             with pytest.raises(TreeStructureError, match="is not a str"):
                 rule(site, bad)
             assert (repr(t.adj), list(t.label)) == before
-    t._free_node(t.add_node())  # a free slot and unlabelled nodes hold None
+    for bad in (None, 7):
+        with pytest.raises(TreeStructureError, match="is not a str"):
+            MixedTree.single(bad)
+    free_node(t, add_node(t))  # a free slot and unlabelled nodes hold None
     for missing in (None, "e"):
         with pytest.raises(TreeStructureError, match="not in tree"):
             t.species_node(missing)
@@ -394,22 +492,21 @@ def test_edge_primitives_refuse_a_free_slot_before_changing_anything():
     a = t.species_node("a")
     t.grow_rule_3(a, "b")
     b = t.species_node("b")
-    c = t.add_node("c")
-    t._free_node(c)
+    c = add_node(t, "c")
+    free_node(t, c)
     before = (repr(t.adj), list(t.label), t.num_nodes)
     with pytest.raises(TreeStructureError, match=f"no node {c}"):
         t.hang(c)
     for u, v in ((a, c), (c, a)):
+        for rule in (t.grow_rule_1, t.grow_rule_2):
+            with pytest.raises(TreeStructureError, match=f"no edge \\({u}, {v}\\)"):
+                rule((u, v), "d")
+            assert (repr(t.adj), list(t.label), t.num_nodes) == before
+    for rule in (t.grow_rule_3, t.grow_rule_4):
         with pytest.raises(TreeStructureError, match=f"no node {c}"):
-            t.add_edge(u, v)
+            rule(c, "d")
         assert (repr(t.adj), list(t.label), t.num_nodes) == before
-        with pytest.raises(TreeStructureError, match="no edge"):
-            t.remove_edge(u, v)
-        assert (repr(t.adj), list(t.label), t.num_nodes) == before
-    t.remove_edge(a, b)
-    with pytest.raises(TreeStructureError, match=f"no edge \\({b}, {a}\\)"):
-        t.remove_edge(b, a)
-    assert t.adj[a] == [] and t.adj[b] == []
+    assert t.adj[a] == [b] and t.adj[b] == [a]
 
 
 def test_ids_outside_the_arena_are_refused_before_changing_anything():
@@ -424,12 +521,10 @@ def test_ids_outside_the_arena_are_refused_before_changing_anything():
     before = state()
     for bad in (-1, len(t.adj)):
         for name, args in [
-            ("add_edge", (a, bad)),
-            ("add_edge", (bad, a)),
-            ("remove_edge", (a, bad)),
-            ("remove_edge", (bad, a)),
             ("grow_rule_1", ((a, bad), "c")),
             ("grow_rule_1", ((bad, a), "c")),
+            ("grow_rule_2", ((a, bad), "c")),
+            ("grow_rule_2", ((bad, a), "c")),
             ("grow_rule_3", (bad, "c")),
             ("grow_rule_4", (bad, "c")),
             ("hang", (bad,)),
