@@ -13,14 +13,16 @@ Two searches share the branch-and-bound skeleton:
 Adding a species can never lower the MP-cost, so a partial tree's cost is
 an admissible bound and strictly-worse partial trees are pruned.  Equal
 cost always expands: the searches must surface every co-optimal tree.
-Child costs come from one directional sweep of the expanded tree
+Child costs come from one sweep of the expanded tree
 (:meth:`Scorer.growth_costs`), which lists every growth move and costs
-each in O(1) big-int operations instead of rescoring each child.  It
-lists them in the order the search visits them: r1 on each edge, in
-:meth:`MixedTree.iter_edges`' order, each followed in mixed search by
-r2 on the same edge; then, in mixed search, r3 on each node, in
-:meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
-followed by r4.  Only the tree each depth-first run starts from is
+each in O(1) big-int operations instead of rescoring each child: in
+cubic search the scoring pass, from the root sets of each edge's two
+ends; in mixed search a directional pass, from the sets entering each
+edge or node.  It lists them in the order the search visits them: r1
+on each edge, in :meth:`MixedTree.iter_edges`' order, each followed in
+mixed search by r2 on the same edge; then, in mixed search, r3 on each
+node, in :meth:`MixedTree.iter_nodes`' order (by id), each unlabelled
+one followed by r4.  Only the tree each depth-first run starts from is
 scored in full, and it then takes the same per-child step as every
 child, through a move that stands for a tree already built.  Only the
 children that survive the bound are applied to the tree (and undone):

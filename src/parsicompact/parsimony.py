@@ -26,13 +26,16 @@ combines the sets entering an unlabelled node, whatever their number: a
 threshold count (:meth:`Scorer._count_many`), per t the states that at
 least t of the sets hold.  It has specialised forms only where the
 searches run: two sets, by intersection and union, at a node with two
-children in the bottom-up pass and on every edge that
-:meth:`Scorer.growth_costs` prices; three sets, a closed form over the
-pairwise and triple intersections (:meth:`Scorer._three`).  Every other
-count, one set or four and more, goes through the threshold count, and
-so do two sets anywhere else (a growth move on an unlabelled node of
-degree 2).  Outside the inline two-set forms, :meth:`Scorer._combine`
-is the one place that picks the closed form or the threshold count.
+children in the bottom-up pass and on every edge that the mixed sweep
+of :meth:`Scorer.growth_costs` prices; three sets, a closed form over
+the pairwise and triple intersections (:meth:`Scorer._three`).  Every
+other count, one set or four and more, goes through the threshold
+count, and so do two sets anywhere else (a growth move on an unlabelled
+node of degree 2).  Outside the inline two-set forms,
+:meth:`Scorer._combine` is the one place that picks the closed form or
+the threshold count.  The cubic sweep needs no combine of its own: it
+is the full scoring pass, plus one union per edge of its ends' root
+sets.
 """
 
 from __future__ import annotations
@@ -137,7 +140,9 @@ class Scorer:
     calls :meth:`growth_costs` on each tree it expands whose children
     are not all priced out by the novel-state bound.  That one sweep
     lists the tree's children, as growth moves in the order the search
-    visits them, and prices each.
+    visits them, and prices each: for the cubic search with the pass
+    :meth:`score` runs and one OR per edge, for the mixed search with a
+    directional pass.
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
@@ -377,11 +382,8 @@ class Scorer:
         list is the cubic search's, r1 alone.  A ``name`` the tree already
         holds raises DuplicateLabelError, as a growth rule would.
 
-        One directional sweep replaces a rescore per child.  Write D(u->v)
-        for the VU set of the side of edge (u, v) holding u.  The bottom-up
-        pass gives D(u->parent) and each node's children; a preorder pass
-        over those children gives D(parent->u) from the parent's label, or
-        else from the parent's other incoming sets.  An edge (u, v) acts as
+        One sweep replaces a rescore per child.  Write D(u->v) for the VU
+        set of the side of edge (u, v) holding u.  An edge (u, v) acts as
         an unlabelled node receiving D(u->v) and D(v->u), so with x the new
         species, |s| the number of characters whose x-state lies in s (x
         has one state per character), and an unlabelled node (or edge)
@@ -394,12 +396,33 @@ class Scorer:
 
         Both follow from one fact: an edge into a side with set D costs
         that side's minimum plus one per character whose state misses D.
-        After the two passes, one loop over the edges lists and prices r1
-        and r2 from one inline combine of the edge's two sets, as the down
-        pass combines the pairs of a node with three incoming sets.  One
-        loop over the nodes then lists and prices r3 and r4: a node with
-        three sets takes :meth:`_three`'s closed form, and any other count
-        goes through :meth:`_count_many`'s threshold count.
+
+        The cubic sweep needs only r1, and an edge's combine VV is the
+        union VV[u] | VV[v] of its ends' root sets.  Per character, let w
+        be a new unlabelled node of degree 2 on (u, v); the tree with w
+        costs what the tree without it does.  The union lies in w's root
+        set: an optimal fit of the tree extends at no cost by giving w u's
+        state, or v's.  And w's root set lies in the union: if an optimal
+        fit of the tree with w gave w a state equal to neither end's,
+        dropping w would save a mutation, and the cost cannot fall below
+        the MP-cost.  So w's state is an end's, and dropping w leaves an
+        optimal fit of the tree with that end in that state, which thus
+        lies in the end's VV.  So without ``mixed`` the sweep is the pass
+        :meth:`score` runs, bottom-up and then top-down, plus one OR per
+        edge: r1 on (u, v) costs m - |VV[u] | VV[v]| more than the tree.
+
+        The mixed sweep keeps a directional pass, because r2 and r4 need to
+        know how many of the sets entering the new node hold x, and the
+        root sets do not record that.  The bottom-up pass gives
+        D(u->parent) and each node's children; a preorder pass over those
+        children gives D(parent->u) from the parent's label, or else from
+        the parent's other incoming sets.  After the two passes, one loop
+        over the edges lists and prices r1 and r2 from one inline combine
+        of the edge's two sets, as the down pass combines the pairs of a
+        node with three incoming sets.  One loop over the nodes then lists
+        and prices r3 and r4: a node with three sets takes
+        :meth:`_three`'s closed form, and any other count goes through
+        :meth:`_count_many`'s threshold count.
         """
         x = self.vmask.get(name)
         if x is None:
@@ -408,13 +431,22 @@ class Scorer:
         if name in label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
         root = self.pick_root(tree)
+        m = self.m
+        if not mixed:
+            # score()'s pass, without building a ScoreResult.
+            cost, vu, vl, _local, pre, parent, _kids = self._bottom_up(tree, root, True)
+            vv = [0] * len(vu)
+            self._top_down(pre, parent, vu, vl, vv)
+            base = cost + m
+            edges = tree.iter_edges()
+            costs = [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
+            return [("r1", edge) for edge in edges], costs
         cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root, False)
         vmask = self.vmask
         carry = self.carry
         high = self.high
         top = self.top
         fill = self.fill
-        m = self.m
         down = [0] * len(up)
         for p in pre:
             kids = kids_of[p]
@@ -454,12 +486,9 @@ class Scorer:
             ne = ((((meet & carry) + carry) | meet) & high) >> top
             moves.append(("r1", edge))
             costs.append(base - ((meet | ((a | b) & ~(ne * fill))) & x).bit_count())
-            if mixed:
-                # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
-                moves.append(("r2", edge))
-                costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
-        if not mixed:
-            return moves, costs
+            # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
+            moves.append(("r2", edge))
+            costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
         for u in tree.iter_nodes():
             moves.append(("r3", u))
             if label[u] is not None:

@@ -190,10 +190,48 @@ class MixedTree:
         """The tree whose node x has parent ``parent[x]`` (-1 if none),
         children ``kids[x]`` (None if x is not in the tree) and species
         ``label[x]``, as a :class:`~parsicompact.parsimony.ScoreResult`
-        holds them."""
+        holds them.
+
+        Arrays that are not one tree raise TreeStructureError: lists of
+        unequal length, no live node with parent -1, a child whose parent
+        is another node, a node listed twice, a live node the root does not
+        reach (so a second root too), or a label in a free slot.  So does a
+        label that is neither a str nor None; a repeated label raises
+        DuplicateLabelError.  One breadth-first pass from the root checks
+        all of this.
+        """
+        n = len(kids)
+        if len(parent) != n or len(label) != n:
+            raise TreeStructureError("parent, kids and label differ in length")
+        try:
+            root = parent.index(-1)
+            while kids[root] is None:  # a free slot's parent is -1 too
+                root = parent.index(-1, root + 1)
+        except ValueError:
+            raise TreeStructureError("no live node has parent -1") from None
+        adj: list[list[int] | None] = [None] * n
+        adj[root] = list(kids[root])
+        order = [root]
+        names = set()
+        for x in order:
+            name = label[x]
+            if name is not None:
+                if not isinstance(name, str):
+                    raise TreeStructureError(f"species name {name!r} is not a str")
+                if name in names:
+                    raise DuplicateLabelError(f"species {name!r} labels two nodes")
+                names.add(name)
+            for c in kids[x]:
+                if not 0 <= c < n or adj[c] is not None or kids[c] is None or parent[c] != x:
+                    raise TreeStructureError(f"node {c} is not a child of node {x} alone")
+                adj[c] = [x, *kids[c]]
+                order.append(c)
+        if len(order) != n - kids.count(None):
+            raise TreeStructureError("a live node cannot be reached from the root")
+        if len(names) != n - label.count(None):
+            raise TreeStructureError("a free slot holds a label")
         t = cls()
-        for ks, p in zip(kids, parent):
-            t.adj.append(None if ks is None else [p, *ks] if p >= 0 else list(ks))
+        t.adj = adj
         t.label = list(label)
         return t
 

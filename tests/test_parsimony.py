@@ -36,6 +36,7 @@ from conftest import (
     random_mixed_tree,
     remove_edge,
     sized_matrix,
+    subdivide_with_unlabelled,
 )
 
 TWO_STATE = CharacterMatrix.from_rows(
@@ -295,6 +296,32 @@ def test_scorer_reuse_across_trees():
     for _ in range(10):
         tree = random_mixed_tree(matrix.names, rng)
         assert scorer.cost(tree) == brute_force_best_fit(tree, matrix).mp_cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), extra=st.integers(0, 2))
+def test_an_edge_combines_its_directional_sets_into_its_ends_root_sets(seed, extra):
+    # Per character, the root set of an unlabelled degree-2 node on edge
+    # (u, v) is both the 2-set combine of the edge's directional sets and
+    # VV[u] | VV[v], so the cubic sweep prices rule 1 from the root sets
+    # alone.  The trees hold polytomies, labelled internal nodes, labelled
+    # degree-2 nodes and, with ``extra``, unlabelled degree-2 nodes.
+    rng = random.Random(seed)
+    matrix = random_matrix(rng.randint(3, 7), rng.randint(1, 5), rng.randint(2, 4),
+                           seed=rng.randrange(1 << 30))
+    tree = random_mixed_tree(matrix.names[:-1], rng)
+    subdivide_with_unlabelled(tree, rng, extra)
+    sc = Scorer(matrix)
+    vv = sc.score(tree).vv
+    for u, v in tree.iter_edges():
+        # D(u->v), the VU set of u's side, is u's VU with the tree hung from v.
+        a = unpack_sets(matrix, sc.score(tree, root=v).vu[u])
+        b = unpack_sets(matrix, sc.score(tree, root=u).vu[v])
+        assert tuple(s & t or s | t for s, t in zip(a, b)) == unpack_sets(matrix, vv[u] | vv[v])
+    new = matrix.names[-1]
+    moves, costs = sc.growth_costs(tree, new, True)
+    rule_1 = [(move, cost) for move, cost in zip(moves, costs) if move[0] == "r1"]
+    assert list(zip(*sc.growth_costs(tree, new, False))) == rule_1
 
 
 # Widest alphabet -> group width, up to the 64 states a column may have:

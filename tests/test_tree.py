@@ -282,6 +282,27 @@ def test_free_slots_key_as_the_compact_rebuild():
     assert star.write_newick() == "(a,b,c);"
 
 
+@pytest.mark.parametrize("parent, kids, label, error, match", [
+    # A triangle: node 2 is listed under 0 and under 1.
+    ([-1, 0, 1], [[1, 2], [2], [0]], list("abc"), TreeStructureError, "not a child"),
+    ([-1, 0], [[1], []], [7, "a"], TreeStructureError, "not a str"),
+    ([-1, 0], [[1], []], ["a", "a"], DuplicateLabelError, "labels two nodes"),
+    ([-1, 0], [[1], []], ["a"], TreeStructureError, "length"),
+    ([0, 0], [[1], []], ["a", "b"], TreeStructureError, "no live node has parent -1"),
+    ([-1, -1], [[], []], ["a", "b"], TreeStructureError, "reached"),
+    ([-1, 0, 0], [[1, 1], [], []], list("abc"), TreeStructureError, "not a child"),
+    ([-1, 0], [[1, 2], []], ["a", "b"], TreeStructureError, "not a child"),
+    ([-1, 0], [[1, -1], []], ["a", "b"], TreeStructureError, "not a child"),
+    ([-1, 0, -1], [[1, 2], [], None], ["a", "b", None], TreeStructureError, "not a child"),
+    # Nodes 2 and 3 point at each other, out of the root's reach.
+    ([-1, 0, 3, 2], [[1], [], [3], [2]], list("abcd"), TreeStructureError, "reached"),
+    ([-1, 0, -1], [[1], [], None], ["a", "b", "c"], TreeStructureError, "free slot"),
+])
+def test_from_arrays_refuses_arrays_that_are_not_one_tree(parent, kids, label, error, match):
+    with pytest.raises(error, match=match):
+        MixedTree.from_arrays(parent, kids, label)
+
+
 def test_an_empty_tree_has_no_canonical_form():
     for call in (MixedTree().canonical_key, MixedTree().write_newick):
         with pytest.raises(EmptyTreeError, match="empty tree"):
@@ -290,8 +311,9 @@ def test_an_empty_tree_has_no_canonical_form():
 
 def test_nodes_that_are_not_a_tree_have_no_canonical_form():
     # Arrays as from_arrays takes them: parent (-1 if none), children and
-    # species.  Three isolated nodes never leave the peel, two would key
-    # as an edge, and the forests key as one of their parts.
+    # species.  from_arrays refuses each, so the arena is written directly.
+    # Three isolated nodes never leave the peel, two would key as an
+    # edge, and the forests key as one of their parts.
     for parent, kids in [
         ([-1, -1, -1], [[], [], []]),
         ([-1, -1], [[], []]),
@@ -300,7 +322,12 @@ def test_nodes_that_are_not_a_tree_have_no_canonical_form():
         ([-1, 0, 1, -1, 3], [[1], [2], [], [4], []]),  # a path and an edge
         ([-1, 0, 1, -1], [[1, 2], [2], [0], []]),  # a triangle and a lone node
     ]:
-        tree = MixedTree.from_arrays(parent, kids, list("abcde"[: len(kids)]))
+        label = list("abcde"[: len(kids)])
+        with pytest.raises(TreeStructureError, match="reached|child"):
+            MixedTree.from_arrays(parent, kids, label)
+        tree = MixedTree()
+        tree.adj = [[p, *ks] if p >= 0 else list(ks) for p, ks in zip(parent, kids)]
+        tree.label = label
         for call in (tree.canonical_key, tree.write_newick):
             with pytest.raises(TreeStructureError, match="not a tree|cycle"):
                 call()
