@@ -195,9 +195,16 @@ def subsample_species(matrix: CharacterMatrix, count: int, seed: int) -> Charact
 
 # -- synthetic data for benchmarks and tests ------------------------------
 
+def _symbols(states: int) -> str:
+    """The generators' first ``states`` symbols, of 24; checked before any draw."""
+    if not 1 <= states <= 24:
+        raise ValueError(f"states must be in 1..24, got {states}")
+    return "ACGTBDEFHIJKLMOPQRSUVWYZ"[:states]
+
+
 def random_matrix(n: int, m: int, states: int = 4, seed: int = 0) -> CharacterMatrix:
     """Uniform i.i.d. random matrix over the first ``states`` DNA-ish symbols."""
-    symbols = "ACGTBDEFHIJKLMOPQRSUVWYZ"[:states]
+    symbols = _symbols(states)
     rng = random.Random(seed)
     rows = [
         (f"S{i+1}", "".join(rng.choice(symbols) for _ in range(m)))
@@ -219,7 +226,7 @@ def evolved_matrix(
     which is the regime the search benchmarks target.  Each tree edge
     mutates each character independently with ``mutation_rate``.
     """
-    symbols = "ACGTBDEFHIJKLMOPQRSUVWYZ"[:states]
+    symbols = _symbols(states)
     rng = random.Random(seed)
 
     def mutate(seq):

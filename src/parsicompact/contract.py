@@ -17,8 +17,9 @@ a state's key is the OR of its splits' bits, and a child's key is its
 parent's key with the contracted edge's bit cleared.  A node is named
 by its signature, the OR of its edges' bits; the two endpoints of an
 edge share only that edge's bit, and the merged node's signature is
-the XOR of theirs.  A contraction merges an edge into its first
-endpoint, so the other nodes keep their ids and their signatures.
+the XOR of theirs.  A contraction merges an edge's child end into its
+parent end, so the other nodes keep their ids and their signatures and
+the root never moves.
 
 One memo, keyed by split set, holds each state's signature and VV
 lists, by node id, as the state built them.  The work splits two ways:
@@ -51,14 +52,14 @@ fixed root: each node's parent and children, label, VU, VL, VV and
 local cost.  Those arrays are the whole state: it keeps no
 :class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
 for a state with no contractible edge and for ``--oracle-check``.
-A child's arrays are copies of its parent's, rewired once, with v's
-slot dead, and the scorer's own kernels recompute only the nodes whose
-inputs may change (:func:`contract_and_update` says which).  A node's VU,
-VL and local cost depend only on its label and its children's VU, and
-its VV only on its parent's VV and its own VU and VL, so every node the
-update skips keeps inputs that did not change: the update is exact,
-not a local rule over old root sets, and the merged node's set must
-still come out as the intersection.
+A child's arrays are copies of its parent's, rewired once, with the
+child end's slot dead, and the scorer's own kernels recompute only the
+nodes whose inputs may change (:func:`contract_and_update` says which).
+A node's VU, VL and local cost depend only on its label and its
+children's VU, and its VV only on its parent's VV and its own VU and
+VL, so every node the update skips keeps inputs that did not change:
+the update is exact, not a local rule over old root sets, and the
+merged node's set must still come out as the intersection.
 
 Contraction never makes an edge contractible that was not before; that
 is tested, but the search does not rely on it: every newly built state
@@ -83,8 +84,8 @@ PROGRESS_EVERY = 10_000
 
 def zero_min_cost_edges(state: ScoreResult) -> list[tuple[int, int]]:
     """Edges whose endpoint root sets intersect in every character, each
-    as (smaller id, larger id), in order of the id of the edge's child
-    end, the end whose ``state.parent`` is the other.
+    as (parent end, child end), so that ``state.parent`` of the second is
+    the first, in order of the child end's id.
 
     Label-label edges are excluded: contracting one would discard a
     species, so they are never candidates.
@@ -104,38 +105,36 @@ def zero_min_cost_edges(state: ScoreResult) -> list[tuple[int, int]]:
             continue
         meet = vv[x] & vv[p]
         if (((((meet & carry) + carry) | meet) & high) >> top).bit_count() == m:
-            out.append((x, p) if x < p else (p, x))
+            out.append((p, x))
     return out
 
 
-def contract_and_update(
-    state: ScoreResult, edge: tuple[int, int], oracle_check: bool = False
-) -> ScoreResult:
-    """Contract zero-min-cost edge (u, v) into u; derive the child's sets.
+def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResult:
+    """Contract zero-min-cost edge (u, v), in either order, merging its
+    child end into its parent end; derive the child's sets.
 
-    The child keeps the parent's root, or u when v was the root, and its
-    arrays are copies of the parent's with v's slot dead; it shares each
-    inner kids list it does not change.  v's children move under u; when
-    v was u's parent, u also takes v's place under v's parent.  u takes
-    v's label if v has one; the label list is copied only then.  Only u
-    and its ancestors have new subtrees, so VU, VL and local cost are
+    Below, u is the parent end and v the child end.  The child keeps the
+    parent's root, which never moves, and its arrays are copies of the
+    parent's with v's slot dead; it shares each inner kids list it does
+    not change.  v's children move under u, and u takes v's label if v
+    has one; the label list is copied only then.  Only u and its
+    ancestors have new subtrees, so VU, VL and local cost are
     recomputed, one node at a time, at u and then up its ancestors,
     stopping at the first node whose VU, all its parent reads of it,
-    comes out as that parent saw it before (for u, v's VU when u took
-    v's place).  VV is then recomputed down from the topmost recomputed
-    node, entering every child of a node whose VV changed, else the
-    recomputed child, and at u the moved children when u's VV differs
-    from v's, their old parent's.  The child's cost is the parent's less
-    v's local cost plus the change in local cost at the recomputed
-    nodes; it must equal the parent's, and u's root set must be the
-    intersection of the endpoints'.  With ``oracle_check`` the derived
-    root sets and cost are compared against an independent full rescore
-    from another root.
+    comes out as that parent saw it before.  VV is then recomputed down
+    from the topmost recomputed node, entering every child of a node
+    whose VV changed, else the recomputed child, and at u the moved
+    children when u's VV differs from v's, their old parent's.  The
+    child's cost is the parent's less v's local cost plus the change in
+    local cost at the recomputed nodes; it must equal the parent's, and
+    u's root set must be the intersection of the endpoints'.
     """
     u, v = edge
     parent = state.parent  # -1 in a free slot, so no edge reaches one
     if not (0 <= u < len(parent) and 0 <= v < len(parent)) or parent[u] != v and parent[v] != u:
         raise TreeStructureError(f"no edge ({u}, {v})")
+    if parent[u] == v:
+        u, v = v, u
     sc = state.scorer
     label = state.label
     if label[u] is not None and label[v] is not None:
@@ -145,31 +144,16 @@ def contract_and_update(
     md = sc.m - sc._fold(meet).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
-    root = state.root
     parent = parent.copy()
     kids = state.kids.copy()
     vu = state.vu.copy()
     vl = state.vl.copy()
     vv = vv.copy()
     local = state.local.copy()
-    if parent[u] == v:
-        # u takes v's place under v's parent.
-        p = parent[u] = parent[v]
-        if p < 0:
-            root = u
-        else:
-            ks = kids[p] = kids[p].copy()
-            ks[ks.index(v)] = u
-        moved = kids[v].copy()
-        moved.remove(u)
-        kids[u] = kids[u] + moved
-        was = vu[v]  # what u's parent read of it before
-    else:
-        moved = kids[v]
-        ks = kids[u] = kids[u].copy()
-        ks.remove(v)
-        ks += moved
-        was = vu[u]
+    moved = kids[v]
+    ks = kids[u] = kids[u].copy()
+    ks.remove(v)
+    ks += moved
     for c in moved:
         parent[c] = u
     if label[v] is not None:
@@ -181,6 +165,7 @@ def contract_and_update(
     kids[v] = None
     vu[v] = vl[v] = vv[v] = local[v] = 0
     x = u
+    was = vu[u]  # what u's parent read of it before
     below = None  # each recomputed ancestor's path child
     while True:
         cost -= local[x]
@@ -212,20 +197,21 @@ def contract_and_update(
         raise ParsicompactError(
             f"zero-min-cost contraction changed cost {state.mp_cost} -> {cost}"
         )
-    if oracle_check:
-        _shadow_check(MixedTree.from_arrays(parent, kids, label), u, vv, cost, sc)
-    return ScoreResult(sc, cost, root, parent, kids, label, vu, vl, vv, local)
+    return ScoreResult(sc, cost, state.root, parent, kids, label, vu, vl, vv, local)
 
 
-def _shadow_check(tree, w, vv, want_cost, scorer):
+def _shadow_check(state: ScoreResult, w: int):
+    """Rescore ``state``'s tree in full from a root other than node ``w``
+    and compare its cost and every root set with the state's."""
+    tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
     root = next((x for x in tree.iter_nodes() if x != w), w)
-    res = scorer.score(tree, root=root)
-    if res.mp_cost != want_cost:
+    res = state.scorer.score(tree, root=root)
+    if res.mp_cost != state.mp_cost:
         raise ParsicompactError(
-            f"shadow rescore cost {res.mp_cost} != maintained cost {want_cost}"
+            f"shadow rescore cost {res.mp_cost} != maintained cost {state.mp_cost}"
         )
     for x in tree.iter_nodes():
-        if res.vv[x] != vv[x]:
+        if res.vv[x] != state.vv[x]:
             raise ParsicompactError(
                 f"maintained root set at node {x} differs from full rescore"
             )
@@ -297,7 +283,9 @@ class CompactSearcher:
     Start trees must be X-trees that carry every species of the matrix,
     as the cubic MP-trees the pipeline feeds are; any other is refused.
     ``on_progress``, if given, is called with the searcher once every
-    :data:`PROGRESS_EVERY` built states.
+    :data:`PROGRESS_EVERY` built states.  With ``oracle_check``, each
+    built state's derived root sets and cost are compared against an
+    independent full rescore from another root.
     """
 
     def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False,
@@ -372,7 +360,9 @@ class CompactSearcher:
                 self.contractions += 1
                 got = self.memo.get(to)
                 if got is None:
-                    child = contract_and_update(state, edge, self.oracle_check)
+                    child = contract_and_update(state, edge)
+                    if self.oracle_check:
+                        _shadow_check(child, u)
                     csig = sig.copy()
                     csig[u] = merged
                     stack.append((child, csig, to, self._store(to, child, csig)))

@@ -180,6 +180,17 @@ def test_generators_deterministic_and_shaped():
         assert a.names == tuple(f"S{i}" for i in range(1, 7))
 
 
+@pytest.mark.parametrize("states", [0, -1, 25, 30, 1, 24])
+@pytest.mark.parametrize("maker", [random_matrix, evolved_matrix])
+def test_generators_take_1_to_24_states(maker, states):
+    if not 1 <= states <= 24:
+        with pytest.raises(ValueError, match=f"states must be in 1..24, got {states}"):
+            maker(5, 40, states, seed=0)
+        return
+    matrix = maker(5, 40, states, seed=0)
+    assert all(len(alpha) <= states for alpha in matrix.alphabets)
+
+
 def test_evolved_matrix_is_clumpier_than_uniform():
     # Shared descent should leave fewer distinct states per column on average.
     rng = random.Random(0)

@@ -26,7 +26,7 @@ from parsicompact import (
     unpack_sets,
     zero_min_cost_edges,
 )
-from parsicompact.contract import CompactSearcher, tree_splits
+from parsicompact.contract import CompactSearcher, _shadow_check, tree_splits
 from conftest import (
     add_edge,
     add_node,
@@ -66,10 +66,11 @@ def test_zero_edges_match_direct_min_cost(seed):
             want.add((min(u, v), max(u, v)))
     zero = zero_min_cost_edges(state)
     assert {tuple(sorted(e)) for e in zero} == want
-    # Listed by the id of each edge's child end, with the state hung from
-    # its root; each node is the child end of one edge at most.
-    ends = [u if state.parent[u] == v else v for u, v in zero]
-    assert all(state.parent[x] >= 0 for x in ends)
+    # Each edge comes parent end first, with the state hung from its
+    # root, listed by the id of its child end; each node is the child
+    # end of one edge at most.
+    assert all(state.parent[v] == u for u, v in zero)
+    ends = [v for _u, v in zero]
     assert ends == sorted(set(ends))
 
 
@@ -132,8 +133,31 @@ def test_label_label_edges_are_never_contractible():
 @given(seed=st.integers(0, 10**6))
 def test_oracle_check_mode_agrees(seed):
     matrix, tree, state = make_state(seed)
-    for edge in zero_min_cost_edges(state):
-        contract_and_update(state, edge, oracle_check=True)
+    for u, v in zero_min_cost_edges(state):
+        _shadow_check(contract_and_update(state, (u, v)), u)
+
+
+def test_oracle_check_rescores_every_built_state(monkeypatch):
+    # The searcher's oracle check sees each state it builds once, with
+    # its live merged node, and no start tree; a corrupt root set is
+    # refused.
+    matrix = evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05)
+    seen = []
+
+    def spy(state, w):
+        assert state.kids[w] is not None
+        seen.append((tuple(state.parent), tuple(state.label)))
+        _shadow_check(state, w)
+
+    monkeypatch.setattr("parsicompact.contract._shadow_check", spy)
+    result = most_compact_pipeline(matrix, oracle_check=True)
+    assert len(seen) == len(set(seen)) == result.explored_states - result.sources
+    state = Scorer(matrix).score(next(iter(enumerate_cubic(matrix).incumbents.values())))
+    u, v = zero_min_cost_edges(state)[0]
+    child = contract_and_update(state, (u, v))
+    child.vv[u] ^= 1
+    with pytest.raises(ParsicompactError, match="differs from full rescore"):
+        _shadow_check(child, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -170,7 +194,9 @@ def test_merged_node_vv_is_the_intersection():
     for u, v in zero_min_cost_edges(state):
         meet = state.vv[u] & state.vv[v]
         after = contract_and_update(state, (u, v))
-        # the merged node is u: v is gone and every other node kept its id
+        # the merged node is the parent end u: the child end v is gone
+        # and every other node kept its id
+        assert state.parent[v] == u
         assert set(tree_of(after).iter_nodes()) == set(tree.iter_nodes()) - {v}
         assert after.vv[u] == meet
 
@@ -204,8 +230,9 @@ def check_every_order(state, matrix, tree):
     sets against fresh scores; returns the rewire cases met on the way.
 
     ``tree`` is the state's tree, carried along by the independent
-    ``contract_edge`` on copies, so the child's rewired
-    arrays are checked against a contraction that does not use them.
+    ``contract_edge`` on copies, which merges each edge's child end into
+    its parent end, so the child's rewired arrays are checked against a
+    contraction that does not use them.
     VV and the cost come from a score at the default root, which they do
     not depend on.  The hung arrays (parent, children, VU, VL and local
     cost) come from a score at the child's own root.
@@ -213,18 +240,14 @@ def check_every_order(state, matrix, tree):
     cases = set()
     before = arrays_of(state)
     for u, v in zero_min_cost_edges(state):
-        if state.parent[v] == u:
-            cases.add("v below u")
-        else:
-            cases.add("u below v")
-            if state.parent[v] < 0:
-                cases.add("v is the root")
         if tree.label[v] is not None:
             cases.add("v labelled")
         child = contract_and_update(state, (u, v))
         # The child shares the parent's untouched inner lists, so an edit
         # in place that reached one would show here.
         assert arrays_of(state) == before
+        assert arrays_of(contract_and_update(state, (v, u))) == arrays_of(child)
+        cases.add("edge passed child end first")
         after = tree.copy()
         contract_edge(after, u, v)
         check_arrays_match(child, after)
@@ -249,8 +272,8 @@ def check_every_order(state, matrix, tree):
 
 def test_derived_sets_equal_a_fresh_score_in_every_order():
     # Identical data makes high-degree merged nodes; evolved data makes
-    # labelled merged nodes and roots that move, and at higher rates
-    # root sets that change away from the merged node.
+    # labelled merged nodes, and at higher rates root sets that change
+    # away from the merged node.
     matrices = [evolved_matrix(5, 5, 4, seed=seed) for seed in range(3)]
     matrices.append(evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05))
     matrices.append(evolved_matrix(5, 4, 4, seed=1, mutation_rate=0.3))
@@ -261,8 +284,41 @@ def test_derived_sets_equal_a_fresh_score_in_every_order():
         for tree in enumerate_cubic(matrix).incumbents.values():
             state = Scorer(matrix).score(tree)
             cases |= check_every_order(state, matrix, tree)
-    assert cases == {"v below u", "u below v", "v is the root", "v labelled",
+    assert cases == {"edge passed child end first", "v labelled",
                      "threshold count at u", "VV changed away from u"}
+
+
+def test_contraction_merges_the_child_end_into_the_parent_end():
+    # Every state reachable from the cubic MP trees, contracted along each
+    # of its zero edges: the edge comes parent end first, the child keeps
+    # the root and frees only the child end's slot, and passing the edge
+    # child end first builds the same child.
+    matrices = [evolved_matrix(5, 5, 4, seed=0),
+                evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05)]
+    cases = set()
+    for matrix in matrices:
+        stack = [Scorer(matrix).score(tree)
+                 for tree in enumerate_cubic(matrix).incumbents.values()]
+        seen = set()
+        while stack:
+            state = stack.pop()
+            live = {x for x, ks in enumerate(state.kids) if ks is not None}
+            for u, v in zero_min_cost_edges(state):
+                assert state.parent[v] == u
+                if v < u:
+                    cases.add("smaller id is the child end")
+                if state.parent[u] < 0:
+                    cases.add("edge at the root")
+                child = contract_and_update(state, (u, v))
+                assert child.root == state.root
+                assert {x for x, ks in enumerate(child.kids) if ks is not None} == live - {v}
+                assert child.parent[v] == -1
+                assert arrays_of(contract_and_update(state, (v, u))) == arrays_of(child)
+                key = tree_of(child).canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(child)
+    assert cases == {"smaller id is the child end", "edge at the root"}
 
 
 def zero_edges_shrink(state, seen, tree):
@@ -270,24 +326,23 @@ def zero_edges_shrink(state, seen, tree):
     contractible edge of a child was contractible in its parent.
 
     ``tree`` is the state's tree, carried along by the independent
-    ``contract_edge`` on copies.  The merged node u took
-    over v's other edges, so a child edge (u, y) was (u, y) or (v, y)
-    before.  Returns the number of child edges checked.
+    ``contract_edge`` on copies.  Edges come parent end first, and the
+    parent end u took over the child end v's children, so a child edge
+    (u, y) was (u, y) or (v, y) before; every other edge kept its ends.
+    Returns the number of child edges checked.
     """
     checks = 0
     edges = zero_min_cost_edges(state)
-    zero = {tuple(sorted(e)) for e in edges}
+    zero = set(edges)
     for u, v in edges:
         child = contract_and_update(state, (u, v))
         after = tree.copy()
         contract_edge(after, u, v)
         check_arrays_match(child, after)
         for x, y in zero_min_cost_edges(child):
-            if x == u:
-                x = u if y in tree.adj[u] else v
-            elif y == u:
-                y = u if x in tree.adj[u] else v
-            assert tuple(sorted((x, y))) in zero
+            if x == u and state.parent[y] == v:
+                x = v
+            assert (x, y) in zero
             checks += 1
         key = after.canonical_key()
         if key not in seen:
