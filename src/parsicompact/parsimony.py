@@ -195,31 +195,31 @@ class Scorer:
 
     # -- bottom-up pass ------------------------------------------------------
 
-    def _bottom_up(self, tree, root, need_vl):
-        """Return (cost, vu, vl, local, pre, parent, kids).
+    def _bottom_up(self, tree, root):
+        """Return (cost, vu, vl, local, pre, parent, kids), the tree hung
+        from ``root`` and scored bottom-up.
 
-        ``vl`` and ``local`` are None unless requested.  ``pre``,
+        Every pass computes VU, VL and local cost at each node.  ``pre``,
         ``parent`` and ``kids`` come from one pass of :meth:`MixedTree.hang`,
         so ``pre`` lists parents before children and ``kids[u]`` lists u's
         children in adjacency order (None at ids not in the tree).
         """
         pre, parent, kids = tree.hang(root)
         vu = [0] * len(kids)
-        vl = [0] * len(kids) if need_vl else None
-        local = [0] * len(kids) if need_vl else None
+        vl = [0] * len(kids)
+        local = [0] * len(kids)
         cost = self._up(reversed(pre), parent, tree.label, vu, vl, local, kids)
         return cost, vu, vl, local, pre, parent, kids
 
     def _up(self, nodes, parent, label, vu, vl, local, kids):
-        """Compute VU, and VL and local cost unless ``vl`` is None, at each
-        of ``nodes`` from its children's VU; returns their summed local cost.
+        """Write VU, VL and local cost at each of ``nodes`` from its
+        children's VU; returns their summed local cost.
 
         ``nodes`` lists children before parents, and ``kids[u]`` lists u's
         children; ``_up`` only reads it.  ``label`` gives each node's
         species or None.  A node's local cost is its share of the MP-cost:
         the mutations on the edges to its children.
         """
-        need_vl = vl is not None
         vmask = self.vmask
         alpha = self.alpha
         fill = self.fill
@@ -236,6 +236,7 @@ class Scorer:
                 if x is None:
                     raise MissingSpeciesError(f"species {name!r} not in the matrix")
                 vu[u] = x
+                vl[u] = 0
                 if below:
                     # x holds one state per character, so each bit of
                     # vu[c] & x is one character that reaches x for free.
@@ -243,10 +244,7 @@ class Scorer:
                     for c in below:
                         here += m - (vu[c] & x).bit_count()
                     cost += here
-                    if need_vl:
-                        local[u] = here
-                if need_vl:
-                    vl[u] = 0
+                    local[u] = here
             elif not below:
                 raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
             elif len(below) == 2:
@@ -259,18 +257,15 @@ class Scorer:
                 both = ne * fill
                 union = a | b
                 vu[u] = meet | (union & ~both)
-                if need_vl:
-                    vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
-                    local[u] = here
+                vl[u] = ((a ^ b) & both) | (alpha & ~(union | both))
+                local[u] = here
             else:
                 if len(below) == 1 and parent[u] < 0:
                     # An unlabelled root with one neighbour is a leaf.
                     raise UnlabelledLeafError(f"unlabelled leaf {u} cannot be scored")
-                vu[u], u_vl, here = self._combine([vu[c] for c in below])
+                vu[u], vl[u], here = self._combine([vu[c] for c in below])
                 cost += here
-                if need_vl:
-                    vl[u] = u_vl
-                    local[u] = here
+                local[u] = here
         return cost
 
     def _three(self, a, b, c):
@@ -364,9 +359,11 @@ class Scorer:
     # -- entry points --------------------------------------------------------------
 
     def cost(self, tree: MixedTree) -> int:
-        """MP-cost only: each depth-first run scores its start tree with
-        it, and :meth:`growth_costs` prices every child after that."""
-        return self._bottom_up(tree, self.pick_root(tree), False)[0]
+        """The MP-cost alone, from the bottom-up pass :meth:`score` runs,
+        with no top-down pass and no :class:`ScoreResult`.  Each
+        depth-first run scores its start tree with it, and
+        :meth:`growth_costs` prices every child after that."""
+        return self._bottom_up(tree, self.pick_root(tree))[0]
 
     def growth_costs(self, tree: MixedTree, name: str, mixed: bool) -> tuple[list, list[int]]:
         """Every tree that one growth move of ``name`` makes, with its MP-cost.
@@ -434,14 +431,14 @@ class Scorer:
         m = self.m
         if not mixed:
             # score()'s pass, without building a ScoreResult.
-            cost, vu, vl, _local, pre, parent, _kids = self._bottom_up(tree, root, True)
+            cost, vu, vl, _local, pre, parent, _kids = self._bottom_up(tree, root)
             vv = [0] * len(vu)
             self._top_down(pre, parent, vu, vl, vv)
             base = cost + m
             edges = tree.iter_edges()
             costs = [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
             return [("r1", edge) for edge in edges], costs
-        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root, False)
+        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root)
         vmask = self.vmask
         carry = self.carry
         high = self.high
@@ -512,7 +509,7 @@ class Scorer:
         """
         if root is None:
             root = self.pick_root(tree)
-        cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root, True)
+        cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root)
         vv = [0] * len(vu)
         self._top_down(pre, parent, vu, vl, vv)
         return ScoreResult(self, cost, root, parent, kids, list(tree.label), vu, vl, vv, local)

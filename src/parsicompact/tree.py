@@ -20,7 +20,6 @@ one loop over the text with an explicit stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     AlreadyLabelledError,
@@ -401,7 +400,6 @@ class MixedTree:
 _DELIMITERS = frozenset("(),:;'[] \t\r\n")
 
 
-@lru_cache(maxsize=1 << 16)
 def _quote_name(name: str) -> str:
     if name and _DELIMITERS.isdisjoint(name):
         return name

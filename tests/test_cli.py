@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -78,6 +79,12 @@ def test_count_values(capsys):
     assert totals == [32, 396, 6692]
     assert cubics == [3, 15, 105]
     assert rows[1][at["t_n_m"]] == "16,13,3"
+    # The JSON rows hold the TSV rows' values, under the same columns.
+    code, out, _ = run(capsys, "count", "--min-n", "4", "--max-n", "6", "--format", "json")
+    assert code == 0
+    assert [{h: str(v) for h, v in row.items()} for row in json.loads(out)] == [
+        dict(zip(header, r)) for r in rows[1:]
+    ]
 
 
 @pytest.mark.parametrize("n", [133, 1500])
@@ -115,7 +122,7 @@ def test_emitted_trees_rescore_to_reported_cost(capsys, fasta):
     code, out, _ = run(capsys, "compact", "--input", fasta,
                        "--threads", "1", "--format", "json")
     data = json.loads(out)
-    matrix = parse_fasta(open(fasta).read())
+    matrix = parse_fasta(Path(fasta).read_text())
     for text in data["trees"]:
         assert Scorer(matrix).cost(parse_newick(text)) == data["mp_cost"]
 
@@ -307,7 +314,7 @@ def test_byte_order_mark_is_dropped(capsys, fasta, tmp_path, which):
 
 def test_whitespace_inside_sequence_lines_is_dropped(capsys, fasta, tmp_path):
     spaced = tmp_path / "spaced.fasta"
-    lines = open(fasta).read().splitlines()
+    lines = Path(fasta).read_text().splitlines()
     spaced.write_text("".join(
         line + "\n" if line.startswith(">") else f"{line[:3]} {line[3:5]}\t{line[5:]} \n"
         for line in lines
@@ -393,21 +400,30 @@ def test_deterministic_output_across_runs(capsys, fasta):
 
 
 def test_bench_table(capsys, fasta):
-    code, out, err = run(capsys, "bench", "--input", fasta, "--threads", "1",
-                         "--min-n", "4", "--max-n", "5", "--trials", "2",
-                         "--seed", "1", "--progress")
+    argv = ["bench", "--input", fasta, "--threads", "1", "--min-n", "4",
+            "--max-n", "5", "--trials", "2", "--seed", "1"]
+    code, out, err = run(capsys, *argv, "--progress")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].split("\t") == BENCH_COLUMNS
     assert len(lines) == 3
-    for line in lines[1:]:
-        values = dict(zip(BENCH_COLUMNS, line.split("\t")))
+    rows = [dict(zip(BENCH_COLUMNS, line.split("\t"))) for line in lines[1:]]
+    for values in rows:
         assert float(values["mp_cost"]) > 0
         assert float(values["compact_mixed_mp_trees"]) >= 1
         assert (values["contracted_cubic_mp_trees_dedup"]
                 == values["compact_mixed_mp_trees"])
     assert "trial" in err        # progress goes to stderr
     assert "speedup" in err      # time ratio reported per n
+    # The JSON rows hold the TSV rows' values, but for the two timings.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    timed = {"mtea_time_ms", "cteeca_time_ms"}
+    got = json.loads(out)
+    assert [sorted(row) for row in got] == [sorted(BENCH_COLUMNS)] * 2
+    assert [{c: str(row[c]) for c in BENCH_COLUMNS if c not in timed} for row in got] == [
+        {c: v for c, v in row.items() if c not in timed} for row in rows
+    ]
 
 
 def test_bench_rejects_oversized_range(capsys, fasta):

@@ -19,6 +19,7 @@ from parsicompact import (
     enumerate_cubic,
     enumerate_mixed,
     evolved_matrix,
+    most_compact_pipeline,
     order_species,
     random_matrix,
 )
@@ -109,6 +110,21 @@ def test_tiny_instances():
     assert len(two.incumbents) == 1
     only = next(iter(two.incumbents.values()))
     assert two.incumbent_cost == Scorer(m2).cost(only)
+    # One and two species, in both orders: the diverse order keeps the
+    # matrix order, and the cubic search visits only its start tree.
+    for n, text, cost in [(1, "S1;", 0), (2, "(S1)S2;", 1)]:
+        matrix = random_matrix(n, 3, 2, seed=0)
+        for order in ("input", "diverse"):
+            assert order_species(matrix, order) == list(matrix.names)
+            cubic = enumerate_cubic(matrix, order=order)
+            assert (cubic.incumbent_cost, cubic.visited) == (cost, 1)
+            assert [key.as_text() for key in cubic.incumbents] == [text]
+            mixed = enumerate_mixed(matrix, order=order)
+            assert mixed.incumbent_cost == cost
+            assert [key.as_text() for key in mixed.most_compact] == [text]
+            pipe = most_compact_pipeline(matrix, order=order)
+            assert pipe.mp_cost == cost
+            assert [key.as_text() for key in pipe.trees] == [text]
 
 
 @settings(max_examples=12, deadline=None)

@@ -223,6 +223,15 @@ def test_scoring_errors():
         Scorer(m).cost(leafy)
     with pytest.raises(EmptyTreeError):
         Scorer(m).cost(MixedTree())
+    # A species not in the matrix: as the new name of a growth sweep, of
+    # either kind, and as a label for the oracle.
+    for mixed in (False, True):
+        with pytest.raises(MissingSpeciesError, match="'S9' not in the matrix"):
+            Scorer(m).growth_costs(tree, "S9", mixed)
+    with pytest.raises(MissingSpeciesError, match="'q' not in the matrix"):
+        brute_force_best_fit(parse_newick("(a,q);"), CharacterMatrix.from_rows([("a", "A")]))
+    with pytest.raises(EmptyTreeError):
+        brute_force_best_fit(MixedTree(), m)
 
 
 @pytest.mark.parametrize("leaf_first", [True, False])

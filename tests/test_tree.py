@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsicompact import (
+    AlreadyLabelledError,
     DuplicateLabelError,
     EmptyTreeError,
     IllegalContractionError,
@@ -100,6 +101,11 @@ def test_rule_effects_on_counts():
     tok = t.grow_rule_4(next(u for u in t.iter_nodes() if t.label[u] is None), "x")
     assert (t.num_nodes, num_edges(t)) == (n0, e0)
     assert t.n_unlabelled == 1
+    # Rule 4 on a labelled node is refused and leaves the tree unchanged.
+    before = (repr(t.adj), list(t.label))
+    with pytest.raises(AlreadyLabelledError, match="already labelled 'x'"):
+        t.grow_rule_4(tok[1], "y")
+    assert (repr(t.adj), list(t.label)) == before
     t.undo_growth(tok)
     assert t.n_unlabelled == 2  # root and one interior node
 
