@@ -212,6 +212,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.min_n < 1 or args.max_n < args.min_n:
         raise ParsicompactError(f"bad n range {args.min_n}..{args.max_n}")
     rows = []
+    extras = []  # JSON's typed values: floats (null where not finite), a list of ints
     with _long_int_text():
         for n in range(args.min_n, args.max_n + 1):
             total = count_total_mixed(n)
@@ -220,7 +221,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 ratio = math.exp(_log_closed_form(n) - math.log(total))
             else:
                 estimate = ratio = float("nan")
-            by_m = ",".join(str(count_mixed(n, m)) for m in range(max(n - 1, 1)))
+            by_m = [count_mixed(n, m) for m in range(max(n - 1, 1))]
             rows.append(
                 {
                     "n": n,
@@ -228,18 +229,27 @@ def cmd_count(args: argparse.Namespace) -> int:
                     "closed_form_estimate": f"{estimate:.6g}",
                     "estimate_over_exact": f"{ratio:.6g}",
                     "cubic_count": count_cubic(n),
+                    "t_n_m": ",".join(map(str, by_m)),
+                }
+            )
+            extras.append(
+                {
+                    "closed_form_estimate": estimate if math.isfinite(estimate) else None,
+                    "estimate_over_exact": ratio if math.isfinite(ratio) else None,
                     "t_n_m": by_m,
                 }
             )
         if args.format == "json":
-            _emit_json(rows)
+            _emit_json([{**row, **extra} for row, extra in zip(rows, extras)])
         else:
             _emit_tsv(list(rows[0]), rows)
     return 0
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    t0 = time.monotonic()
     matrix = _load_matrix(args)
+    load_ms = (time.monotonic() - t0) * 1000.0
     runner = enumerate_cubic if args.kind == "cubic" else enumerate_mixed
     t0 = time.monotonic()
     record = runner(
@@ -267,7 +277,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "generated": record.generated,
         "time_ms": f"{elapsed:.1f}",
     }
-    extra = {"trees": newicks, "sweeps": record.sweeps, "time_ms": elapsed, "emit_ms": emit_ms}
+    extra = {"trees": newicks, "sweeps": record.sweeps, "time_ms": elapsed,
+             "load_ms": load_ms, "emit_ms": emit_ms}
     summary = (f"mp_cost={record.incumbent_cost} trees={len(best)} "
                f"visited={record.visited}")
     _emit(args, row, extra, summary)

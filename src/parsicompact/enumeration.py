@@ -16,15 +16,21 @@ cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one sweep of the expanded tree
 (:meth:`Scorer.growth_costs`), which lists every growth move and costs
 each in O(1) big-int operations instead of rescoring each child: in
-cubic search the scoring pass, from the root sets of each edge's two
-ends; in mixed search a directional pass, from the sets entering each
-edge or node.  It lists them in the order the search visits them: r1
-on each edge, in :meth:`MixedTree.iter_edges`' order, each followed in
-mixed search by r2 on the same edge; then, in mixed search, r3 on each
-node, in :meth:`MixedTree.iter_nodes`' order (by id), each unlabelled
-one followed by r4.  Only the tree each depth-first run starts from is
+cubic search from the root sets of each edge's two ends; in mixed
+search from a directional pass, from the sets entering each edge or
+node.  It lists them in the order the search visits them: r1 on each
+edge, in :meth:`MixedTree.iter_edges`' order, each followed in mixed
+search by r2 on the same edge; then, in mixed search, r3 on each node,
+in :meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
+followed by r4.  Only the tree each depth-first run starts from is
 scored in full, and it then takes the same per-child step as every
-child, through a move that stands for a tree already built.  Only the
+child, through a move that stands for a tree already built.  The cubic
+search keeps one :class:`~parsicompact.parsimony.SweepState` per
+depth, the node sets of the tree it is expanding there: the start
+tree's comes from the full pass (:meth:`Scorer.sweep_state`), and each
+built child's is derived from its parent's (:meth:`Scorer.child_state`),
+recomputing only the nodes whose sets may change; the mixed search
+runs its directional pass on every tree it sweeps.  Only the
 children that survive the bound are applied to the tree (and undone):
 a child priced above the incumbent is counted -- visited, plus pruned,
 or generated when complete -- but never built.  Building and undoing
@@ -198,15 +204,17 @@ class SearchRecord:
     not), pruned counts subtrees cut by the cost bound; only the
     children that survive the bound are built.  sweeps counts the
     expanded trees, and every expanded tree is swept once by
-    :meth:`Scorer.growth_costs`; a tree whose children the novel-state
-    bound prices out is not expanded (nor built, below the start tree),
-    and its children are counted from its size, as are those of a swept
-    tree whose children are all priced above the incumbent.  With
-    ``threads > 1``, visited omits the pool frontier's own trees, those
-    above its last level: each worker counts from that level down.  An
-    incumbent's adjacency lists keep the order of higher-id neighbours
-    that the search's move lists read, not necessarily that of lower-id
-    ones.
+    :meth:`Scorer.growth_costs`: in cubic search from node sets derived
+    from its parent's (from the full pass for a run's start tree), in
+    mixed search by a directional pass.  A tree whose children the
+    novel-state bound prices out is not expanded (nor built, below the
+    start tree), and its children are counted from its size, as are
+    those of a swept tree whose children are all priced above the
+    incumbent.  With ``threads > 1``, visited omits the pool frontier's
+    own trees, those above its last level: each worker counts from that
+    level down.  An incumbent's adjacency lists keep the order of
+    higher-id neighbours that the search's move lists read, not
+    necessarily that of lower-id ones.
     """
 
     incumbent_cost: int | None = None
@@ -289,6 +297,10 @@ class _Search:
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)
         self.record = SearchRecord()
+        # states[k]: the cubic search's SweepState of the tree it is
+        # expanding with order[:k] placed: a run's start tree's from the
+        # full pass, every other derived from states[k-1].
+        self.states = [None] * len(order)
         # novel[k]: characters where order[k]'s state is held by none of
         # order[:k]; each costs every child of a depth-k tree at least
         # one more mutation than the tree (see the module docstring).
@@ -341,7 +353,9 @@ class _Search:
 
     def _expand(self, tree: MixedTree, k: int):
         self.record.sweeps += 1
-        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.kind == "mixed")
+        moves, costs = self.scorer.growth_costs(
+            tree, self.order[k], self.kind == "mixed", self.states[k]
+        )
         best = self.record.incumbent_cost
         complete = k + 1 == len(self.order)
         if best is not None and (complete or not self.no_prune) and min(costs) > best:
@@ -402,6 +416,11 @@ class _Search:
             if complete:
                 rec._offer(cost, tree)
             else:
+                if self.kind == "cubic":
+                    self.states[k + 1] = (
+                        self.scorer.sweep_state(tree) if built
+                        else self.scorer.child_state(tree, self.states[k], token, cost)
+                    )
                 self._expand(tree, k + 1)
             if not built:
                 tree.undo_growth(token)

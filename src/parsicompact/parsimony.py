@@ -34,8 +34,9 @@ count, and so do two sets anywhere else (a growth move on an unlabelled
 node of degree 2).  Outside the inline two-set forms,
 :meth:`Scorer._combine` is the one place that picks the closed form or
 the threshold count.  The cubic sweep needs no combine of its own: it
-is the full scoring pass, plus one union per edge of its ends' root
-sets.
+prices each edge by one union of its ends' root sets, read from a
+:class:`SweepState` that the full pass makes for the search's start
+tree and :meth:`Scorer.child_state` derives for every tree after it.
 """
 
 from __future__ import annotations
@@ -133,6 +134,26 @@ class ScoreResult:
         return f"ScoreResult(mp_cost={self.mp_cost}, root={self.root})"
 
 
+class SweepState:
+    """What the cubic sweep keeps of one scored tree: its MP-cost and,
+    with the tree hung from ``root``, each node's ``parent`` and ``kids``
+    and its packed ``vu``, ``vl`` and ``vv`` sets, by node id, as in
+    :class:`ScoreResult`.  :meth:`Scorer.sweep_state` makes one by the
+    full pass, and :meth:`Scorer.child_state` derives a grown child's
+    from its parent's."""
+
+    __slots__ = ("mp_cost", "root", "parent", "kids", "vu", "vl", "vv")
+
+    def __init__(self, mp_cost, root, parent, kids, vu, vl, vv):
+        self.mp_cost: int = mp_cost
+        self.root: int = root
+        self.parent: list[int] = parent
+        self.kids: list[list[int] | None] = kids
+        self.vu: list[int] = vu
+        self.vl: list[int] = vl
+        self.vv: list[int] = vv
+
+
 class Scorer:
     """Word-parallel scoring engine bound to one character matrix.
 
@@ -140,9 +161,10 @@ class Scorer:
     calls :meth:`growth_costs` on each tree it expands whose children
     are not all priced out by the novel-state bound.  That one sweep
     lists the tree's children, as growth moves in the order the search
-    visits them, and prices each: for the cubic search with the pass
-    :meth:`score` runs and one OR per edge, for the mixed search with a
-    directional pass.
+    visits them, and prices each: for the cubic search with one OR per
+    edge of the root sets in the tree's :class:`SweepState`, which
+    :meth:`child_state` derives from the parent's, for the mixed search
+    with a directional pass.
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
@@ -361,11 +383,121 @@ class Scorer:
     def cost(self, tree: MixedTree) -> int:
         """The MP-cost alone, from the bottom-up pass :meth:`score` runs,
         with no top-down pass and no :class:`ScoreResult`.  Each
-        depth-first run scores its start tree with it, and
-        :meth:`growth_costs` prices every child after that."""
+        depth-first run prices its start tree with it; every child after
+        that is priced by its parent's :meth:`growth_costs`."""
         return self._bottom_up(tree, self.pick_root(tree))[0]
 
-    def growth_costs(self, tree: MixedTree, name: str, mixed: bool) -> tuple[list, list[int]]:
+    def _full_pass(self, tree, root):
+        """(cost, vu, vl, vv, local, parent, kids): the bottom-up pass
+        from ``root``, then the top-down pass."""
+        cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root)
+        vv = [0] * len(vu)
+        self._top_down(pre, parent, vu, vl, vv)
+        return cost, vu, vl, vv, local, parent, kids
+
+    def sweep_state(self, tree: MixedTree) -> SweepState:
+        """The tree's :class:`SweepState`, by the full pass from
+        :meth:`pick_root`'s node."""
+        root = self.pick_root(tree)
+        cost, vu, vl, vv, _local, parent, kids = self._full_pass(tree, root)
+        return SweepState(cost, root, parent, kids, vu, vl, vv)
+
+    def child_state(self, tree: MixedTree, state: SweepState, token, cost: int) -> SweepState:
+        """The :class:`SweepState` of ``tree``, grown by the
+        :meth:`MixedTree.grow_rule_1` that returned ``token``, derived
+        from ``state``, its state before that growth, which is left
+        untouched; ``cost`` is the tree's MP-cost, as the parent's
+        :meth:`growth_costs` priced it.
+
+        The token names the edge (u, v), the new node w and the new leaf;
+        below, v is u's child.  The child keeps the parent's root, and
+        its arrays are copies of the parent's with w put between u and
+        v and the leaf under w; it shares each inner kids list it does
+        not change.  Only u and its ancestors have new subtrees, so VU
+        and VL are recomputed at w, from VU[v] and the leaf's states,
+        then at u and up its ancestors, stopping at the first node whose
+        VU comes out as it was, or below a labelled node, whose sets
+        never change.  VV is then recomputed down from the topmost
+        recomputed node, entering every unlabelled child of a node whose
+        VV changed, else the child on the climb's path.  A labelled
+        node's VV is its VU, whatever its parent's (its VL is empty and
+        VV is never empty in a character), so the descent enters none,
+        and the new leaf's VV is set with its VU.  w's slot starts with
+        u's old VV, the one v read before, so v is entered only if w's VV
+        differs from it.  Every node skipped keeps inputs that did not
+        change, so the state is the full pass's, as :meth:`score` with
+        the same root would give it.
+        """
+        _, u, v, w, leaf = token
+        grow = max(w, leaf) + 1 - len(state.parent)  # new slots, if any
+        zero = [0] * grow
+        parent = state.parent + [-1] * grow
+        kids = state.kids + [None] * grow
+        vu = state.vu + zero
+        vl = state.vl + zero
+        vv = state.vv + zero
+        if parent[u] == v:
+            u, v = v, u
+        ks = kids[u] = kids[u].copy()
+        ks[ks.index(v)] = w
+        parent[w] = u
+        kids[w] = [v, leaf]
+        parent[v] = parent[leaf] = w
+        kids[leaf] = []
+        vv[w] = vv[u]  # what v read from its parent before
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        alpha = self.alpha
+        label = tree.label
+        vu[leaf] = vv[leaf] = self.vmask[label[leaf]]
+        vl[leaf] = 0
+        below = {}  # each recomputed node's child on the climb's path
+        y = w
+        while True:
+            if len(kids[y]) == 2:
+                c0, c1 = kids[y]
+                a = vu[c0]
+                b = vu[c1]
+                meet = a & b
+                both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                union = a | b
+                new = meet | (union & ~both)
+                vl[y] = ((a ^ b) & both) | (alpha & ~(union | both))
+            else:
+                new, vl[y], _ = self._combine([vu[c] for c in kids[y]])
+            was = vu[y]
+            vu[y] = new
+            p = parent[y]
+            # w is new, so its VU counts as changed.
+            if new == was and y != w or p < 0 or label[p] is not None:
+                break
+            below[p] = y
+            y = p
+        stack = [y]
+        while stack:
+            y = stack.pop()
+            p = parent[y]
+            if p < 0:
+                new = vu[y]
+            else:
+                vvp = vv[p]
+                miss = vvp & ~vu[y]
+                ns = (((((miss & carry) + carry) | miss) & high) >> top) * fill
+                new = ((vu[y] | (vvp & vl[y])) & ns) | (vvp & ~ns)
+            if new != vv[y]:
+                vv[y] = new
+                for c in kids[y]:
+                    if label[c] is None:
+                        stack.append(c)
+            elif y in below:
+                stack.append(below[y])
+        return SweepState(cost, state.root, parent, kids, vu, vl, vv)
+
+    def growth_costs(
+        self, tree: MixedTree, name: str, mixed: bool, state: SweepState | None = None
+    ) -> tuple[list, list[int]]:
         """Every tree that one growth move of ``name`` makes, with its MP-cost.
 
         Returns (moves, costs): ``moves`` holds ("r1" | "r2", edge) and
@@ -376,8 +508,11 @@ class Scorer:
         order, each followed by r2 on the same edge when ``mixed``; then,
         when ``mixed``, r3 on each node, in :meth:`MixedTree.iter_nodes`'
         order, each unlabelled one followed by r4.  Without ``mixed`` the
-        list is the cubic search's, r1 alone.  A ``name`` the tree already
-        holds raises DuplicateLabelError, as a growth rule would.
+        list is the cubic search's, r1 alone, priced from ``state``, the
+        tree's :class:`SweepState`, or, without it, from
+        :meth:`sweep_state`'s full pass; the mixed sweep takes no state.
+        A ``name`` the tree already holds raises DuplicateLabelError, as a
+        growth rule would.
 
         One sweep replaces a rescore per child.  Write D(u->v) for the VU
         set of the side of edge (u, v) holding u.  An edge (u, v) acts as
@@ -404,9 +539,12 @@ class Scorer:
         dropping w would save a mutation, and the cost cannot fall below
         the MP-cost.  So w's state is an end's, and dropping w leaves an
         optimal fit of the tree with that end in that state, which thus
-        lies in the end's VV.  So without ``mixed`` the sweep is the pass
-        :meth:`score` runs, bottom-up and then top-down, plus one OR per
-        edge: r1 on (u, v) costs m - |VV[u] | VV[v]| more than the tree.
+        lies in the end's VV.  So without ``mixed`` the sweep is one OR
+        per edge of the root sets in ``state``: r1 on (u, v) costs
+        m - |VV[u] | VV[v]| more than the tree.  The cubic search passes
+        each tree's state, derived from its parent's by
+        :meth:`child_state`; without one the sweep runs the full pass
+        first, as the tests' oracle for the derivation.
 
         The mixed sweep keeps a directional pass, because r2 and r4 need to
         know how many of the sets entering the new node hold x, and the
@@ -427,18 +565,16 @@ class Scorer:
         label = tree.label
         if name in label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
-        root = self.pick_root(tree)
         m = self.m
         if not mixed:
-            # score()'s pass, without building a ScoreResult.
-            cost, vu, vl, _local, pre, parent, _kids = self._bottom_up(tree, root)
-            vv = [0] * len(vu)
-            self._top_down(pre, parent, vu, vl, vv)
-            base = cost + m
+            if state is None:
+                state = self.sweep_state(tree)
+            vv = state.vv
+            base = state.mp_cost + m
             edges = tree.iter_edges()
             costs = [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
             return [("r1", edge) for edge in edges], costs
-        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root)
+        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, self.pick_root(tree))
         vmask = self.vmask
         carry = self.carry
         high = self.high
@@ -509,9 +645,7 @@ class Scorer:
         """
         if root is None:
             root = self.pick_root(tree)
-        cost, vu, vl, local, pre, parent, kids = self._bottom_up(tree, root)
-        vv = [0] * len(vu)
-        self._top_down(pre, parent, vu, vl, vv)
+        cost, vu, vl, vv, local, parent, kids = self._full_pass(tree, root)
         return ScoreResult(self, cost, root, parent, kids, list(tree.label), vu, vl, vv, local)
 
 

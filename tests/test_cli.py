@@ -79,12 +79,35 @@ def test_count_values(capsys):
     assert totals == [32, 396, 6692]
     assert cubics == [3, 15, 105]
     assert rows[1][at["t_n_m"]] == "16,13,3"
-    # The JSON rows hold the TSV rows' values, under the same columns.
+    # The JSON rows hold the TSV rows' values, under the same columns, as
+    # numbers: the estimates unrounded, and t_n_m a list of ints.
     code, out, _ = run(capsys, "count", "--min-n", "4", "--max-n", "6", "--format", "json")
     assert code == 0
-    assert [{h: str(v) for h, v in row.items()} for row in json.loads(out)] == [
-        dict(zip(header, r)) for r in rows[1:]
-    ]
+    got = json.loads(out)
+    assert [sorted(row) for row in got] == [sorted(header)] * 3
+    for row, r in zip(got, rows[1:]):
+        want = dict(zip(header, r))
+        for h in ("n", "total_mixed", "cubic_count"):
+            assert type(row[h]) is int and str(row[h]) == want[h]
+        for h in ("closed_form_estimate", "estimate_over_exact"):
+            assert type(row[h]) is float and f"{row[h]:.6g}" == want[h]
+        assert all(type(c) is int for c in row["t_n_m"])
+        assert ",".join(map(str, row["t_n_m"])) == want["t_n_m"]
+
+
+@pytest.mark.parametrize("n, key", [(1, "closed_form_estimate"), (1, "estimate_over_exact"),
+                                    (1500, "closed_form_estimate")])
+def test_count_json_writes_null_where_a_value_is_not_finite(capsys, n, key):
+    # TSV prints nan at n = 1 and inf where the estimate passes the float
+    # range; JSON has neither, so the value is null there.
+    code, out, _ = run(capsys, "count", "--min-n", str(n), "--max-n", str(n))
+    assert code == 0
+    header, row = (line.split("\t") for line in out.strip().split("\n"))
+    assert dict(zip(header, row))[key] in ("nan", "inf")
+    code, out, _ = run(capsys, "count", "--min-n", str(n), "--max-n", str(n), "--format", "json")
+    assert code == 0
+    assert f'"{key}": null' in out
+    assert "NaN" not in out and "Infinity" not in out
 
 
 @pytest.mark.parametrize("n", [133, 1500])
@@ -145,8 +168,8 @@ JSON_ONLY = {
 }
 STAGE_TIMES = {
     "compact": {"time_ms", "load_ms", "cubic_ms", "contract_ms", "emit_ms"},
-    "search-cubic": {"time_ms", "emit_ms"},
-    "search-mixed": {"time_ms", "emit_ms"},
+    "search-cubic": {"time_ms", "load_ms", "emit_ms"},
+    "search-mixed": {"time_ms", "load_ms", "emit_ms"},
 }
 
 

@@ -347,6 +347,76 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
     assert checked > 1000
 
 
+def _assert_full_pass_state(scorer, tree, state):
+    """The state's cost and every live node's parent, children and sets
+    are what the full pass from the state's root gives."""
+    ref = scorer.score(tree, root=state.root)
+    assert state.mp_cost == ref.mp_cost
+    for x in tree.iter_nodes():
+        got = state.parent[x], state.vu[x], state.vl[x], state.vv[x]
+        assert got == (ref.parent[x], ref.vu[x], ref.vl[x], ref.vv[x]), x
+        assert sorted(state.kids[x]) == sorted(ref.kids[x]), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), cubic=st.booleans())
+def test_a_chain_of_derived_child_states_is_the_full_pass(seed, cubic):
+    # Each child's state is derived from its parent's derived state, on
+    # rule-1 growths at random edges, so an error would carry down the
+    # chain.  Cubic trees are what the search derives; random mixed
+    # trees, some with unlabelled degree-2 nodes, add labelled internal
+    # nodes (where the climb stops), polytomies and a labelled root.
+    rng = random.Random(seed)
+    matrix = random_matrix(rng.randint(4, 9), rng.randint(1, 8), rng.randint(2, 4),
+                           seed=rng.randrange(1 << 30))
+    names = matrix.names
+    scorer = Scorer(matrix)
+    if cubic:
+        tree, k = _Search(matrix, names, "cubic", False, None).start_tree()
+    else:
+        k = rng.randint(2, len(names) - 1)
+        tree = random_mixed_tree(names[:k], rng)
+        if rng.random() < 0.5:
+            subdivide_with_unlabelled(tree, rng, rng.randint(1, 2))
+    state = scorer.sweep_state(tree)
+    for name in names[k:]:
+        moves, costs = scorer.growth_costs(tree, name, False, state)
+        assert (moves, costs) == scorer.growth_costs(tree, name, False)
+        i = rng.randrange(len(moves))
+        token = tree.grow_rule_1(moves[i][1], name)
+        state = scorer.child_state(tree, state, token, costs[i])
+        _assert_full_pass_state(scorer, tree, state)
+
+
+class _CheckEveryState(_Search):
+    """The cubic search, checking each tree's state against the full pass,
+    and its r1 prices against the full pass's, before it sweeps the tree."""
+
+    checked = 0
+
+    def _expand(self, tree, k):
+        state = self.states[k]
+        _assert_full_pass_state(self.scorer, tree, state)
+        name = self.order[k]
+        want = self.scorer.growth_costs(tree, name, False)
+        assert self.scorer.growth_costs(tree, name, False, state) == want
+        self.checked += 1
+        super()._expand(tree, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), order=st.sampled_from(["input", "diverse"]),
+       no_prune=st.booleans())
+def test_the_cubic_search_sweeps_every_tree_from_its_full_pass_state(seed, order, no_prune):
+    rng = random.Random(seed)
+    matrix = evolved_matrix(rng.randint(5, 7), rng.randint(4, 12), rng.randint(2, 4),
+                            seed=seed, mutation_rate=rng.choice((0.1, 0.15, 0.3)))
+    search = _CheckEveryState(matrix, order_species(matrix, order), "cubic", no_prune, None)
+    tree, k = search.start_tree()
+    search.run(tree, k)
+    assert search.checked == search.record.sweeps > 0
+
+
 def _novel_count(matrix, placed, name):
     """Characters where name's state is held by none of placed."""
     values = matrix.values
