@@ -277,7 +277,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "generated": record.generated,
         "time_ms": f"{elapsed:.1f}",
     }
-    extra = {"trees": newicks, "sweeps": record.sweeps, "time_ms": elapsed,
+    extra = {"trees": newicks, "sweeps": record.sweeps,
+             "sweeps_by_depth": record.sweeps_by_depth, "time_ms": elapsed,
              "load_ms": load_ms, "emit_ms": emit_ms}
     summary = (f"mp_cost={record.incumbent_cost} trees={len(best)} "
                f"visited={record.visited}")
@@ -322,6 +323,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
         "memo_hits": result.memo_hits,
         "cubic_pruned": cubic.pruned,
         "cubic_sweeps": cubic.sweeps,
+        "cubic_sweeps_by_depth": cubic.sweeps_by_depth,
         "time_ms": elapsed,
         "load_ms": load_ms,
         "cubic_ms": result.cubic_ms,

@@ -14,14 +14,15 @@ Adding a species can never lower the MP-cost, so a partial tree's cost is
 an admissible bound and strictly-worse partial trees are pruned.  Equal
 cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one sweep of the expanded tree
-(:meth:`Scorer.growth_costs`), which lists every growth move and costs
-each in O(1) big-int operations instead of rescoring each child: in
-cubic search from the root sets of each edge's two ends; in mixed
-search from a directional pass, from the sets entering each edge or
-node.  It lists them in the order the search visits them: r1 on each
-edge, in :meth:`MixedTree.iter_edges`' order, each followed in mixed
-search by r2 on the same edge; then, in mixed search, r3 on each node,
-in :meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
+(:meth:`Scorer.growth_costs`), which lists every child and costs each
+in O(1) big-int operations instead of rescoring it: in cubic search
+from the root sets of each edge's two ends; in mixed search from a
+directional pass, from the sets entering each edge or node.  It lists
+them in the order the search visits them: in cubic search each edge,
+standing for rule 1 on it, in :meth:`MixedTree.iter_edges`' order; in
+mixed search, as (rule, site) growth moves, r1 on each edge in that
+order, each followed by r2 on the same edge, then r3 on each node, in
+:meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
 followed by r4.  Only the tree each depth-first run starts from is
 scored in full, and it then takes the same per-child step as every
 child, through a move that stands for a tree already built.  The cubic
@@ -203,7 +204,8 @@ class SearchRecord:
     never built), generated counts complete trees reached (built or
     not), pruned counts subtrees cut by the cost bound; only the
     children that survive the bound are built.  sweeps counts the
-    expanded trees, and every expanded tree is swept once by
+    expanded trees, sweeps_by_depth[k] those holding k species (one
+    entry per species), and every expanded tree is swept once by
     :meth:`Scorer.growth_costs`: in cubic search from node sets derived
     from its parent's (from the full pass for a run's start tree), in
     mixed search by a directional pass.  A tree whose children the
@@ -223,6 +225,7 @@ class SearchRecord:
     pruned: int = 0
     generated: int = 0
     sweeps: int = 0
+    sweeps_by_depth: list[int] = field(default_factory=list)
 
     def _offer(self, cost: int, tree: MixedTree):
         if self.incumbent_cost is None or cost < self.incumbent_cost:
@@ -236,6 +239,8 @@ class SearchRecord:
         self.pruned += other.pruned
         self.generated += other.generated
         self.sweeps += other.sweeps
+        for k, count in enumerate(other.sweeps_by_depth):
+            self.sweeps_by_depth[k] += count
         if other.incumbent_cost is None:
             return
         if self.incumbent_cost is None or other.incumbent_cost < self.incumbent_cost:
@@ -296,7 +301,7 @@ class _Search:
         self.no_prune = no_prune
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)
-        self.record = SearchRecord()
+        self.record = SearchRecord(sweeps_by_depth=[0] * len(order))
         # states[k]: the cubic search's SweepState of the tree it is
         # expanding with order[:k] placed: a run's start tree's from the
         # full pass, every other derived from states[k-1].
@@ -353,6 +358,7 @@ class _Search:
 
     def _expand(self, tree: MixedTree, k: int):
         self.record.sweeps += 1
+        self.record.sweeps_by_depth[k] += 1
         moves, costs = self.scorer.growth_costs(
             tree, self.order[k], self.kind == "mixed", self.states[k]
         )
@@ -366,17 +372,24 @@ class _Search:
 
     def _visit(self, tree: MixedTree, k: int, moves, costs):
         """Visit the children of depth-k ``tree``, one per move, each
-        priced at its cost.  The move _BUILT stands for ``tree`` itself,
-        already built."""
+        priced at its cost: a cubic move is the edge rule 1 subdivides, a
+        mixed move a (rule, site) pair.  The move _BUILT stands for
+        ``tree`` itself, already built."""
         rec = self.record
         name = self.order[k]
-        complete = k + 1 == len(self.order)
+        depth = len(self.order)
+        complete = k + 1 == depth
+        cubic = self.kind == "cubic"
         # A child priced above the incumbent can be neither offered nor
         # (with pruning on) expanded, so it is counted without being
         # built.  Every child that is built is offered or expanded.
         may_skip = complete or not self.no_prune
         # The same holds one level down, for the child's own children.
-        may_skip_next = k + 2 == len(self.order) or not self.no_prune
+        next_complete = k + 2 == depth
+        may_skip_next = next_complete or not self.no_prune
+        novel = 0 if complete else self.novel[k + 1]
+        on_progress = self.on_progress
+        requeue = tree.requeue_edge
         nodes, unlabelled = tree.num_nodes, tree.n_unlabelled
         for move, cost in zip(moves, costs):
             rec.visited += 1
@@ -387,14 +400,18 @@ class _Search:
             elif priced_out:
                 rec.pruned += 1
             # Before the child's subtree, so each multiple is seen once.
-            if self.on_progress and rec.visited % PROGRESS_EVERY < 1:
-                self.on_progress(rec)
-            kind, site = move
+            if on_progress and rec.visited % PROGRESS_EVERY < 1:
+                on_progress(rec)
+            built = move is _BUILT
+            if cubic and not built:
+                kind, site = "r1", move
+            else:
+                kind, site = move
             if (
                 not (priced_out or complete)
                 and may_skip_next
                 and best is not None
-                and cost + self.novel[k + 1] > best
+                and cost + novel > best
             ):
                 # Every child of this child costs at least cost +
                 # novel[k+1] (see the module docstring), so each would be
@@ -402,21 +419,23 @@ class _Search:
                 # building and sweeping it.
                 dn, du = _GROWTH[kind]
                 self._count_priced_out(
-                    self._child_count(nodes + dn, unlabelled + du), k + 2 == len(self.order)
+                    self._child_count(nodes + dn, unlabelled + du), next_complete
                 )
                 priced_out = True
             if priced_out:
                 # Building and undoing an edge move would have re-appended
                 # the edge, which orders later move lists.
                 if kind == "r1" or kind == "r2":
-                    tree.requeue_edge(*site)
+                    requeue(*site)
                 continue
-            built = move is _BUILT
-            token = None if built else self.apply(tree, move, name)
+            if built:
+                token = None
+            else:
+                token = tree.grow_rule_1(site, name) if cubic else self.apply(tree, move, name)
             if complete:
                 rec._offer(cost, tree)
             else:
-                if self.kind == "cubic":
+                if cubic:
                     self.states[k + 1] = (
                         self.scorer.sweep_state(tree) if built
                         else self.scorer.child_state(tree, self.states[k], token, cost)
@@ -456,7 +475,7 @@ class _Search:
                 name = self.order[depth]
                 moves, _ = self.scorer.growth_costs(tree, name, self.kind == "mixed")
                 for move in moves:
-                    token = self.apply(tree, move, name)
+                    token = self.apply(tree, ("r1", move) if self.kind == "cubic" else move, name)
                     nxt.append((tree.copy(), depth + 1))
                     tree.undo_growth(token)
             level = nxt
@@ -485,7 +504,7 @@ def _enumerate(matrix, kind, order, no_prune, threads, on_progress):
 
         seed = _Search(matrix, names, kind, no_prune, None)
         jobs = seed.frontier(4 * threads)
-        record = SearchRecord()
+        record = SearchRecord(sweeps_by_depth=[0] * len(names))
         chunks = [jobs[i::threads] for i in range(threads)]
         chunks = [c for c in chunks if c]
         args = [(matrix, names, kind, no_prune, c) for c in chunks]

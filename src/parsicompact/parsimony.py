@@ -26,17 +26,19 @@ combines the sets entering an unlabelled node, whatever their number: a
 threshold count (:meth:`Scorer._count_many`), per t the states that at
 least t of the sets hold.  It has specialised forms only where the
 searches run: two sets, by intersection and union, at a node with two
-children in the bottom-up pass and on every edge that the mixed sweep
-of :meth:`Scorer.growth_costs` prices; three sets, a closed form over
-the pairwise and triple intersections (:meth:`Scorer._three`).  Every
+children in the bottom-up pass and in :meth:`Scorer.child_state`'s
+climb, and on every edge that the mixed sweep of
+:meth:`Scorer.growth_costs` prices; three sets, a closed form over the
+pairwise and triple intersections (:meth:`Scorer._three`), which the
+climb writes out inline at a three-child node, such as a cubic root.  Every
 other count, one set or four and more, goes through the threshold
 count, and so do two sets anywhere else (a growth move on an unlabelled
-node of degree 2).  Outside the inline two-set forms,
-:meth:`Scorer._combine` is the one place that picks the closed form or
-the threshold count.  The cubic sweep needs no combine of its own: it
-prices each edge by one union of its ends' root sets, read from a
-:class:`SweepState` that the full pass makes for the search's start
-tree and :meth:`Scorer.child_state` derives for every tree after it.
+node of degree 2).  Outside these inline forms, :meth:`Scorer._combine`
+is the one place that picks the closed form or the threshold count.
+The cubic sweep needs no combine of its own: it prices each edge by one
+union of its ends' root sets, read from a :class:`SweepState` that the
+full pass makes for the search's start tree and
+:meth:`Scorer.child_state` derives for every tree after it.
 """
 
 from __future__ import annotations
@@ -160,8 +162,8 @@ class Scorer:
     Reusable across many trees; enumeration keeps a single instance and
     calls :meth:`growth_costs` on each tree it expands whose children
     are not all priced out by the novel-state bound.  That one sweep
-    lists the tree's children, as growth moves in the order the search
-    visits them, and prices each: for the cubic search with one OR per
+    lists the tree's children, as moves in the order the search visits
+    them, and prices each: for the cubic search with one OR per
     edge of the root sets in the tree's :class:`SweepState`, which
     :meth:`child_state` derives from the parent's, for the mixed search
     with a directional pass.
@@ -456,8 +458,9 @@ class Scorer:
         below = {}  # each recomputed node's child on the climb's path
         y = w
         while True:
-            if len(kids[y]) == 2:
-                c0, c1 = kids[y]
+            ks = kids[y]
+            if len(ks) == 2:
+                c0, c1 = ks
                 a = vu[c0]
                 b = vu[c1]
                 meet = a & b
@@ -465,8 +468,23 @@ class Scorer:
                 union = a | b
                 new = meet | (union & ~both)
                 vl[y] = ((a ^ b) & both) | (alpha & ~(union | both))
+            elif len(ks) == 3:  # _three, inline
+                c0, c1, c2 = ks
+                a = vu[c0]
+                b = vu[c1]
+                c = vu[c2]
+                ab = a & b
+                f3 = ab & c
+                f2 = ab | ((a | b) & c)
+                union = a | b | c
+                n3 = ((((f3 & carry) + carry) | f3) & high) >> top
+                n2 = ((((f2 & carry) + carry) | f2) & high) >> top
+                e3 = n3 * fill
+                e2 = n2 * fill
+                new = f3 | (f2 & ~e3) | (union & ~e2)
+                vl[y] = ((f2 ^ f3) & e3) | ((union ^ f2) & (e2 ^ e3)) | (alpha & ~(union | e2))
             else:
-                new, vl[y], _ = self._combine([vu[c] for c in kids[y]])
+                new, vl[y], _ = self._count_many([vu[c] for c in ks])
             was = vu[y]
             vu[y] = new
             p = parent[y]
@@ -500,16 +518,16 @@ class Scorer:
     ) -> tuple[list, list[int]]:
         """Every tree that one growth move of ``name`` makes, with its MP-cost.
 
-        Returns (moves, costs): ``moves`` holds ("r1" | "r2", edge) and
-        ("r3" | "r4", node) pairs, named after the MixedTree growth rules,
-        and ``costs`` one cost per move, in order; the tree is left
-        untouched.  The sweep lists the moves it prices, in the order the
-        searches visit them: r1 on each edge, in :meth:`MixedTree.iter_edges`'
-        order, each followed by r2 on the same edge when ``mixed``; then,
-        when ``mixed``, r3 on each node, in :meth:`MixedTree.iter_nodes`'
-        order, each unlabelled one followed by r4.  Without ``mixed`` the
-        list is the cubic search's, r1 alone, priced from ``state``, the
-        tree's :class:`SweepState`, or, without it, from
+        Returns (moves, costs), ``costs`` one cost per move, in order; the
+        tree is left untouched.  The sweep lists the moves it prices, in
+        the order the searches visit them.  When ``mixed``, ``moves`` holds
+        ("r1" | "r2", edge) and ("r3" | "r4", node) pairs, named after the
+        MixedTree growth rules: r1 on each edge, in :meth:`MixedTree.iter_edges`'
+        order, each followed by r2 on the same edge; then r3 on each node,
+        in :meth:`MixedTree.iter_nodes`' order, each unlabelled one followed
+        by r4.  Without ``mixed``, ``moves`` is the cubic search's: the
+        iter_edges() list, each edge standing for r1 on it, priced from
+        ``state``, the tree's :class:`SweepState`, or, without it, from
         :meth:`sweep_state`'s full pass; the mixed sweep takes no state.
         A ``name`` the tree already holds raises DuplicateLabelError, as a
         growth rule would.
@@ -572,8 +590,7 @@ class Scorer:
             vv = state.vv
             base = state.mp_cost + m
             edges = tree.iter_edges()
-            costs = [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
-            return [("r1", edge) for edge in edges], costs
+            return edges, [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
         cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, self.pick_root(tree))
         vmask = self.vmask
         carry = self.carry

@@ -162,9 +162,9 @@ JSON_FIELDS = {
 JSON_FIELDS["search-mixed"] = JSON_FIELDS["search-cubic"]
 # Counters that the JSON carries and the TSV row leaves out.
 JSON_ONLY = {
-    "compact": {"memo_hits", "cubic_pruned", "cubic_sweeps"},
-    "search-cubic": {"sweeps"},
-    "search-mixed": {"sweeps"},
+    "compact": {"memo_hits", "cubic_pruned", "cubic_sweeps", "cubic_sweeps_by_depth"},
+    "search-cubic": {"sweeps", "sweeps_by_depth"},
+    "search-mixed": {"sweeps", "sweeps_by_depth"},
 }
 STAGE_TIMES = {
     "compact": {"time_ms", "load_ms", "cubic_ms", "contract_ms", "emit_ms"},
@@ -198,9 +198,13 @@ def test_json_reports_stage_times_and_keeps_every_other_field(capsys, fasta, com
                                     + got["cubic_mp_trees"])
         assert 0 <= got["cubic_pruned"] <= got["cubic_visited"]
         assert 0 < got["cubic_sweeps"] < got["cubic_visited"]
+        assert sum(got["cubic_sweeps_by_depth"]) == got["cubic_sweeps"]
+        assert len(got["cubic_sweeps_by_depth"]) == got["n"]
     else:
         # Every swept tree has a child, and none is swept twice.
         assert 0 < got["sweeps"] <= got["visited"] - got["generated"] - got["pruned"]
+        assert sum(got["sweeps_by_depth"]) == got["sweeps"]
+        assert len(got["sweeps_by_depth"]) == got["n"]
 
 
 @pytest.mark.parametrize("command", ["search-cubic", "search-mixed", "compact"])

@@ -93,6 +93,8 @@ def test_unpruned_mixed_enumeration_matches_counts(n):
     record = enumerate_mixed(flat_matrix(n), no_prune=True)
     assert record.generated == count_total_mixed(n)
     assert len(record.incumbents) == count_total_mixed(n)
+    # Nothing is priced out, so every tree on k < n species is swept.
+    assert record.sweeps_by_depth == [0] + [count_total_mixed(k) for k in range(1, n)]
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -100,6 +102,7 @@ def test_unpruned_cubic_enumeration_matches_counts(n):
     record = enumerate_cubic(flat_matrix(n), no_prune=True)
     assert record.generated == count_cubic(n)
     assert len(record.incumbents) == count_cubic(n)
+    assert record.sweeps_by_depth == [0, 0, 0] + [count_cubic(k) for k in range(3, n)]
 
 
 def test_tiny_instances():
@@ -189,6 +192,12 @@ def test_threads_match_serial():
     serial = enumerate_mixed(flat_matrix(5), no_prune=True)
     parallel = enumerate_mixed(flat_matrix(5), no_prune=True, threads=3)
     assert serial.generated == parallel.generated == count_total_mixed(5)
+    # Each worker sweeps from the frontier's level down, and the merged
+    # record adds the workers' counts depth by depth.
+    level = next(k for k, count in enumerate(parallel.sweeps_by_depth) if count)
+    assert level > 1
+    assert parallel.sweeps_by_depth[level:] == serial.sweeps_by_depth[level:]
+    assert sum(parallel.sweeps_by_depth) == parallel.sweeps
 
 
 def test_order_modes_agree_on_results():
@@ -243,6 +252,12 @@ def _with_degree_two_nodes(tree, rng):
     return [tree, subdivide_with_unlabelled(tree.copy(), rng, rng.randint(1, 3))]
 
 
+def _as_moves(listed, kind):
+    """The sweep's moves as the reference listing writes them: a cubic
+    move is the edge that rule 1 subdivides."""
+    return [("r1", e) for e in listed] if kind == "cubic" else listed
+
+
 def test_sweep_costs_every_growth_move_exactly():
     # Trees grown by random moves carry polytomies, labelled internal
     # nodes and degree-2 labelled nodes, and their subdivided copies
@@ -270,7 +285,7 @@ def test_sweep_costs_every_growth_move_exactly():
             for kind in ("cubic", "mixed"):
                 moves = growth_moves(tree, kind)
                 listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
-                assert listed == moves
+                assert _as_moves(listed, kind) == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
                     token = _Search.apply(tree, move, name)
@@ -314,7 +329,7 @@ def test_sweep_lists_every_growth_move_in_the_search_order():
         for t in (tree, undone, contracted, subdivided):
             for kind in ("cubic", "mixed"):
                 moves, costs = scorer.growth_costs(t, name, kind == "mixed")
-                assert moves == growth_moves(t, kind), kind
+                assert _as_moves(moves, kind) == growth_moves(t, kind), kind
                 assert len(costs) == len(moves)
     assert all(count > 20 for count in shapes.values()), shapes
 
@@ -337,7 +352,7 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
             for kind in ("cubic", "mixed"):
                 moves = growth_moves(tree, kind)
                 listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
-                assert listed == moves
+                assert _as_moves(listed, kind) == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
                     token = _Search.apply(tree, move, name)
@@ -383,7 +398,7 @@ def test_a_chain_of_derived_child_states_is_the_full_pass(seed, cubic):
         moves, costs = scorer.growth_costs(tree, name, False, state)
         assert (moves, costs) == scorer.growth_costs(tree, name, False)
         i = rng.randrange(len(moves))
-        token = tree.grow_rule_1(moves[i][1], name)
+        token = tree.grow_rule_1(moves[i], name)
         state = scorer.child_state(tree, state, token, costs[i])
         _assert_full_pass_state(scorer, tree, state)
 

@@ -330,7 +330,8 @@ def test_an_edge_combines_its_directional_sets_into_its_ends_root_sets(seed, ext
     new = matrix.names[-1]
     moves, costs = sc.growth_costs(tree, new, True)
     rule_1 = [(move, cost) for move, cost in zip(moves, costs) if move[0] == "r1"]
-    assert list(zip(*sc.growth_costs(tree, new, False))) == rule_1
+    edges, cubic_costs = sc.growth_costs(tree, new, False)
+    assert [(("r1", e), cost) for e, cost in zip(edges, cubic_costs)] == rule_1
 
 
 # Widest alphabet -> group width, up to the 64 states a column may have:
