@@ -16,8 +16,8 @@ cost always expands: the searches must surface every co-optimal tree.
 Child costs come from one sweep of the expanded tree
 (:meth:`Scorer.growth_costs`), which lists every child and costs each
 in O(1) big-int operations instead of rescoring it: in cubic search
-from the root sets of each edge's two ends; in mixed search from a
-directional pass, from the sets entering each edge or node.  It lists
+from the root sets of each edge's two ends; in mixed search from the
+directional sets entering each edge or node.  It lists
 them in the order the search visits them: in cubic search each edge,
 standing for rule 1 on it, in :meth:`MixedTree.iter_edges`' order; in
 mixed search, as (rule, site) growth moves, r1 on each edge in that
@@ -25,13 +25,15 @@ order, each followed by r2 on the same edge, then r3 on each node, in
 :meth:`MixedTree.iter_nodes`' order (by id), each unlabelled one
 followed by r4.  Only the tree each depth-first run starts from is
 scored in full, and it then takes the same per-child step as every
-child, through a move that stands for a tree already built.  The cubic
-search keeps one :class:`~parsicompact.parsimony.SweepState` per
-depth, the node sets of the tree it is expanding there: the start
-tree's comes from the full pass (:meth:`Scorer.sweep_state`), and each
-built child's is derived from its parent's (:meth:`Scorer.child_state`),
-recomputing only the nodes whose sets may change; the mixed search
-runs its directional pass on every tree it sweeps.  Only the
+child, through a move that stands for a tree already built.  Each
+search keeps one state per depth, the node sets of the tree it is
+expanding there: the start tree's comes from the full pass, and each
+built child's is derived from its parent's, recomputing only the nodes
+whose sets may change.  The cubic search keeps root sets, in a
+:class:`~parsicompact.parsimony.SweepState` (:meth:`Scorer.sweep_state`,
+:meth:`Scorer.child_state`); the mixed search keeps directional sets,
+in a :class:`~parsicompact.parsimony.MixedState`
+(:meth:`Scorer.mixed_state`, :meth:`Scorer.mixed_child_state`).  Only the
 children that survive the bound are applied to the tree (and undone):
 a child priced above the incumbent is counted -- visited, plus pruned,
 or generated when complete -- but never built.  Building and undoing
@@ -206,9 +208,9 @@ class SearchRecord:
     children that survive the bound are built.  sweeps counts the
     expanded trees, sweeps_by_depth[k] those holding k species (one
     entry per species), and every expanded tree is swept once by
-    :meth:`Scorer.growth_costs`: in cubic search from node sets derived
-    from its parent's (from the full pass for a run's start tree), in
-    mixed search by a directional pass.  A tree whose children the
+    :meth:`Scorer.growth_costs`, from node sets derived from its
+    parent's (from the full pass for a run's start tree): root sets in
+    cubic search, directional sets in mixed search.  A tree whose children the
     novel-state bound prices out is not expanded (nor built, below the
     start tree), and its children are counted from its size, as are
     those of a swept tree whose children are all priced above the
@@ -302,9 +304,10 @@ class _Search:
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)
         self.record = SearchRecord(sweeps_by_depth=[0] * len(order))
-        # states[k]: the cubic search's SweepState of the tree it is
-        # expanding with order[:k] placed: a run's start tree's from the
-        # full pass, every other derived from states[k-1].
+        # states[k]: the SweepState (cubic) or MixedState (mixed) of the
+        # tree the search is expanding with order[:k] placed: a run's
+        # start tree's from the full pass, every other derived from
+        # states[k-1].
         self.states = [None] * len(order)
         # novel[k]: characters where order[k]'s state is held by none of
         # order[:k]; each costs every child of a depth-k tree at least
@@ -390,6 +393,11 @@ class _Search:
         novel = 0 if complete else self.novel[k + 1]
         on_progress = self.on_progress
         requeue = tree.requeue_edge
+        scorer = self.scorer
+        if cubic:
+            full_state, child_state = scorer.sweep_state, scorer.child_state
+        else:
+            full_state, child_state = scorer.mixed_state, scorer.mixed_child_state
         nodes, unlabelled = tree.num_nodes, tree.n_unlabelled
         for move, cost in zip(moves, costs):
             rec.visited += 1
@@ -435,11 +443,9 @@ class _Search:
             if complete:
                 rec._offer(cost, tree)
             else:
-                if cubic:
-                    self.states[k + 1] = (
-                        self.scorer.sweep_state(tree) if built
-                        else self.scorer.child_state(tree, self.states[k], token, cost)
-                    )
+                self.states[k + 1] = (
+                    full_state(tree) if built else child_state(tree, self.states[k], token, cost)
+                )
                 self._expand(tree, k + 1)
             if not built:
                 tree.undo_growth(token)

@@ -26,19 +26,26 @@ combines the sets entering an unlabelled node, whatever their number: a
 threshold count (:meth:`Scorer._count_many`), per t the states that at
 least t of the sets hold.  It has specialised forms only where the
 searches run: two sets, by intersection and union, at a node with two
-children in the bottom-up pass and in :meth:`Scorer.child_state`'s
-climb, and on every edge that the mixed sweep of
+children in the bottom-up pass and in both derivations' climbs, for each
+child of a node with three incoming sets in the mixed state's down
+passes, and on every edge that the mixed sweep of
 :meth:`Scorer.growth_costs` prices; three sets, a closed form over the
 pairwise and triple intersections (:meth:`Scorer._three`), which the
-climb writes out inline at a three-child node, such as a cubic root.  Every
+climbs write out inline at a three-child node, such as a cubic root, and
+the mixed sweep at each unlabelled node with three incoming sets.  Every
 other count, one set or four and more, goes through the threshold
 count, and so do two sets anywhere else (a growth move on an unlabelled
 node of degree 2).  Outside these inline forms, :meth:`Scorer._combine`
 is the one place that picks the closed form or the threshold count.
-The cubic sweep needs no combine of its own: it prices each edge by one
-union of its ends' root sets, read from a :class:`SweepState` that the
-full pass makes for the search's start tree and
-:meth:`Scorer.child_state` derives for every tree after it.
+
+Both sweeps read a per-tree state that the full pass makes for a
+search's start tree and a derivation makes for every tree after it,
+from its parent's, recomputing only the nodes whose sets may change.
+The cubic sweep prices each edge by one union of its ends' root sets,
+from a :class:`SweepState` (:meth:`Scorer.sweep_state`,
+:meth:`Scorer.child_state`); the mixed sweep prices each edge and node
+from the directional sets entering it, from a :class:`MixedState`
+(:meth:`Scorer.mixed_state`, :meth:`Scorer.mixed_child_state`).
 """
 
 from __future__ import annotations
@@ -156,6 +163,28 @@ class SweepState:
         self.vv: list[int] = vv
 
 
+class MixedState:
+    """What the mixed sweep keeps of one tree: its MP-cost and, with the
+    tree hung from ``root``, each node's ``parent`` and ``kids``, its
+    packed ``vu`` set, as in :class:`ScoreResult`, and ``down``, the set
+    D entering it from its parent (0 at the root), by node id.  A
+    non-root node's VU is the set it sends its parent, so every edge's
+    two directional sets are VU and D of its lower end.
+    :meth:`Scorer.mixed_state` makes one by the full pass, and
+    :meth:`Scorer.mixed_child_state` derives a grown child's from its
+    parent's."""
+
+    __slots__ = ("mp_cost", "root", "parent", "kids", "vu", "down")
+
+    def __init__(self, mp_cost, root, parent, kids, vu, down):
+        self.mp_cost: int = mp_cost
+        self.root: int = root
+        self.parent: list[int] = parent
+        self.kids: list[list[int] | None] = kids
+        self.vu: list[int] = vu
+        self.down: list[int] = down
+
+
 class Scorer:
     """Word-parallel scoring engine bound to one character matrix.
 
@@ -163,10 +192,11 @@ class Scorer:
     calls :meth:`growth_costs` on each tree it expands whose children
     are not all priced out by the novel-state bound.  That one sweep
     lists the tree's children, as moves in the order the search visits
-    them, and prices each: for the cubic search with one OR per
-    edge of the root sets in the tree's :class:`SweepState`, which
-    :meth:`child_state` derives from the parent's, for the mixed search
-    with a directional pass.
+    them, and prices each from the tree's state, which is derived from
+    its parent's: for the cubic search with one OR per edge of the root
+    sets in its :class:`SweepState` (:meth:`child_state`), for the mixed
+    search from the directional sets in its :class:`MixedState`
+    (:meth:`mixed_child_state`).
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
@@ -300,7 +330,7 @@ class Scorer:
         character's max num K is 3 where f3 is non-empty, else 2 where f2
         is, else 1.  That last step holds only when each of a, b and c is
         non-empty in every character, as every VU set and every D set
-        (see :meth:`growth_costs`) is.  The local cost, the sum of 3 - K,
+        (see :class:`MixedState`) is.  The local cost, the sum of 3 - K,
         is then 2m minus the characters where f3 is non-empty minus those
         where f2 is.
         """
@@ -513,8 +543,199 @@ class Scorer:
                 stack.append(below[y])
         return SweepState(cost, state.root, parent, kids, vu, vl, vv)
 
+    def mixed_state(self, tree: MixedTree) -> MixedState:
+        """The tree's :class:`MixedState`, by the full pass from
+        :meth:`pick_root`'s node: the bottom-up pass gives each node's VU,
+        and a preorder pass over the children gives each child's D from
+        its parent's label, or else from its parent's other incoming sets."""
+        root = self.pick_root(tree)
+        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root)
+        label = tree.label
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        down = [0] * len(up)
+        for p in pre:
+            kids = kids_of[p]
+            if not kids:
+                continue
+            if label[p] is not None:
+                fixed = up[p]
+                for c in kids:
+                    down[c] = fixed
+            else:
+                sets = [up[c] for c in kids]
+                if parent[p] >= 0:
+                    sets.append(down[p])
+                if len(sets) == 3:
+                    # Each child gets the 2-set combine of the other two sets.
+                    s0, s1, s2 = sets
+                    for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
+                        meet = a & b
+                        both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                        down[c] = meet | ((a | b) & ~both)
+                else:
+                    # Each child gets the combine of the other sets: at a
+                    # node of degree 2, the one other set passes through.
+                    for i, c in enumerate(kids):
+                        down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
+        return MixedState(cost, root, parent, kids_of, up, down)
+
+    def mixed_child_state(self, tree: MixedTree, state: MixedState, token, cost: int) -> MixedState:
+        """The :class:`MixedState` of ``tree``, grown by the growth rule
+        that returned ``token``, derived from ``state``, its state before
+        that growth, which is left untouched; ``cost`` is the tree's
+        MP-cost, as the parent's :meth:`growth_costs` priced it.
+
+        The child keeps the parent's root, and its arrays are copies of
+        the parent's; it shares each inner kids list it does not change.
+        Write x for the new species' states.  Each rule first sets what it
+        makes:
+
+        * r1 on (u, v), v being u's child, puts w between them and the
+          leaf under w: VU[w] is the two-set combine of VU[v] and x, and
+          D[w] is the D[v] of before.  D[v] and D[leaf] are recomputed
+          below, from w's other two sets;
+        * r2 on (u, v) puts w, labelled x, between them: VU[w] = x,
+          D[w] is the D[v] of before, and D[v] = x;
+        * r3 hangs the leaf on a node: on a labelled node D[leaf] is that
+          node's state, and nothing else changes;
+        * r4 labels a node x: VU[node] = x, and every child's D = x.
+
+        Only the site's ancestors have new subtrees, so VU is then
+        recomputed from the site's upper node (u, or r3's node, or r4's
+        node's parent) up its ancestors, stopping at the first node whose
+        VU comes out as it was, or at the root, and never entering a
+        labelled node, whose sets never change.  Each node on that climb
+        keeps its D, which its parent's side gives, so D is recomputed at
+        the children of each node on the climb, and of w; then, going
+        down, at the children of each unlabelled node whose D changed.  A
+        labelled node's children always receive its state, so the descent
+        enters none.  Every node skipped keeps inputs that did not change,
+        so the state is the full pass's, as :meth:`mixed_state` would give
+        it from the same root.
+        """
+        grow = len(tree.adj) - len(state.parent)  # new slots, if any
+        zero = [0] * grow
+        parent = state.parent + [-1] * grow
+        kids = state.kids + [None] * grow
+        vu = state.vu + zero
+        down = state.down + zero
+        label = tree.label
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        kind = token[0]
+        stack = []  # unlabelled nodes whose children's D is recomputed
+        if kind == "r1" or kind == "r2":
+            u, v, w = token[1:4]
+            if parent[u] == v:
+                u, v = v, u
+            ks = kids[u] = kids[u].copy()
+            ks[ks.index(v)] = w
+            parent[w] = u
+            parent[v] = w
+            down[w] = down[v]
+            if kind == "r1":
+                leaf = token[4]
+                kids[w] = [v, leaf]
+                parent[leaf] = w
+                kids[leaf] = []
+                x = vu[leaf] = self.vmask[label[leaf]]
+                a = vu[v]
+                meet = a & x
+                both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                vu[w] = meet | ((a | x) & ~both)
+                stack.append(w)
+            else:
+                kids[w] = [v]
+                x = vu[w] = self.vmask[label[w]]
+                if down[v] != x:
+                    down[v] = x
+                    if label[v] is None:
+                        stack.append(v)
+            y = u
+        elif kind == "r3":
+            _, y, leaf = token
+            parent[leaf] = y
+            kids[y] = kids[y] + [leaf]
+            kids[leaf] = []
+            vu[leaf] = self.vmask[label[leaf]]
+            if label[y] is not None:
+                down[leaf] = vu[y]
+                return MixedState(cost, state.root, parent, kids, vu, down)
+        else:
+            node = token[1]
+            x = self.vmask[label[node]]
+            was = vu[node]
+            vu[node] = x
+            for c in kids[node]:
+                if down[c] != x:
+                    down[c] = x
+                    if label[c] is None:
+                        stack.append(c)
+            y = parent[node] if x != was else -1
+        if y >= 0 and label[y] is None:
+            while True:
+                ks = kids[y]
+                if len(ks) == 2:
+                    a = vu[ks[0]]
+                    b = vu[ks[1]]
+                    meet = a & b
+                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                    new = meet | ((a | b) & ~both)
+                elif len(ks) == 3:  # _three's VU, inline
+                    a = vu[ks[0]]
+                    b = vu[ks[1]]
+                    c = vu[ks[2]]
+                    ab = a & b
+                    f3 = ab & c
+                    f2 = ab | ((a | b) & c)
+                    e3 = (((((f3 & carry) + carry) | f3) & high) >> top) * fill
+                    e2 = (((((f2 & carry) + carry) | f2) & high) >> top) * fill
+                    new = f3 | (f2 & ~e3) | ((a | b | c) & ~e2)
+                else:
+                    new = self._count_many([vu[c] for c in ks])[0]
+                was = vu[y]
+                vu[y] = new
+                stack.append(y)
+                p = parent[y]
+                if new == was or p < 0 or label[p] is not None:
+                    break
+                y = p
+        while stack:
+            y = stack.pop()
+            ks = kids[y]
+            if len(ks) == 2 and parent[y] >= 0:
+                # Three sets: each child gets the 2-set combine of D[y] and
+                # its sibling's VU.
+                d = down[y]
+                c0, c1 = ks
+                for c, a in ((c0, vu[c1]), (c1, vu[c0])):
+                    meet = a & d
+                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                    new = meet | ((a | d) & ~both)
+                    if new != down[c]:
+                        down[c] = new
+                        if label[c] is None:
+                            stack.append(c)
+                continue
+            sets = [vu[c] for c in ks]
+            if parent[y] >= 0:
+                sets.append(down[y])
+            for i, c in enumerate(ks):
+                new = self._combine(sets[:i] + sets[i + 1:])[0]
+                if new != down[c]:
+                    down[c] = new
+                    if label[c] is None:
+                        stack.append(c)
+        return MixedState(cost, state.root, parent, kids, vu, down)
+
     def growth_costs(
-        self, tree: MixedTree, name: str, mixed: bool, state: SweepState | None = None
+        self, tree: MixedTree, name: str, mixed: bool,
+        state: SweepState | MixedState | None = None,
     ) -> tuple[list, list[int]]:
         """Every tree that one growth move of ``name`` makes, with its MP-cost.
 
@@ -525,11 +746,12 @@ class Scorer:
         MixedTree growth rules: r1 on each edge, in :meth:`MixedTree.iter_edges`'
         order, each followed by r2 on the same edge; then r3 on each node,
         in :meth:`MixedTree.iter_nodes`' order, each unlabelled one followed
-        by r4.  Without ``mixed``, ``moves`` is the cubic search's: the
-        iter_edges() list, each edge standing for r1 on it, priced from
-        ``state``, the tree's :class:`SweepState`, or, without it, from
-        :meth:`sweep_state`'s full pass; the mixed sweep takes no state.
-        A ``name`` the tree already holds raises DuplicateLabelError, as a
+        by r4, priced from ``state``, the tree's :class:`MixedState`, or,
+        without it, from :meth:`mixed_state`'s full pass.  Without
+        ``mixed``, ``moves`` is the cubic search's: the iter_edges() list,
+        each edge standing for r1 on it, priced from ``state``, the tree's
+        :class:`SweepState`, or, without it, from :meth:`sweep_state`'s
+        full pass.  A ``name`` the tree already holds raises DuplicateLabelError, as a
         growth rule would.
 
         One sweep replaces a rescore per child.  Write D(u->v) for the VU
@@ -564,17 +786,20 @@ class Scorer:
         :meth:`child_state`; without one the sweep runs the full pass
         first, as the tests' oracle for the derivation.
 
-        The mixed sweep keeps a directional pass, because r2 and r4 need to
+        The mixed sweep reads directional sets, because r2 and r4 need to
         know how many of the sets entering the new node hold x, and the
-        root sets do not record that.  The bottom-up pass gives
-        D(u->parent) and each node's children; a preorder pass over those
-        children gives D(parent->u) from the parent's label, or else from
-        the parent's other incoming sets.  After the two passes, one loop
-        over the edges lists and prices r1 and r2 from one inline combine
-        of the edge's two sets, as the down pass combines the pairs of a
-        node with three incoming sets.  One loop over the nodes then lists
-        and prices r3 and r4: a node with three sets takes
-        :meth:`_three`'s closed form, and any other count goes through
+        root sets do not record that.  With the tree hung from the state's
+        root, a non-root node c's VU is D(c->parent) and its D is
+        D(parent->c), so an edge's two sets are VU and D of its lower end,
+        and an unlabelled node receives its children's VU and, off the
+        root, its own D.  The sweep reads them from ``state``, which the
+        mixed search derives from the parent's by :meth:`mixed_child_state`;
+        without one it runs the full pass first, as the tests' oracle for
+        the derivation.  One loop over ``tree.adj``, in iter_edges' order,
+        lists and prices r1 and r2 from one inline combine of each edge's
+        two sets.  A second loop over it, by id, lists and prices r3 and
+        r4: a node with three incoming sets takes :meth:`_three`'s closed
+        form written inline, without VL, and any other count goes through
         :meth:`_count_many`'s threshold count.
         """
         x = self.vmask.get(name)
@@ -591,66 +816,69 @@ class Scorer:
             base = state.mp_cost + m
             edges = tree.iter_edges()
             return edges, [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
-        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, self.pick_root(tree))
-        vmask = self.vmask
+        if state is None:
+            state = self.mixed_state(tree)
+        up = state.vu
+        down = state.down
+        parent = state.parent
+        kids_of = state.kids
         carry = self.carry
         high = self.high
         top = self.top
         fill = self.fill
-        down = [0] * len(up)
-        for p in pre:
-            kids = kids_of[p]
-            if not kids:
-                continue
-            if label[p] is not None:
-                fixed = vmask[label[p]]
-                for c in kids:
-                    down[c] = fixed
-            else:
-                sets = [up[c] for c in kids]
-                if parent[p] >= 0:
-                    sets.append(down[p])
-                if len(sets) == 3:
-                    # Each child gets the 2-set combine of the other two sets.
-                    s0, s1, s2 = sets
-                    for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
-                        meet = a & b
-                        both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
-                        down[c] = meet | ((a | b) & ~both)
-                else:
-                    # Each child gets the combine of the other sets: at a
-                    # node of degree 2, the one other set passes through.
-                    for i, c in enumerate(kids):
-                        down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
-
-        base = cost + m
+        base = state.mp_cost + m
+        adj = tree.adj
         moves = []
         costs = []
-        for edge in tree.iter_edges():
-            # x hung from D(c->p) and D(p->c), with c the child endpoint.
-            u, v = edge
-            c = v if parent[v] == u else u
-            a = up[c]
-            b = down[c]
-            meet = a & b
-            ne = ((((meet & carry) + carry) | meet) & high) >> top
-            moves.append(("r1", edge))
-            costs.append(base - ((meet | ((a | b) & ~(ne * fill))) & x).bit_count())
-            # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
-            moves.append(("r2", edge))
-            costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
-        for u in tree.iter_nodes():
+        for u, at in enumerate(adj):  # iter_edges' order
+            if at is None:
+                continue
+            for v in at:
+                if u < v:
+                    # x hung from D(c->p) and D(p->c), with c the child endpoint.
+                    c = v if parent[v] == u else u
+                    a = up[c]
+                    b = down[c]
+                    meet = a & b
+                    ne = ((((meet & carry) + carry) | meet) & high) >> top
+                    edge = (u, v)
+                    moves.append(("r1", edge))
+                    costs.append(base - ((meet | ((a | b) & ~(ne * fill))) & x).bit_count())
+                    # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
+                    moves.append(("r2", edge))
+                    costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+        for u, at in enumerate(adj):  # iter_nodes' order
+            if at is None:
+                continue
             moves.append(("r3", u))
             if label[u] is not None:
-                costs.append(base - (vmask[label[u]] & x).bit_count())
+                costs.append(base - (up[u] & x).bit_count())
                 continue
-            sets = [up[c] for c in kids_of[u]]
-            if parent[u] >= 0:
-                sets.append(down[u])
-            vv, _vl, local = self._combine(sets)
-            costs.append(base - (vv & x).bit_count())
+            ks = kids_of[u]
             moves.append(("r4", u))
-            costs.append(cost + len(sets) * m - local - sum((s & x).bit_count() for s in sets))
+            if len(at) == 3:
+                # _three's VU as the node's VV, inline, and its local cost
+                # L = 2m - |n3| - |n2|, so d*m - L = m + |n3| + |n2|.
+                a = up[ks[0]]
+                b = up[ks[1]]
+                c = up[ks[2]] if len(ks) == 3 else down[u]
+                ab = a & b
+                f3 = ab & c
+                f2 = ab | ((a | b) & c)
+                n3 = ((((f3 & carry) + carry) | f3) & high) >> top
+                n2 = ((((f2 & carry) + carry) | f2) & high) >> top
+                vv = f3 | (f2 & ~(n3 * fill)) | ((a | b | c) & ~(n2 * fill))
+                costs.append(base - (vv & x).bit_count())
+                costs.append(base + n3.bit_count() + n2.bit_count() - (a & x).bit_count()
+                             - (b & x).bit_count() - (c & x).bit_count())
+            else:
+                sets = [up[c] for c in ks]
+                if parent[u] >= 0:
+                    sets.append(down[u])
+                vv, _vl, local = self._count_many(sets)
+                costs.append(base - (vv & x).bit_count())
+                costs.append(base + (len(sets) - 1) * m - local
+                             - sum((s & x).bit_count() for s in sets))
         return moves, costs
 
     def score(self, tree: MixedTree, root: int | None = None) -> ScoreResult:

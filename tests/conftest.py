@@ -5,7 +5,7 @@ from the seed alone.
 """
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from parsicompact import (
     CharacterMatrix,
@@ -14,6 +14,9 @@ from parsicompact import (
     MixedTree,
     OracleResult,
     TreeStructureError,
+    brute_force_best_fit,
+    enumerate_mixed,
+    most_compact_pipeline,
     random_matrix,
 )
 
@@ -397,3 +400,46 @@ def matrix_tree_mst_count(matrix: CharacterMatrix) -> int:
                         laplacian[x][y] -= 1
         count *= _determinant(laplacian)
     return count
+
+
+# -- every small input ------------------------------------------------------------
+
+
+def partition_columns(n: int, states: int) -> list[tuple[int, ...]]:
+    """Every column over n species with at most ``states`` states, the
+    states numbered in order of first appearance: one column per set
+    partition of the species into at most ``states`` blocks."""
+    columns = [(0,)]
+    for _ in range(n - 1):
+        columns = [c + (s,) for c in columns for s in range(min(max(c) + 2, states))]
+    return columns
+
+
+def every_matrix(n: int, m: int, states: int):
+    """Every matrix of m columns over species S1..Sn with at most
+    ``states`` states per column, up to the order of the columns and the
+    naming of each column's states: one per multiset of m columns of
+    :func:`partition_columns`."""
+    for pick in combinations_with_replacement(partition_columns(n, states), m):
+        yield CharacterMatrix.from_rows(
+            [(f"S{i + 1}", "".join(SYMBOLS[c[i]] for c in pick)) for i in range(n)])
+
+
+def check_the_pipeline_against_the_mixed_search(matrix: CharacterMatrix):
+    """The paper's theorem on one matrix, against the exhaustive mixed
+    search: the contraction pipeline finds the MP cost and the most
+    compact trees, and the MP mixed trees are its contraction states; the
+    brute-force oracle prices one most compact tree at the MP cost; and,
+    as each species labels its own node, the best node count is n exactly
+    when the MP cost is W, the weight of an MST of the species' Hamming
+    graph."""
+    mixed = enumerate_mixed(matrix)
+    pipe = most_compact_pipeline(matrix)
+    assert pipe.mp_cost == mixed.incumbent_cost
+    assert set(pipe.trees) == set(mixed.most_compact)
+    assert pipe.explored_states == len(mixed.incumbents)
+    assert pipe.best_node_count == mixed.min_nodes
+    tree = mixed.most_compact[pipe.trees[0]]
+    assert brute_force_best_fit(tree, matrix).mp_cost == pipe.mp_cost
+    weight, _msts = kruskal_msts(matrix)
+    assert (pipe.best_node_count == matrix.n) == (pipe.mp_cost == weight)

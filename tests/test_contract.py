@@ -30,7 +30,9 @@ from parsicompact.contract import CompactSearcher, _shadow_check, tree_splits
 from conftest import (
     add_edge,
     add_node,
+    check_the_pipeline_against_the_mixed_search,
     contract_edge,
+    every_matrix,
     hamming_distances,
     kruskal_mst_edges,
     kruskal_msts,
@@ -526,6 +528,23 @@ def test_most_compact_trees_are_the_msts_exactly_when_mp_equals_w(shape, want):
         assert sorted(k.as_text() for k in result.trees) == msts
     if rate == 0:
         assert len(msts) == n ** (n - 2)  # Cayley
+
+
+# (n, m, states) -> how many matrices every_matrix makes.  CI runs three
+# larger slices.
+EXHAUSTIVE = [((4, 1, 3), 14), ((4, 2, 3), 105), ((4, 3, 3), 560), ((5, 2, 2), 136)]
+
+
+@pytest.mark.parametrize("shape, want", EXHAUSTIVE)
+def test_the_pipeline_agrees_with_the_mixed_search_on_every_small_matrix(shape, want):
+    # Not a sample: every matrix of the slice, up to the order of its
+    # columns and the naming of each column's states.  A disagreement on
+    # any one is a finding about the program, the theorem or an oracle.
+    count = 0
+    for matrix in every_matrix(*shape):
+        check_the_pipeline_against_the_mixed_search(matrix)
+        count += 1
+    assert count == want
 
 
 @pytest.mark.parametrize("shape", [shape for shape, _want in MST_PINNED])

@@ -432,6 +432,87 @@ def test_the_cubic_search_sweeps_every_tree_from_its_full_pass_state(seed, order
     assert search.checked == search.record.sweeps > 0
 
 
+def _assert_full_pass_mixed_state(scorer, tree, state):
+    """The mixed state's cost and every live node's parent, children and
+    VU are what the full pass from the state's root gives, and each
+    node's D is its parent's VU with the tree hung from the node itself
+    (the root's D is 0)."""
+    ref = scorer.score(tree, root=state.root)
+    assert state.mp_cost == ref.mp_cost
+    for x in tree.iter_nodes():
+        p = ref.parent[x]
+        assert (state.parent[x], state.vu[x]) == (p, ref.vu[x]), x
+        assert sorted(state.kids[x]) == sorted(ref.kids[x]), x
+        assert state.down[x] == (0 if p < 0 else scorer.score(tree, root=x).vu[p]), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_a_chain_of_derived_mixed_states_is_the_full_pass(seed):
+    # Along a chain of random growths, every child of each tree on the
+    # chain, one per move of all four rules, has its state derived from
+    # the tree's derived state; the chain goes on from a random child, so
+    # an error would carry down it.  Random mixed trees, some with
+    # unlabelled degree-2 nodes, carry polytomies, labelled internal
+    # nodes and an unlabelled root; a tree with no unlabelled node, and
+    # the one-species start of the search, hang from a labelled root.
+    rng = random.Random(seed)
+    matrix = random_matrix(rng.randint(3, 8), rng.randint(1, 8), rng.randint(2, 4),
+                           seed=rng.randrange(1 << 30))
+    names = matrix.names
+    scorer = Scorer(matrix)
+    k = rng.randint(1, len(names) - 1)
+    tree = random_mixed_tree(names[:k], rng)
+    if k > 1 and rng.random() < 0.5:
+        subdivide_with_unlabelled(tree, rng, rng.randint(1, 2))
+    state = scorer.mixed_state(tree)
+    _assert_full_pass_mixed_state(scorer, tree, state)
+    for name in names[k:]:
+        moves, costs = scorer.growth_costs(tree, name, True, state)
+        assert (moves, costs) == scorer.growth_costs(tree, name, True)
+        for move, cost in zip(moves, costs):
+            token = _Search.apply(tree, move, name)
+            _assert_full_pass_mixed_state(
+                scorer, tree, scorer.mixed_child_state(tree, state, token, cost))
+            tree.undo_growth(token)
+        i = rng.randrange(len(moves))
+        token = _Search.apply(tree, moves[i], name)
+        state = scorer.mixed_child_state(tree, state, token, costs[i])
+    _assert_full_pass_mixed_state(scorer, tree, state)
+
+
+class _CheckEveryMixedState(_Search):
+    """The mixed search, checking each tree's state against the full pass,
+    and its prices against the stateless sweep's, before it sweeps the
+    tree."""
+
+    checked = 0
+
+    def _expand(self, tree, k):
+        state = self.states[k]
+        _assert_full_pass_mixed_state(self.scorer, tree, state)
+        name = self.order[k]
+        want = self.scorer.growth_costs(tree, name, True)
+        assert self.scorer.growth_costs(tree, name, True, state) == want
+        self.checked += 1
+        super()._expand(tree, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), order=st.sampled_from(["input", "diverse"]),
+       no_prune=st.booleans())
+def test_the_mixed_search_sweeps_every_tree_from_its_full_pass_state(seed, order, no_prune):
+    rng = random.Random(seed)
+    n = rng.randint(4, 5) if no_prune else rng.randint(5, 6)
+    matrix = evolved_matrix(n, rng.randint(4, 12), rng.randint(2, 4),
+                            seed=seed, mutation_rate=rng.choice((0.1, 0.15, 0.3)))
+    search = _CheckEveryMixedState(matrix, order_species(matrix, order), "mixed", no_prune,
+                                   None)
+    tree, k = search.start_tree()
+    search.run(tree, k)
+    assert search.checked == search.record.sweeps > 0
+
+
 def _novel_count(matrix, placed, name):
     """Characters where name's state is held by none of placed."""
     values = matrix.values
