@@ -26,16 +26,16 @@ combines the sets entering an unlabelled node, whatever their number: a
 threshold count (:meth:`Scorer._count_many`), per t the states that at
 least t of the sets hold.  It has specialised forms only where the
 searches run: two sets, by intersection and union, at a node with two
-children in the bottom-up pass and in both derivations' climbs, for each
-child of a node with three incoming sets in the mixed state's down
-passes, and on every edge that the mixed sweep of
+children in the bottom-up pass and in both derivations' climbs, for
+each child of a non-root node with two children in the mixed
+derivation's descent, and on every edge that the mixed sweep of
 :meth:`Scorer.growth_costs` prices; three sets, a closed form over the
 pairwise and triple intersections (:meth:`Scorer._three`), which the
 climbs write out inline at a three-child node, such as a cubic root, and
 the mixed sweep at each unlabelled node with three incoming sets.  Every
 other count, one set or four and more, goes through the threshold
 count, and so do two sets anywhere else (a growth move on an unlabelled
-node of degree 2).  Outside these inline forms, :meth:`Scorer._combine`
+node of degree 2, or the mixed state's full pass).  Outside these inline forms, :meth:`Scorer._combine`
 is the one place that picks the closed form or the threshold count.
 
 Both sweeps read a per-tree state that the full pass makes for a
@@ -551,35 +551,20 @@ class Scorer:
         root = self.pick_root(tree)
         cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root)
         label = tree.label
-        carry = self.carry
-        high = self.high
-        top = self.top
-        fill = self.fill
         down = [0] * len(up)
         for p in pre:
             kids = kids_of[p]
-            if not kids:
-                continue
             if label[p] is not None:
-                fixed = up[p]
                 for c in kids:
-                    down[c] = fixed
-            else:
-                sets = [up[c] for c in kids]
-                if parent[p] >= 0:
-                    sets.append(down[p])
-                if len(sets) == 3:
-                    # Each child gets the 2-set combine of the other two sets.
-                    s0, s1, s2 = sets
-                    for c, a, b in zip(kids, (s1, s0, s0), (s2, s2, s1)):
-                        meet = a & b
-                        both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
-                        down[c] = meet | ((a | b) & ~both)
-                else:
-                    # Each child gets the combine of the other sets: at a
-                    # node of degree 2, the one other set passes through.
-                    for i, c in enumerate(kids):
-                        down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
+                    down[c] = up[p]
+                continue
+            sets = [up[c] for c in kids]
+            if parent[p] >= 0:
+                sets.append(down[p])
+            # Each child gets the combine of the other sets: at a node of
+            # degree 2, the one other set passes through.
+            for i, c in enumerate(kids):
+                down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
         return MixedState(cost, root, parent, kids_of, up, down)
 
     def mixed_child_state(self, tree: MixedTree, state: MixedState, token, cost: int) -> MixedState:
