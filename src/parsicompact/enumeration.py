@@ -210,11 +210,11 @@ class SearchRecord:
     entry per species), and every expanded tree is swept once by
     :meth:`Scorer.growth_costs`, from node sets derived from its
     parent's (from the full pass for a run's start tree): root sets in
-    cubic search, directional sets in mixed search.  A tree whose children the
-    novel-state bound prices out is not expanded (nor built, below the
-    start tree), and its children are counted from its size, as are
-    those of a swept tree whose children are all priced above the
-    incumbent.  With ``threads > 1``, visited omits the pool frontier's
+    cubic search, directional sets in mixed search.  A tree whose
+    children the novel-state bound prices out is not expanded (nor
+    built, below the start tree), and its children are counted from its
+    size, as are those of a swept tree whose children are all priced
+    above the incumbent.  With ``threads > 1``, visited omits the pool frontier's
     own trees, those above its last level: each worker counts from that
     level down.  An incumbent's adjacency lists keep the order of
     higher-id neighbours that the search's move lists read, not

@@ -35,8 +35,9 @@ climbs write out inline at a three-child node, such as a cubic root, and
 the mixed sweep at each unlabelled node with three incoming sets.  Every
 other count, one set or four and more, goes through the threshold
 count, and so do two sets anywhere else (a growth move on an unlabelled
-node of degree 2, or the mixed state's full pass).  Outside these inline forms, :meth:`Scorer._combine`
-is the one place that picks the closed form or the threshold count.
+node of degree 2, or the mixed state's full pass).  Outside these
+inline forms, :meth:`Scorer._combine` is the one place that picks the
+closed form or the threshold count.
 
 Both sweeps read a per-tree state that the full pass makes for a
 search's start tree and a derivation makes for every tree after it,
@@ -567,7 +568,9 @@ class Scorer:
                 down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
         return MixedState(cost, root, parent, kids_of, up, down)
 
-    def mixed_child_state(self, tree: MixedTree, state: MixedState, token, cost: int) -> MixedState:
+    def mixed_child_state(
+        self, tree: MixedTree, state: MixedState, token, cost: int
+    ) -> MixedState:
         """The :class:`MixedState` of ``tree``, grown by the growth rule
         that returned ``token``, derived from ``state``, its state before
         that growth, which is left untouched; ``cost`` is the tree's
@@ -831,7 +834,8 @@ class Scorer:
                     costs.append(base - ((meet | ((a | b) & ~(ne * fill))) & x).bit_count())
                     # d*m - L - sum of |D|, with d = 2 and L = m - |ne|.
                     moves.append(("r2", edge))
-                    costs.append(base + ne.bit_count() - (a & x).bit_count() - (b & x).bit_count())
+                    costs.append(base + ne.bit_count() - (a & x).bit_count()
+                                 - (b & x).bit_count())
         for u, at in enumerate(adj):  # iter_nodes' order
             if at is None:
                 continue
