@@ -27,13 +27,15 @@ followed by r4.  Only the tree each depth-first run starts from is
 scored in full, and it then takes the same per-child step as every
 child, through a move that stands for a tree already built.  Each
 search keeps one state per depth, the node sets of the tree it is
-expanding there: the start tree's comes from the full pass, and each
-built child's is derived from its parent's, recomputing only the nodes
-whose sets may change.  The cubic search keeps root sets, in a
+expanding there, and hands it to the sweep, whose kind it picks: the
+start tree's comes from the full pass, and each built child's is
+derived from its parent's, recomputing only the nodes whose sets may
+change.  The cubic search keeps root sets, in a
 :class:`~parsicompact.parsimony.SweepState` (:meth:`Scorer.sweep_state`,
 :meth:`Scorer.child_state`); the mixed search keeps directional sets,
 in a :class:`~parsicompact.parsimony.MixedState`
-(:meth:`Scorer.mixed_state`, :meth:`Scorer.mixed_child_state`).  Only the
+(:meth:`Scorer.mixed_state`, :meth:`Scorer.mixed_child_state`).  Each
+search binds its kind's full pass and derivation once.  Only the
 children that survive the bound are applied to the tree (and undone):
 a child priced above the incumbent is counted -- visited, plus pruned,
 or generated when complete -- but never built.  Building and undoing
@@ -200,24 +202,24 @@ class SearchRecord:
     n species has the same node count, so a cubic search's most_compact
     equals its incumbents.
 
-    visited counts trees reached (each depth-first run's start tree
-    plus every child of an expanded tree, partial or complete,
-    including the children priced above the incumbent and therefore
-    never built), generated counts complete trees reached (built or
-    not), pruned counts subtrees cut by the cost bound; only the
-    children that survive the bound are built.  sweeps counts the
-    expanded trees, sweeps_by_depth[k] those holding k species (one
-    entry per species), and every expanded tree is swept once by
+    visited counts trees reached (each depth-first run's start tree plus
+    every child of an expanded tree, partial or complete, including the
+    children priced above the incumbent and therefore never built),
+    generated counts complete trees reached (built or not), pruned
+    counts subtrees cut by the cost bound; only the children that
+    survive the bound are built.  sweeps_by_depth[k] counts the expanded
+    trees holding k species (one entry per species), and sweeps, their
+    sum, all of them; every expanded tree is swept once by
     :meth:`Scorer.growth_costs`, from node sets derived from its
     parent's (from the full pass for a run's start tree): root sets in
     cubic search, directional sets in mixed search.  A tree whose
     children the novel-state bound prices out is not expanded (nor
     built, below the start tree), and its children are counted from its
     size, as are those of a swept tree whose children are all priced
-    above the incumbent.  With ``threads > 1``, visited omits the pool frontier's
-    own trees, those above its last level: each worker counts from that
-    level down.  An incumbent's adjacency lists keep the order of
-    higher-id neighbours that the search's move lists read, not
+    above the incumbent.  With ``threads > 1``, visited omits the pool
+    frontier's own trees, those above its last level: each worker counts
+    from that level down.  An incumbent's adjacency lists keep the order
+    of higher-id neighbours that the search's move lists read, not
     necessarily that of lower-id ones.
     """
 
@@ -226,7 +228,6 @@ class SearchRecord:
     visited: int = 0
     pruned: int = 0
     generated: int = 0
-    sweeps: int = 0
     sweeps_by_depth: list[int] = field(default_factory=list)
 
     def _offer(self, cost: int, tree: MixedTree):
@@ -240,7 +241,6 @@ class SearchRecord:
         self.visited += other.visited
         self.pruned += other.pruned
         self.generated += other.generated
-        self.sweeps += other.sweeps
         for k, count in enumerate(other.sweeps_by_depth):
             self.sweeps_by_depth[k] += count
         if other.incumbent_cost is None:
@@ -251,6 +251,10 @@ class SearchRecord:
         elif other.incumbent_cost == self.incumbent_cost:
             for key, t in other.incumbents.items():
                 self.incumbents.setdefault(key, t)
+
+    @property
+    def sweeps(self) -> int:
+        return sum(self.sweeps_by_depth)
 
     @property
     def min_nodes(self) -> int | None:
@@ -302,8 +306,14 @@ class _Search:
         self.kind = kind
         self.no_prune = no_prune
         self.on_progress = on_progress
-        self.scorer = Scorer(matrix)
+        scorer = self.scorer = Scorer(matrix)
         self.record = SearchRecord(sweeps_by_depth=[0] * len(order))
+        # The search kind's full pass, for a run's start tree, and its
+        # derivation, for every built child.
+        if kind == "cubic":
+            self.full_state, self.child_state = scorer.sweep_state, scorer.child_state
+        else:
+            self.full_state, self.child_state = scorer.mixed_state, scorer.mixed_child_state
         # states[k]: the SweepState (cubic) or MixedState (mixed) of the
         # tree the search is expanding with order[:k] placed: a run's
         # start tree's from the full pass, every other derived from
@@ -360,11 +370,8 @@ class _Search:
         return 3 * nodes - 2 + unlabelled
 
     def _expand(self, tree: MixedTree, k: int):
-        self.record.sweeps += 1
         self.record.sweeps_by_depth[k] += 1
-        moves, costs = self.scorer.growth_costs(
-            tree, self.order[k], self.kind == "mixed", self.states[k]
-        )
+        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.states[k])
         best = self.record.incumbent_cost
         complete = k + 1 == len(self.order)
         if best is not None and (complete or not self.no_prune) and min(costs) > best:
@@ -393,11 +400,8 @@ class _Search:
         novel = 0 if complete else self.novel[k + 1]
         on_progress = self.on_progress
         requeue = tree.requeue_edge
-        scorer = self.scorer
-        if cubic:
-            full_state, child_state = scorer.sweep_state, scorer.child_state
-        else:
-            full_state, child_state = scorer.mixed_state, scorer.mixed_child_state
+        full_state = self.full_state
+        child_state = self.child_state
         nodes, unlabelled = tree.num_nodes, tree.n_unlabelled
         for move, cost in zip(moves, costs):
             rec.visited += 1
@@ -479,7 +483,7 @@ class _Search:
             nxt = []
             for tree, depth in level:
                 name = self.order[depth]
-                moves, _ = self.scorer.growth_costs(tree, name, self.kind == "mixed")
+                moves, _ = self.scorer.growth_costs(tree, name, self.full_state(tree))
                 for move in moves:
                     token = self.apply(tree, ("r1", move) if self.kind == "cubic" else move, name)
                     nxt.append((tree.copy(), depth + 1))

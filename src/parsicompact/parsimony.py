@@ -24,29 +24,26 @@ Which character groups of a set are non-empty is read in constant time
 by one carry through each group (:meth:`Scorer._fold`).  One rule
 combines the sets entering an unlabelled node, whatever their number: a
 threshold count (:meth:`Scorer._count_many`), per t the states that at
-least t of the sets hold.  It has specialised forms only where the
-searches run: two sets, by intersection and union, at a node with two
-children in the bottom-up pass and in both derivations' climbs, for
-each child of a non-root node with two children in the mixed
-derivation's descent, and on every edge that the mixed sweep of
-:meth:`Scorer.growth_costs` prices; three sets, a closed form over the
-pairwise and triple intersections (:meth:`Scorer._three`), which the
-climbs write out inline at a three-child node, such as a cubic root, and
-the mixed sweep at each unlabelled node with three incoming sets.  Every
-other count, one set or four and more, goes through the threshold
-count, and so do two sets anywhere else (a growth move on an unlabelled
-node of degree 2, or the mixed state's full pass).  Outside these
-inline forms, :meth:`Scorer._combine` is the one place that picks the
-closed form or the threshold count.
+least t of the sets hold; :meth:`Scorer._combine` sends three sets to
+its closed form (:meth:`Scorer._three`) and every other count to it.  A
+loop that runs for every tree a search visits writes out the two-set
+form (intersection and union) or the three-set closed form where it
+meets that count, and sends every other count to
+:meth:`Scorer._count_many` or :meth:`Scorer._combine`: the bottom-up
+pass two children, both derivations' climbs two and three, the descent
+(:meth:`Scorer._descend`) a non-root node's two children, and the mixed
+sweep of :meth:`Scorer.growth_costs` each edge's two sets and a node's
+three.
 
 Both sweeps read a per-tree state that the full pass makes for a
 search's start tree and a derivation makes for every tree after it,
-from its parent's, recomputing only the nodes whose sets may change.
-The cubic sweep prices each edge by one union of its ends' root sets,
-from a :class:`SweepState` (:meth:`Scorer.sweep_state`,
-:meth:`Scorer.child_state`); the mixed sweep prices each edge and node
-from the directional sets entering it, from a :class:`MixedState`
-(:meth:`Scorer.mixed_state`, :meth:`Scorer.mixed_child_state`).
+from its parent's, recomputing only the nodes whose sets may change;
+the state's type picks the sweep.  The cubic sweep prices each edge by
+one union of its ends' root sets, from a :class:`SweepState`
+(:meth:`Scorer.sweep_state`, :meth:`Scorer.child_state`); the mixed
+sweep prices each edge and node from the directional sets entering it,
+from a :class:`MixedState` (:meth:`Scorer.mixed_state`,
+:meth:`Scorer.mixed_child_state`).
 """
 
 from __future__ import annotations
@@ -150,7 +147,8 @@ class SweepState:
     and its packed ``vu``, ``vl`` and ``vv`` sets, by node id, as in
     :class:`ScoreResult`.  :meth:`Scorer.sweep_state` makes one by the
     full pass, and :meth:`Scorer.child_state` derives a grown child's
-    from its parent's."""
+    from its parent's; :meth:`Scorer.growth_costs` prices rule 1 from
+    one."""
 
     __slots__ = ("mp_cost", "root", "parent", "kids", "vu", "vl", "vv")
 
@@ -173,7 +171,8 @@ class MixedState:
     two directional sets are VU and D of its lower end.
     :meth:`Scorer.mixed_state` makes one by the full pass, and
     :meth:`Scorer.mixed_child_state` derives a grown child's from its
-    parent's."""
+    parent's, each setting D through :meth:`Scorer._descend`;
+    :meth:`Scorer.growth_costs` prices all four rules from one."""
 
     __slots__ = ("mp_cost", "root", "parent", "kids", "vu", "down")
 
@@ -193,11 +192,13 @@ class Scorer:
     calls :meth:`growth_costs` on each tree it expands whose children
     are not all priced out by the novel-state bound.  That one sweep
     lists the tree's children, as moves in the order the search visits
-    them, and prices each from the tree's state, which is derived from
-    its parent's: for the cubic search with one OR per edge of the root
-    sets in its :class:`SweepState` (:meth:`child_state`), for the mixed
-    search from the directional sets in its :class:`MixedState`
-    (:meth:`mixed_child_state`).
+    them, and prices each from the tree's state, whose type picks the
+    sweep: for the cubic search with one OR per edge of the root sets in
+    its :class:`SweepState`, for the mixed search from the directional
+    sets in its :class:`MixedState`.  Every caller passes the state: a
+    search derives each tree's from its parent's (:meth:`child_state`,
+    :meth:`mixed_child_state`), and a start tree's comes from the full
+    pass (:meth:`sweep_state`, :meth:`mixed_state`).
     """
 
     __slots__ = ("matrix", "alpha", "fill", "top", "high", "carry", "m", "vmask")
@@ -547,26 +548,67 @@ class Scorer:
     def mixed_state(self, tree: MixedTree) -> MixedState:
         """The tree's :class:`MixedState`, by the full pass from
         :meth:`pick_root`'s node: the bottom-up pass gives each node's VU,
-        and a preorder pass over the children gives each child's D from
-        its parent's label, or else from its parent's other incoming sets."""
+        and :meth:`_descend` each child's D.  A labelled node's children
+        receive its state whatever its own D, so the descent starts from
+        each labelled node with children as well as from the root."""
         root = self.pick_root(tree)
-        cost, up, _vl, _local, pre, parent, kids_of = self._bottom_up(tree, root)
+        cost, vu, _vl, _local, pre, parent, kids = self._bottom_up(tree, root)
         label = tree.label
-        down = [0] * len(up)
-        for p in pre:
-            kids = kids_of[p]
-            if label[p] is not None:
-                for c in kids:
-                    down[c] = up[p]
-                continue
-            sets = [up[c] for c in kids]
-            if parent[p] >= 0:
-                sets.append(down[p])
-            # Each child gets the combine of the other sets: at a node of
-            # degree 2, the one other set passes through.
-            for i, c in enumerate(kids):
-                down[c] = self._combine(sets[:i] + sets[i + 1:])[0]
-        return MixedState(cost, root, parent, kids_of, up, down)
+        down = [0] * len(vu)
+        seeds = [u for u in pre if parent[u] < 0 or label[u] is not None and kids[u]]
+        self._descend(seeds, parent, kids, label, vu, down)
+        return MixedState(cost, root, parent, kids, vu, down)
+
+    def _descend(self, stack, parent, kids, label, vu, down):
+        """Set D at the children of each node popped from ``stack``, and
+        push each unlabelled child whose D changed; every VU is final.
+
+        A labelled node's children receive its state, its VU.  An
+        unlabelled node's children each receive the combine of the node's
+        other incoming sets: its other children's VU and, off the root,
+        its own D.  At a non-root node with two children that is the
+        two-set combine, written inline; any other count goes through
+        :meth:`_combine` (one set, at a node of degree 2, passes through).
+        A child whose D comes out as it was sends its children what it
+        sent before, so the descent does not enter it.
+        """
+        carry = self.carry
+        high = self.high
+        top = self.top
+        fill = self.fill
+        while stack:
+            y = stack.pop()
+            ks = kids[y]
+            if label[y] is not None:
+                x = vu[y]
+                for c in ks:
+                    if down[c] != x:
+                        down[c] = x
+                        if label[c] is None:
+                            stack.append(c)
+            elif len(ks) == 2 and parent[y] >= 0:
+                # Each child gets the 2-set combine of D[y] and its
+                # sibling's VU.
+                d = down[y]
+                c0, c1 = ks
+                for c, a in ((c0, vu[c1]), (c1, vu[c0])):
+                    meet = a & d
+                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
+                    new = meet | ((a | d) & ~both)
+                    if new != down[c]:
+                        down[c] = new
+                        if label[c] is None:
+                            stack.append(c)
+            else:
+                sets = [vu[c] for c in ks]
+                if parent[y] >= 0:
+                    sets.append(down[y])
+                for i, c in enumerate(ks):
+                    new = self._combine(sets[:i] + sets[i + 1:])[0]
+                    if new != down[c]:
+                        down[c] = new
+                        if label[c] is None:
+                            stack.append(c)
 
     def mixed_child_state(
         self, tree: MixedTree, state: MixedState, token, cost: int
@@ -578,31 +620,28 @@ class Scorer:
 
         The child keeps the parent's root, and its arrays are copies of
         the parent's; it shares each inner kids list it does not change.
-        Write x for the new species' states.  Each rule first sets what it
-        makes:
+        Write x for the new species' states.  Each rule sets only the
+        nodes it makes, then pushes its site for :meth:`_descend`:
 
         * r1 on (u, v), v being u's child, puts w between them and the
           leaf under w: VU[w] is the two-set combine of VU[v] and x, and
-          D[w] is the D[v] of before.  D[v] and D[leaf] are recomputed
-          below, from w's other two sets;
-        * r2 on (u, v) puts w, labelled x, between them: VU[w] = x,
-          D[w] is the D[v] of before, and D[v] = x;
-        * r3 hangs the leaf on a node: on a labelled node D[leaf] is that
-          node's state, and nothing else changes;
-        * r4 labels a node x: VU[node] = x, and every child's D = x.
+          D[w] is the D[v] of before; it pushes w;
+        * r2 on (u, v) puts w, labelled x, between them: VU[w] = x, and
+          D[w] is the D[v] of before; it pushes w;
+        * r3 hangs the leaf on a node: VU[leaf] = x; it pushes the node
+          if it is labelled (the climb enters an unlabelled one);
+        * r4 labels a node x: VU[node] = x; it pushes the node.
 
         Only the site's ancestors have new subtrees, so VU is then
         recomputed from the site's upper node (u, or r3's node, or r4's
         node's parent) up its ancestors, stopping at the first node whose
         VU comes out as it was, or at the root, and never entering a
         labelled node, whose sets never change.  Each node on that climb
-        keeps its D, which its parent's side gives, so D is recomputed at
-        the children of each node on the climb, and of w; then, going
-        down, at the children of each unlabelled node whose D changed.  A
-        labelled node's children always receive its state, so the descent
-        enters none.  Every node skipped keeps inputs that did not change,
-        so the state is the full pass's, as :meth:`mixed_state` would give
-        it from the same root.
+        keeps its D, which its parent's side gives, and is pushed, so the
+        descent recomputes D at its children and goes down from there into
+        each unlabelled node whose D changed.  Every node skipped keeps
+        inputs that did not change, so the state is the full pass's, as
+        :meth:`mixed_state` would give it from the same root.
         """
         grow = len(tree.adj) - len(state.parent)  # new slots, if any
         zero = [0] * grow
@@ -616,7 +655,6 @@ class Scorer:
         top = self.top
         fill = self.fill
         kind = token[0]
-        stack = []  # unlabelled nodes whose children's D is recomputed
         if kind == "r1" or kind == "r2":
             u, v, w = token[1:4]
             if parent[u] == v:
@@ -636,14 +674,10 @@ class Scorer:
                 meet = a & x
                 both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
                 vu[w] = meet | ((a | x) & ~both)
-                stack.append(w)
             else:
                 kids[w] = [v]
-                x = vu[w] = self.vmask[label[w]]
-                if down[v] != x:
-                    down[v] = x
-                    if label[v] is None:
-                        stack.append(v)
+                vu[w] = self.vmask[label[w]]
+            stack = [w]
             y = u
         elif kind == "r3":
             _, y, leaf = token
@@ -651,19 +685,13 @@ class Scorer:
             kids[y] = kids[y] + [leaf]
             kids[leaf] = []
             vu[leaf] = self.vmask[label[leaf]]
-            if label[y] is not None:
-                down[leaf] = vu[y]
-                return MixedState(cost, state.root, parent, kids, vu, down)
+            stack = [] if label[y] is None else [y]
         else:
             node = token[1]
             x = self.vmask[label[node]]
             was = vu[node]
             vu[node] = x
-            for c in kids[node]:
-                if down[c] != x:
-                    down[c] = x
-                    if label[c] is None:
-                        stack.append(c)
+            stack = [node]
             y = parent[node] if x != was else -1
         if y >= 0 and label[y] is None:
             while True:
@@ -693,54 +721,30 @@ class Scorer:
                 if new == was or p < 0 or label[p] is not None:
                     break
                 y = p
-        while stack:
-            y = stack.pop()
-            ks = kids[y]
-            if len(ks) == 2 and parent[y] >= 0:
-                # Three sets: each child gets the 2-set combine of D[y] and
-                # its sibling's VU.
-                d = down[y]
-                c0, c1 = ks
-                for c, a in ((c0, vu[c1]), (c1, vu[c0])):
-                    meet = a & d
-                    both = (((((meet & carry) + carry) | meet) & high) >> top) * fill
-                    new = meet | ((a | d) & ~both)
-                    if new != down[c]:
-                        down[c] = new
-                        if label[c] is None:
-                            stack.append(c)
-                continue
-            sets = [vu[c] for c in ks]
-            if parent[y] >= 0:
-                sets.append(down[y])
-            for i, c in enumerate(ks):
-                new = self._combine(sets[:i] + sets[i + 1:])[0]
-                if new != down[c]:
-                    down[c] = new
-                    if label[c] is None:
-                        stack.append(c)
+        self._descend(stack, parent, kids, label, vu, down)
         return MixedState(cost, state.root, parent, kids, vu, down)
 
     def growth_costs(
-        self, tree: MixedTree, name: str, mixed: bool,
-        state: SweepState | MixedState | None = None,
+        self, tree: MixedTree, name: str, state: SweepState | MixedState
     ) -> tuple[list, list[int]]:
         """Every tree that one growth move of ``name`` makes, with its MP-cost.
 
         Returns (moves, costs), ``costs`` one cost per move, in order; the
-        tree is left untouched.  The sweep lists the moves it prices, in
-        the order the searches visit them.  When ``mixed``, ``moves`` holds
-        ("r1" | "r2", edge) and ("r3" | "r4", node) pairs, named after the
-        MixedTree growth rules: r1 on each edge, in :meth:`MixedTree.iter_edges`'
-        order, each followed by r2 on the same edge; then r3 on each node,
-        in :meth:`MixedTree.iter_nodes`' order, each unlabelled one followed
-        by r4, priced from ``state``, the tree's :class:`MixedState`, or,
-        without it, from :meth:`mixed_state`'s full pass.  Without
-        ``mixed``, ``moves`` is the cubic search's: the iter_edges() list,
-        each edge standing for r1 on it, priced from ``state``, the tree's
-        :class:`SweepState`, or, without it, from :meth:`sweep_state`'s
-        full pass.  A ``name`` the tree already holds raises DuplicateLabelError, as a
-        growth rule would.
+        tree is left untouched.  ``state`` is the tree's state, and its
+        type picks the sweep.  The sweep lists the moves it prices, in the
+        order the searches visit them.  From a :class:`MixedState`,
+        ``moves`` holds ("r1" | "r2", edge) and ("r3" | "r4", node) pairs,
+        named after the MixedTree growth rules: r1 on each edge, in
+        :meth:`MixedTree.iter_edges`' order, each followed by r2 on the
+        same edge; then r3 on each node, in :meth:`MixedTree.iter_nodes`'
+        order, each unlabelled one followed by r4.  From a
+        :class:`SweepState`, ``moves`` is the cubic search's: the
+        iter_edges() list, each edge standing for r1 on it.  The searches
+        derive each tree's state from its parent's (:meth:`child_state`,
+        :meth:`mixed_child_state`); a start tree's, and the tests'
+        oracle, is the full pass (:meth:`sweep_state`, :meth:`mixed_state`).
+        A ``name`` the tree already holds raises DuplicateLabelError, as a
+        growth rule would, before the state is read.
 
         One sweep replaces a rescore per child.  Write D(u->v) for the VU
         set of the side of edge (u, v) holding u.  An edge (u, v) acts as
@@ -767,12 +771,9 @@ class Scorer:
         dropping w would save a mutation, and the cost cannot fall below
         the MP-cost.  So w's state is an end's, and dropping w leaves an
         optimal fit of the tree with that end in that state, which thus
-        lies in the end's VV.  So without ``mixed`` the sweep is one OR
-        per edge of the root sets in ``state``: r1 on (u, v) costs
-        m - |VV[u] | VV[v]| more than the tree.  The cubic search passes
-        each tree's state, derived from its parent's by
-        :meth:`child_state`; without one the sweep runs the full pass
-        first, as the tests' oracle for the derivation.
+        lies in the end's VV.  So the cubic sweep is one OR per edge of
+        the root sets in ``state``: r1 on (u, v) costs m - |VV[u] | VV[v]|
+        more than the tree.
 
         The mixed sweep reads directional sets, because r2 and r4 need to
         know how many of the sets entering the new node hold x, and the
@@ -780,10 +781,7 @@ class Scorer:
         root, a non-root node c's VU is D(c->parent) and its D is
         D(parent->c), so an edge's two sets are VU and D of its lower end,
         and an unlabelled node receives its children's VU and, off the
-        root, its own D.  The sweep reads them from ``state``, which the
-        mixed search derives from the parent's by :meth:`mixed_child_state`;
-        without one it runs the full pass first, as the tests' oracle for
-        the derivation.  One loop over ``tree.adj``, in iter_edges' order,
+        root, its own D.  One loop over ``tree.adj``, in iter_edges' order,
         lists and prices r1 and r2 from one inline combine of each edge's
         two sets.  A second loop over it, by id, lists and prices r3 and
         r4: a node with three incoming sets takes :meth:`_three`'s closed
@@ -797,15 +795,11 @@ class Scorer:
         if name in label:
             raise DuplicateLabelError(f"species {name!r} already labels a node")
         m = self.m
-        if not mixed:
-            if state is None:
-                state = self.sweep_state(tree)
+        if isinstance(state, SweepState):
             vv = state.vv
             base = state.mp_cost + m
             edges = tree.iter_edges()
             return edges, [base - ((vv[u] | vv[v]) & x).bit_count() for u, v in edges]
-        if state is None:
-            state = self.mixed_state(tree)
         up = state.vu
         down = state.down
         parent = state.parent

@@ -258,6 +258,12 @@ def _as_moves(listed, kind):
     return [("r1", e) for e in listed] if kind == "cubic" else listed
 
 
+def _full_state(scorer, tree, kind):
+    """The tree's state by the full pass, of the kind that picks that
+    search's sweep."""
+    return scorer.mixed_state(tree) if kind == "mixed" else scorer.sweep_state(tree)
+
+
 def test_sweep_costs_every_growth_move_exactly():
     # Trees grown by random moves carry polytomies, labelled internal
     # nodes and degree-2 labelled nodes, and their subdivided copies
@@ -284,7 +290,7 @@ def test_sweep_costs_every_growth_move_exactly():
                     shapes["labelled degree 2"] += d == 2
             for kind in ("cubic", "mixed"):
                 moves = growth_moves(tree, kind)
-                listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
+                listed, costs = scorer.growth_costs(tree, name, _full_state(scorer, tree, kind))
                 assert _as_moves(listed, kind) == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
@@ -328,7 +334,7 @@ def test_sweep_lists_every_growth_move_in_the_search_order():
             for u in subdivided.iter_nodes())
         for t in (tree, undone, contracted, subdivided):
             for kind in ("cubic", "mixed"):
-                moves, costs = scorer.growth_costs(t, name, kind == "mixed")
+                moves, costs = scorer.growth_costs(t, name, _full_state(scorer, t, kind))
                 assert _as_moves(moves, kind) == growth_moves(t, kind), kind
                 assert len(costs) == len(moves)
     assert all(count > 20 for count in shapes.values()), shapes
@@ -351,7 +357,7 @@ def test_sweep_costs_every_growth_move_on_eight_symbol_data():
         for tree in _with_degree_two_nodes(random_mixed_tree(placed, rng), rng):
             for kind in ("cubic", "mixed"):
                 moves = growth_moves(tree, kind)
-                listed, costs = scorer.growth_costs(tree, name, kind == "mixed")
+                listed, costs = scorer.growth_costs(tree, name, _full_state(scorer, tree, kind))
                 assert _as_moves(listed, kind) == moves
                 assert len(costs) == len(moves)
                 for move, got in zip(moves, costs):
@@ -395,8 +401,8 @@ def test_a_chain_of_derived_child_states_is_the_full_pass(seed, cubic):
             subdivide_with_unlabelled(tree, rng, rng.randint(1, 2))
     state = scorer.sweep_state(tree)
     for name in names[k:]:
-        moves, costs = scorer.growth_costs(tree, name, False, state)
-        assert (moves, costs) == scorer.growth_costs(tree, name, False)
+        moves, costs = scorer.growth_costs(tree, name, state)
+        assert (moves, costs) == scorer.growth_costs(tree, name, scorer.sweep_state(tree))
         i = rng.randrange(len(moves))
         token = tree.grow_rule_1(moves[i], name)
         state = scorer.child_state(tree, state, token, costs[i])
@@ -413,8 +419,8 @@ class _CheckEveryState(_Search):
         state = self.states[k]
         _assert_full_pass_state(self.scorer, tree, state)
         name = self.order[k]
-        want = self.scorer.growth_costs(tree, name, False)
-        assert self.scorer.growth_costs(tree, name, False, state) == want
+        want = self.scorer.growth_costs(tree, name, self.scorer.sweep_state(tree))
+        assert self.scorer.growth_costs(tree, name, state) == want
         self.checked += 1
         super()._expand(tree, k)
 
@@ -468,8 +474,8 @@ def test_a_chain_of_derived_mixed_states_is_the_full_pass(seed):
     state = scorer.mixed_state(tree)
     _assert_full_pass_mixed_state(scorer, tree, state)
     for name in names[k:]:
-        moves, costs = scorer.growth_costs(tree, name, True, state)
-        assert (moves, costs) == scorer.growth_costs(tree, name, True)
+        moves, costs = scorer.growth_costs(tree, name, state)
+        assert (moves, costs) == scorer.growth_costs(tree, name, scorer.mixed_state(tree))
         for move, cost in zip(moves, costs):
             token = _Search.apply(tree, move, name)
             _assert_full_pass_mixed_state(
@@ -492,8 +498,8 @@ class _CheckEveryMixedState(_Search):
         state = self.states[k]
         _assert_full_pass_mixed_state(self.scorer, tree, state)
         name = self.order[k]
-        want = self.scorer.growth_costs(tree, name, True)
-        assert self.scorer.growth_costs(tree, name, True, state) == want
+        want = self.scorer.growth_costs(tree, name, self.scorer.mixed_state(tree))
+        assert self.scorer.growth_costs(tree, name, state) == want
         self.checked += 1
         super()._expand(tree, k)
 
@@ -549,10 +555,10 @@ def test_no_child_costs_less_than_its_tree_plus_the_novel_states(seed):
         novel = _novel_count(matrix, names, new)
         assert _Search(matrix, names + [new], "mixed", False, None).novel[-1] == novel
         for kind in ("cubic", "mixed"):
-            _, costs = scorer.growth_costs(tree, new, kind == "mixed")
+            _, costs = scorer.growth_costs(tree, new, _full_state(scorer, tree, kind))
             assert min(costs) >= cost + novel, (new, kind)
     assert _novel_count(matrix, names, "Y") == len(changed)
-    moves, costs = scorer.growth_costs(tree, "Y", True)
+    moves, costs = scorer.growth_costs(tree, "Y", scorer.mixed_state(tree))
     hang = costs[moves.index(("r3", tree.species_node(source)))]
     assert hang == cost + len(changed)
 
@@ -745,8 +751,8 @@ class _SweepEveryTree(_Search):
         self.novel = [0] * len(self.order)
 
     def _expand(self, tree, k):
-        self.record.sweeps += 1
-        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.kind == "mixed")
+        self.record.sweeps_by_depth[k] += 1
+        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.states[k])
         self._visit(tree, k, moves, costs)
 
 

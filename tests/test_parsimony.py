@@ -225,9 +225,10 @@ def test_scoring_errors():
         Scorer(m).cost(MixedTree())
     # A species not in the matrix: as the new name of a growth sweep, of
     # either kind, and as a label for the oracle.
-    for mixed in (False, True):
+    sc = Scorer(m)
+    for state in (sc.sweep_state(tree), sc.mixed_state(tree)):
         with pytest.raises(MissingSpeciesError, match="'S9' not in the matrix"):
-            Scorer(m).growth_costs(tree, "S9", mixed)
+            sc.growth_costs(tree, "S9", state)
     with pytest.raises(MissingSpeciesError, match="'q' not in the matrix"):
         brute_force_best_fit(parse_newick("(a,q);"), CharacterMatrix.from_rows([("a", "A")]))
     with pytest.raises(EmptyTreeError):
@@ -258,7 +259,7 @@ def test_unlabelled_leaf_is_rejected_under_any_numbering(leaf_first):
     with pytest.raises(UnlabelledLeafError):
         sc.score(tree)
     with pytest.raises(UnlabelledLeafError):
-        sc.growth_costs(tree, "d", True)
+        sc.growth_costs(tree, "d", sc.mixed_state(tree))
 
 
 @pytest.mark.parametrize("text", ["(a,b,c);", "(b,c,d)a;", "((b,c)a,d);"])
@@ -266,14 +267,19 @@ def test_unlabelled_leaf_is_rejected_under_any_numbering(leaf_first):
 def test_sweep_refuses_a_species_the_tree_already_holds(monkeypatch, text, mixed):
     # Growing a tree by a species it holds raises DuplicateLabelError, so
     # pricing that growth must raise it too, with the same message,
-    # before any pass over the tree runs.
+    # before any pass over the tree runs or any field of its state is
+    # read: each field is None, which no read survives.
     m = CharacterMatrix.from_rows([("a", "A"), ("b", "A"), ("c", "B"), ("d", "B")])
     tree = parse_newick(text)
     with pytest.raises(DuplicateLabelError) as grown:
         tree.grow_rule_1(tree.iter_edges()[0], "a")
+    sc = Scorer(m)
+    state = sc.mixed_state(tree) if mixed else sc.sweep_state(tree)
+    for slot in type(state).__slots__:
+        setattr(state, slot, None)
     monkeypatch.setattr(MixedTree, "hang", lambda *_: pytest.fail("a pass ran"))
     with pytest.raises(DuplicateLabelError) as swept:
-        Scorer(m).growth_costs(tree, "a", mixed)
+        sc.growth_costs(tree, "a", state)
     assert str(swept.value) == str(grown.value)
 
 
@@ -328,9 +334,9 @@ def test_an_edge_combines_its_directional_sets_into_its_ends_root_sets(seed, ext
         b = unpack_sets(matrix, sc.score(tree, root=u).vu[v])
         assert tuple(s & t or s | t for s, t in zip(a, b)) == unpack_sets(matrix, vv[u] | vv[v])
     new = matrix.names[-1]
-    moves, costs = sc.growth_costs(tree, new, True)
+    moves, costs = sc.growth_costs(tree, new, sc.mixed_state(tree))
     rule_1 = [(move, cost) for move, cost in zip(moves, costs) if move[0] == "r1"]
-    edges, cubic_costs = sc.growth_costs(tree, new, False)
+    edges, cubic_costs = sc.growth_costs(tree, new, sc.sweep_state(tree))
     assert [(("r1", e), cost) for e, cost in zip(edges, cubic_costs)] == rule_1
 
 
