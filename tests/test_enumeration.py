@@ -752,7 +752,7 @@ class _SweepEveryTree(_Search):
 
     def _expand(self, tree, k):
         self.record.sweeps_by_depth[k] += 1
-        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.states[k])
+        moves, costs = self.scorer.growth_costs(tree, self.order[k], self.full_state(tree))
         self._visit(tree, k, moves, costs)
 
 
