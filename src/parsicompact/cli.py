@@ -169,7 +169,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     result = Scorer(matrix).score(tree)
     elapsed = (time.monotonic() - t0) * 1000.0
-    if args.oracle_check:
+    if args.oracle:
         oracle = brute_force_best_fit(tree, matrix)
         if oracle.mp_cost != result.mp_cost:
             raise ParsicompactError(
@@ -295,7 +295,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
         matrix,
         order=args.order,
         threads=args.threads,
-        oracle_check=args.oracle_check,
         on_progress=_progress_printer(args),
     )
     elapsed = (time.monotonic() - t0) * 1000.0
@@ -356,12 +355,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             mixed = enumerate_mixed(sub, order=args.order, threads=args.threads)
             t_mtea = (time.monotonic() - t0) * 1000.0
             t0 = time.monotonic()
-            pipe = most_compact_pipeline(
-                sub,
-                order=args.order,
-                threads=args.threads,
-                oracle_check=args.oracle_check,
-            )
+            pipe = most_compact_pipeline(sub, order=args.order, threads=args.threads)
             t_cteeca = (time.monotonic() - t0) * 1000.0
             if mixed.incumbent_cost != pipe.mp_cost:
                 raise ParsicompactError(
@@ -441,8 +435,17 @@ def _add_common(sub, *, matrix=True, search=False, trees=True):
                          help="print progress counters to stderr")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are the CLI's own: one ``error:``
+    line from :func:`main` and exit status 1, not argparse's usage text
+    and exit status 2.  Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        raise ParsicompactError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parsicompact",
         description="Most compact maximum-parsimony trees over mixed-labelled topologies",
     )
@@ -451,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="MP-cost of one tree against an alignment")
     _add_common(p)
     p.add_argument("--tree", help="Newick file (or literal Newick text)")
-    p.add_argument("--oracle-check", action="store_true",
+    p.add_argument("--oracle-check", dest="oracle", action="store_true",
                    help="cross-check the cost against the exhaustive oracle")
     p.set_defaults(func=cmd_score)
 
@@ -469,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compact", help="cubic MP search plus full contraction")
     _add_common(p, search=True)
-    p.add_argument("--oracle-check", action="store_true",
-                   help="shadow-check the root sets of every built state "
-                        "against a rescore from another root")
     p.set_defaults(func=cmd_compact)
 
     p = subs.add_parser("bench", help="seeded search-vs-contraction benchmark table")
@@ -479,15 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ParsicompactError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)

@@ -51,7 +51,7 @@ state than the one that justified it before.  So a state is the
 fixed root: each node's parent and children, label, VU, VL, VV and
 local cost.  Those arrays are the whole state: it keeps no
 :class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
-for a state with no contractible edge and for ``--oracle-check``.
+for a state with no contractible edge.
 A child's arrays are copies of its parent's, rewired once, with the
 child end's slot dead, and the scorer's own kernels recompute only the
 nodes whose inputs may change (:func:`contract_and_update` says which).
@@ -63,7 +63,10 @@ merged node's set must still come out as the intersection.
 
 Contraction never makes an edge contractible that was not before; that
 is tested, but the search does not rely on it: every newly built state
-gets a full scan for its contractible edges.
+gets a full scan for its contractible edges.  The search runs no second
+check of the update itself; the test suite's ``shadow_rescore`` hook
+(``tests/conftest.py``) wraps :func:`contract_and_update` and rescores
+every child it builds in full from another root.
 """
 
 from __future__ import annotations
@@ -200,23 +203,6 @@ def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResul
     return ScoreResult(sc, cost, state.root, parent, kids, label, vu, vl, vv, local)
 
 
-def _shadow_check(state: ScoreResult, w: int):
-    """Rescore ``state``'s tree in full from a root other than node ``w``
-    and compare its cost and every root set with the state's."""
-    tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
-    root = next((x for x in tree.iter_nodes() if x != w), w)
-    res = state.scorer.score(tree, root=root)
-    if res.mp_cost != state.mp_cost:
-        raise ParsicompactError(
-            f"shadow rescore cost {res.mp_cost} != maintained cost {state.mp_cost}"
-        )
-    for x in tree.iter_nodes():
-        if res.vv[x] != state.vv[x]:
-            raise ParsicompactError(
-                f"maintained root set at node {x} differs from full rescore"
-            )
-
-
 @dataclass
 class CompactResultSet:
     """Most compact trees found, plus bookkeeping of the exploration.
@@ -283,14 +269,10 @@ class CompactSearcher:
     Start trees must be X-trees that carry every species of the matrix,
     as the cubic MP-trees the pipeline feeds are; any other is refused.
     ``on_progress``, if given, is called with the searcher once every
-    :data:`PROGRESS_EVERY` built states.  With ``oracle_check``, each
-    built state's derived root sets and cost are compared against an
-    independent full rescore from another root.
+    :data:`PROGRESS_EVERY` built states.
     """
 
-    def __init__(self, matrix: CharacterMatrix, oracle_check: bool = False,
-                 on_progress=None):
-        self.oracle_check = oracle_check
+    def __init__(self, matrix: CharacterMatrix, on_progress=None):
         self.on_progress = on_progress
         self.scorer = Scorer(matrix)
         self.species = {name: i for i, name in enumerate(matrix.names)}
@@ -361,8 +343,6 @@ class CompactSearcher:
                 got = self.memo.get(to)
                 if got is None:
                     child = contract_and_update(state, edge)
-                    if self.oracle_check:
-                        _shadow_check(child, u)
                     csig = sig.copy()
                     csig[u] = merged
                     stack.append((child, csig, to, self._store(to, child, csig)))
@@ -414,7 +394,6 @@ def most_compact_pipeline(
     *,
     order: str = "input",
     threads: int = 1,
-    oracle_check: bool = False,
     on_progress=None,
 ) -> CompactResultSet:
     """Full search: enumerate cubic MP-trees, contract each in all orders,
@@ -432,7 +411,7 @@ def most_compact_pipeline(
         on_progress=on_progress,
     )
     t1 = time.monotonic()
-    searcher = CompactSearcher(matrix, oracle_check=oracle_check, on_progress=on_progress)
+    searcher = CompactSearcher(matrix, on_progress=on_progress)
     for key in sorted(cubic.incumbents):
         searcher.add_source(cubic.incumbents[key])
     out = searcher.finalize()

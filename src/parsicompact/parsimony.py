@@ -30,10 +30,10 @@ loop that runs for every tree a search visits writes out the two-set
 form (intersection and union) or the three-set closed form where it
 meets that count, and sends every other count to
 :meth:`Scorer._count_many` or :meth:`Scorer._combine`: the bottom-up
-pass two children, both derivations' climbs two and three, the descent
-(:meth:`Scorer._descend`) a non-root node's two children, and the mixed
-sweep of :meth:`Scorer.growth_costs` each edge's two sets and a node's
-three.
+pass two children, both derivations' climbs two and three (the cubic
+one meets no other count), the descent (:meth:`Scorer._descend`) a
+non-root node's two children, and the mixed sweep of
+:meth:`Scorer.growth_costs` each edge's two sets and a node's three.
 
 Both sweeps read a per-tree state that the full pass makes for a
 search's start tree and a derivation makes for every tree after it,
@@ -443,6 +443,12 @@ class Scorer:
         untouched; ``cost`` is the tree's MP-cost, as the parent's
         :meth:`growth_costs` priced it.
 
+        The tree must be one the cubic search grows: hung from an
+        unlabelled root with three children, every other unlabelled node
+        with two, and every species on a leaf.  Rule 1 keeps that shape,
+        so a derived state can be derived from again; any other tree
+        gives wrong sets.
+
         The token names the edge (u, v), the new node w and the new leaf;
         below, v is u's child.  The child keeps the parent's root, and
         its arrays are copies of the parent's with w put between u and
@@ -450,11 +456,10 @@ class Scorer:
         not change.  Only u and its ancestors have new subtrees, so VU
         and VL are recomputed at w, from VU[v] and the leaf's states,
         then at u and up its ancestors, stopping at the first node whose
-        VU comes out as it was, or below a labelled node, whose sets
-        never change.  VV is then recomputed down from the topmost
-        recomputed node, entering every unlabelled child of a node whose
-        VV changed, else the child on the climb's path.  A labelled
-        node's VV is its VU, whatever its parent's (its VL is empty and
+        VU comes out as it was.  VV is then recomputed down from the
+        topmost recomputed node, entering every unlabelled child of a
+        node whose VV changed, else the child on the climb's path.  A
+        leaf's VV is its VU, whatever its parent's (its VL is empty and
         VV is never empty in a character), so the descent enters none,
         and the new leaf's VV is set with its VU.  w's slot starts with
         u's old VV, the one v read before, so v is entered only if w's VV
@@ -500,7 +505,7 @@ class Scorer:
                 union = a | b
                 new = meet | (union & ~both)
                 vl[y] = ((a ^ b) & both) | (alpha & ~(union | both))
-            elif len(ks) == 3:  # _three, inline
+            else:  # the root: _three, inline
                 c0, c1, c2 = ks
                 a = vu[c0]
                 b = vu[c1]
@@ -515,13 +520,11 @@ class Scorer:
                 e2 = n2 * fill
                 new = f3 | (f2 & ~e3) | (union & ~e2)
                 vl[y] = ((f2 ^ f3) & e3) | ((union ^ f2) & (e2 ^ e3)) | (alpha & ~(union | e2))
-            else:
-                new, vl[y], _ = self._count_many([vu[c] for c in ks])
             was = vu[y]
             vu[y] = new
             p = parent[y]
             # w is new, so its VU counts as changed.
-            if new == was and y != w or p < 0 or label[p] is not None:
+            if new == was and y != w or p < 0:
                 break
             below[p] = y
             y = p

@@ -5,14 +5,19 @@ from the seed alone.
 """
 
 import random
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
+import parsicompact.contract
 from parsicompact import (
     CharacterMatrix,
     FitAssignment,
     IllegalContractionError,
     MixedTree,
     OracleResult,
+    ParsicompactError,
+    ScoreResult,
     TreeStructureError,
     brute_force_best_fit,
     enumerate_mixed,
@@ -235,6 +240,51 @@ def suppress_degree2_unlabelled(tree: MixedTree) -> MixedTree:
                 free_node(tree, u)
                 again = True
     return tree
+
+
+# -- the contraction's shadow rescore -------------------------------------------
+
+
+def shadow_check(state: ScoreResult, w: int):
+    """Rescore ``state``'s tree in full from a root other than node ``w``
+    and compare its cost and every root set with the state's."""
+    tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
+    root = next((x for x in tree.iter_nodes() if x != w), w)
+    res = state.scorer.score(tree, root=root)
+    if res.mp_cost != state.mp_cost:
+        raise ParsicompactError(
+            f"shadow rescore cost {res.mp_cost} != maintained cost {state.mp_cost}"
+        )
+    for x in tree.iter_nodes():
+        if res.vv[x] != state.vv[x]:
+            raise ParsicompactError(
+                f"maintained root set at node {x} differs from full rescore"
+            )
+
+
+@contextmanager
+def shadow_rescore():
+    """Within the block, every child that ``parsicompact.contract``'s
+    :func:`contract_and_update` returns, to the contraction search or to
+    any caller that reaches it through that module, is checked by
+    :func:`shadow_check` from a root other than the merged node, the
+    edge's parent end.  Yields a namespace whose ``checked`` counts the
+    children checked."""
+    derive = parsicompact.contract.contract_and_update
+    hook = SimpleNamespace(checked=0)
+
+    def checked(state, edge):
+        child = derive(state, edge)
+        u, v = edge
+        shadow_check(child, v if state.parent[u] == v else u)
+        hook.checked += 1
+        return child
+
+    parsicompact.contract.contract_and_update = checked
+    try:
+        yield hook
+    finally:
+        parsicompact.contract.contract_and_update = derive
 
 
 # -- readings of brute_force_best_fit's exhaustive optima ----------------------

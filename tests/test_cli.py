@@ -534,25 +534,43 @@ def test_console_script_entry_point():
     assert "32" in proc.stdout
 
 
-def test_cli_requires_subcommand():
-    with pytest.raises(SystemExit):
-        main([])
+def _assert_one_error_line(capsys, argv):
+    """``main(argv)`` exits 1 with one ``error:`` line on stderr and
+    nothing on stdout, as every other input error does."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_requires_subcommand(capsys):
+    _assert_one_error_line(capsys, [])
+    # Asking for help is not an error.
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 # A flag a command has no use for is rejected, not ignored: count and
-# bench print tables, not trees, and score writes no tree file.
+# bench print tables, not trees, and score writes no tree file.  The
+# contraction has no shadow-rescore mode; only score cross-checks a
+# user's tree against the exhaustive oracle.
 @pytest.mark.parametrize("argv", [
     ["count", "--format", "newick"],
     ["count", "--trees-out", "t.nwk"],
     ["bench", "--format", "newick"],
     ["bench", "--trees-out", "t.nwk"],
     ["score", "--trees-out", "t.nwk"],
+    ["compact", "--oracle-check"],
+    ["bench", "--oracle-check"],
+    ["compact", "--bogus"],
+    ["count", "--min-n", "x"],
 ], ids=["count-newick", "count-trees-out", "bench-newick", "bench-trees-out",
-        "score-trees-out"])
+        "score-trees-out", "compact-oracle-check", "bench-oracle-check",
+        "compact-bogus", "count-min-n-not-int"])
 def test_table_commands_reject_tree_flags(capsys, argv):
-    with pytest.raises(SystemExit):
-        main(argv)
-    assert "error:" in capsys.readouterr().err
+    _assert_one_error_line(capsys, argv)
 
 
 # Uniform bytes mostly stop at the UTF-8 check, so the strategies also

@@ -26,7 +26,9 @@ from parsicompact import (
     unpack_sets,
     zero_min_cost_edges,
 )
-from parsicompact.contract import CompactSearcher, _shadow_check, tree_splits
+import parsicompact.contract
+from parsicompact.contract import CompactSearcher, tree_splits
+import conftest
 from conftest import (
     add_edge,
     add_node,
@@ -39,6 +41,8 @@ from conftest import (
     matrix_tree_mst_count,
     random_instance,
     random_mixed_tree,
+    shadow_check,
+    shadow_rescore,
     subdivide_with_unlabelled,
     validate,
 )
@@ -134,32 +138,41 @@ def test_label_label_edges_are_never_contractible():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_oracle_check_mode_agrees(seed):
+    # Every contraction of a random state passes the shadow rescore, with
+    # the edge given in either order.
     matrix, tree, state = make_state(seed)
-    for u, v in zero_min_cost_edges(state):
-        _shadow_check(contract_and_update(state, (u, v)), u)
+    zero = zero_min_cost_edges(state)
+    with shadow_rescore() as hook:
+        for i, (u, v) in enumerate(zero):
+            parsicompact.contract.contract_and_update(state, (u, v) if i % 2 else (v, u))
+    assert hook.checked == len(zero)
 
 
 def test_oracle_check_rescores_every_built_state(monkeypatch):
-    # The searcher's oracle check sees each state it builds once, with
-    # its live merged node, and no start tree; a corrupt root set is
-    # refused.
+    # The shadow rescore sees each state the searcher builds once, with
+    # its live merged node, and no start tree; it is gone after the
+    # block; a corrupt root set is refused.
     matrix = evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05)
     seen = []
 
     def spy(state, w):
         assert state.kids[w] is not None
         seen.append((tuple(state.parent), tuple(state.label)))
-        _shadow_check(state, w)
+        shadow_check(state, w)
 
-    monkeypatch.setattr("parsicompact.contract._shadow_check", spy)
-    result = most_compact_pipeline(matrix, oracle_check=True)
-    assert len(seen) == len(set(seen)) == result.explored_states - result.sources
+    monkeypatch.setattr(conftest, "shadow_check", spy)
+    with shadow_rescore() as hook:
+        result = most_compact_pipeline(matrix)
+    assert len(seen) == len(set(seen)) == hook.checked
+    assert hook.checked == result.explored_states - result.sources > 0
+    most_compact_pipeline(matrix)
+    assert len(seen) == hook.checked
     state = Scorer(matrix).score(next(iter(enumerate_cubic(matrix).incumbents.values())))
     u, v = zero_min_cost_edges(state)[0]
     child = contract_and_update(state, (u, v))
     child.vv[u] ^= 1
     with pytest.raises(ParsicompactError, match="differs from full rescore"):
-        _shadow_check(child, u)
+        shadow_check(child, u)
 
 
 @settings(max_examples=30, deadline=None)
