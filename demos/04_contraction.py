@@ -28,11 +28,10 @@ key = min(cubic.incumbents)
 # A state is the tree's scoring: its sets and shape, hung from one root.
 state = Scorer(matrix).score(cubic.incumbents[key])
 print("start:", cubic.incumbents[key].write_newick(), "cost", state.mp_cost)
-while True:
-    free = zero_min_cost_edges(state)
-    if not free:
-        break
-    state = contract_and_update(state, free[0])
+# Each step also derives the child's contractible edges from the parent's.
+free = zero_min_cost_edges(state)
+while free:
+    state, free = contract_and_update(state, free[0], free)
     tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
     print("  ->", tree.write_newick(),
           f"({tree.num_nodes} nodes, cost {state.mp_cost})")

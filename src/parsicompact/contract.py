@@ -25,9 +25,9 @@ One memo, keyed by split set, holds each state's signature and VV
 lists, by node id, as the state built them.  The work splits two ways:
 
 * once per distinct state -- copy the parent's arrays and rewire them,
-  update its sets from its parent's with the checks, the scan for
-  contractible edges, and, for a state with none, the tree built from
-  its arrays and that tree's canonical key;
+  update its sets and its contractible edges from its parent's with the
+  checks, and, for a state with no contractible edge, the tree built
+  from its arrays and that tree's canonical key;
 * once per arc, i.e. per contraction order step -- the contraction
   count and, when the child is already in the memo, the check that its
   root set at the merged node, found by a scan of its signatures, is
@@ -53,20 +53,36 @@ local cost.  Those arrays are the whole state: it keeps no
 :class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
 for a state with no contractible edge.
 A child's arrays are copies of its parent's, rewired once, with the
-child end's slot dead, and the scorer's own kernels recompute only the
-nodes whose inputs may change (:func:`contract_and_update` says which).
+child end's slot dead, and the scorer's bottom-up kernel and the
+top-down rule, written out in the step, recompute only the nodes whose
+inputs may change (:func:`contract_and_update` says which).
 A node's VU, VL and local cost depend only on its label and its
 children's VU, and its VV only on its parent's VV and its own VU and
 VL, so every node the update skips keeps inputs that did not change:
 the update is exact, not a local rule over old root sets, and the
 merged node's set must still come out as the intersection.
 
-Contraction never makes an edge contractible that was not before; that
-is tested, but the search does not rely on it: every newly built state
-gets a full scan for its contractible edges.  The search runs no second
-check of the update itself; the test suite's ``shadow_rescore`` hook
-(``tests/conftest.py``) wraps :func:`contract_and_update` and rescores
-every child it builds in full from another root.
+Contraction never makes an edge contractible that was not before.
+Say edge e' of T' = T/uv is contractible and comes from edge e of T: an
+edge (u, y) of T' was (u, y) or (v, y), and every other edge kept its
+ends.  Contracting e' keeps the cost of T', which is T's, and T'/e' =
+T/{uv, e}.  Contraction never lowers the cost (a fit of T/e, both ends
+of e given the merged node's states, is a fit of T), so T/e, between T
+and T/{uv, e}, costs what T does: e has min-cost 0, and it does not
+join two labelled nodes, since e' does not.  So a child's
+contractible edges are among its parent's, renamed, and the search
+derives them (:func:`contract_and_update`): drop (u, v), rename each
+(v, y) to (u, y), and test again only the edges at u, which took v's
+label and children, or at a node whose VV the descent changed.  Every
+other edge keeps its ends' labels and root sets, so it stays
+contractible untested.  The list keeps the order of
+:func:`zero_min_cost_edges`, which scans each start tree once.
+
+The search runs no second check of the update itself; the test suite's
+``shadow_rescore`` hook (``tests/conftest.py``) wraps
+:func:`contract_and_update`, rescores every child it builds in full from
+another root, and compares its derived contractible edges with a full
+scan and with that rescore.
 """
 
 from __future__ import annotations
@@ -112,9 +128,13 @@ def zero_min_cost_edges(state: ScoreResult) -> list[tuple[int, int]]:
     return out
 
 
-def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResult:
+def contract_and_update(
+    state: ScoreResult, edge: tuple[int, int], zero: list[tuple[int, int]]
+) -> tuple[ScoreResult, list[tuple[int, int]]]:
     """Contract zero-min-cost edge (u, v), in either order, merging its
-    child end into its parent end; derive the child's sets.
+    child end into its parent end; return the child and its contractible
+    edges, derived from the parent's sets and from ``zero``, the parent's
+    contractible edges as :func:`zero_min_cost_edges` lists them.
 
     Below, u is the parent end and v the child end.  The child keeps the
     parent's root, which never moves, and its arrays are copies of the
@@ -131,6 +151,13 @@ def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResul
     child's cost is the parent's less v's local cost plus the change in
     local cost at the recomputed nodes; it must equal the parent's, and
     u's root set must be the intersection of the endpoints'.
+
+    The child's contractible edges are ``zero`` without (u, v), with each
+    edge (v, y) renamed (u, y), in the same order.  An edge at u, or at a
+    node whose VV the descent changed, is tested again, label-label and
+    then the meet; every other edge keeps its ends' labels and root sets,
+    so it stays contractible untested.  No edge outside ``zero`` needs a
+    test, since contraction never makes an edge contractible.
     """
     u, v = edge
     parent = state.parent  # -1 in a free slot, so no edge reaches one
@@ -144,7 +171,11 @@ def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResul
         raise IllegalContractionError(f"edge ({u}, {v}) joins two labelled nodes")
     vv = state.vv
     meet = vv[u] & vv[v]
-    md = sc.m - sc._fold(meet).bit_count()
+    carry = sc.carry
+    high = sc.high
+    top = sc.top
+    m = sc.m
+    md = m - (((((meet & carry) + carry) | meet) & high) >> top).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
     parent = parent.copy()
@@ -181,16 +212,26 @@ def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResul
         below[p] = x
         was = vu[p]
         x = p
+    fill = sc.fill
+    dirty = {u}  # u, and every node whose VV changed
     stack = [x]  # the topmost recomputed node
     while stack:
         x = stack.pop()
-        old = vv[x]
-        sc._top_down((x,), parent, vu, vl, vv)
-        if vv[x] != old:
+        p = parent[x]
+        if p < 0:
+            new = vu[x]
+        else:
+            vvp = vv[p]
+            miss = vvp & ~vu[x]
+            ns = (((((miss & carry) + carry) | miss) & high) >> top) * fill
+            new = ((vu[x] | (vvp & vl[x])) & ns) | (vvp & ~ns)
+        if new != vv[x]:
+            vv[x] = new
+            dirty.add(x)
             stack += kids[x]
         elif below is not None and x in below:
             stack.append(below[x])
-        elif x == u and vv[u] != state.vv[v]:
+        elif x == u and new != state.vv[v]:
             stack += moved
     if vv[u] != meet:
         raise ParsicompactError(
@@ -200,7 +241,24 @@ def contract_and_update(state: ScoreResult, edge: tuple[int, int]) -> ScoreResul
         raise ParsicompactError(
             f"zero-min-cost contraction changed cost {state.mp_cost} -> {cost}"
         )
-    return ScoreResult(sc, cost, state.root, parent, kids, label, vu, vl, vv, local)
+    out = []
+    for e in zero:
+        p, x = e
+        if p == v:
+            p = u
+            e = (u, x)
+        elif x == v:
+            continue  # the contracted edge
+        elif p not in dirty and x not in dirty:
+            out.append(e)
+            continue
+        if label[p] is not None and label[x] is not None:
+            continue
+        both = vv[p] & vv[x]
+        if (((((both & carry) + carry) | both) & high) >> top).bit_count() == m:
+            out.append(e)
+    child = ScoreResult(sc, cost, state.root, parent, kids, label, vu, vl, vv, local)
+    return child, out
 
 
 @dataclass
@@ -312,25 +370,34 @@ class CompactSearcher:
         edges = key.bit_count()
         self.by_edges[edges] = self.by_edges.get(edges, 0) | me
         if key not in self.memo:
-            self._expand(state, sig, key, self._store(key, state, sig))
+            zero = zero_min_cost_edges(state)
+            self._store(key, state, sig, zero)
+            self._expand(state, sig, key, zero)
         return state.mp_cost
 
-    def _store(self, key: int, state: ScoreResult, sig: list[int]) -> list[tuple[int, int]]:
-        """Memoize a new state; returns its contractible edges."""
+    def _store(self, key: int, state: ScoreResult, sig: list[int],
+               zero: list[tuple[int, int]]):
+        """Memoize a new state, given its contractible edges."""
         self.memo[key] = (sig, state.vv)
-        zero = zero_min_cost_edges(state)
         if not zero:
             tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
             self.final.append((tree.num_nodes, key, tree.canonical_key()))
         if self.on_progress and len(self.memo) % PROGRESS_EVERY < 1:
             self.on_progress(self)
-        return zero
 
     def _expand(self, source: ScoreResult, sig: list[int], key: int,
                 zero: list[tuple[int, int]]):
         """Depth first from one start tree, building each state not yet
         in the memo; ``sig`` gives each node's signature and ``zero`` the
-        start tree's contractible edges."""
+        start tree's contractible edges.
+
+        The arc loop counts its contractions and memo hits in locals and
+        adds them to the searcher's counters before each build, which
+        may call the progress hook, before the memo-hit check raises, and
+        at the end."""
+        lookup = self.memo.get
+        store = self._store
+        arcs = hits = 0
         stack = [(source, sig, key, zero)]
         while stack:
             state, sig, key, zero = stack.pop()
@@ -339,15 +406,19 @@ class CompactSearcher:
                 u, v = edge
                 merged = sig[u] ^ sig[v]
                 to = key ^ (sig[u] & sig[v])
-                self.contractions += 1
-                got = self.memo.get(to)
+                arcs += 1
+                got = lookup(to)
                 if got is None:
-                    child = contract_and_update(state, edge)
+                    self.contractions += arcs
+                    self.memo_hits += hits
+                    arcs = hits = 0
+                    child, czero = contract_and_update(state, edge, zero)
                     csig = sig.copy()
                     csig[u] = merged
-                    stack.append((child, csig, to, self._store(to, child, csig)))
+                    store(to, child, csig, czero)
+                    stack.append((child, csig, to, czero))
                 else:
-                    self.memo_hits += 1
+                    hits += 1
                     # The check contract_and_update makes on the merged
                     # node.  A dead slot keeps the signature it died with,
                     # which holds the bit of a contracted edge, a split no
@@ -358,9 +429,13 @@ class CompactSearcher:
                     except ValueError:
                         ok = False
                     if not ok:
+                        self.contractions += arcs
+                        self.memo_hits += hits
                         raise ParsicompactError(
                             "merged-node root set differs from the endpoint intersection"
                         )
+        self.contractions += arcs
+        self.memo_hits += hits
 
     def finalize(self) -> CompactResultSet:
         best = min((nodes for nodes, _, _ in self.final), default=None)

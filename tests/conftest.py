@@ -23,6 +23,7 @@ from parsicompact import (
     enumerate_mixed,
     most_compact_pipeline,
     random_matrix,
+    zero_min_cost_edges,
 )
 
 
@@ -245,9 +246,10 @@ def suppress_degree2_unlabelled(tree: MixedTree) -> MixedTree:
 # -- the contraction's shadow rescore -------------------------------------------
 
 
-def shadow_check(state: ScoreResult, w: int):
+def shadow_check(state: ScoreResult, w: int) -> ScoreResult:
     """Rescore ``state``'s tree in full from a root other than node ``w``
-    and compare its cost and every root set with the state's."""
+    and compare its cost and every root set with the state's; returns
+    the rescore."""
     tree = MixedTree.from_arrays(state.parent, state.kids, state.label)
     root = next((x for x in tree.iter_nodes() if x != w), w)
     res = state.scorer.score(tree, root=root)
@@ -260,6 +262,27 @@ def shadow_check(state: ScoreResult, w: int):
             raise ParsicompactError(
                 f"maintained root set at node {x} differs from full rescore"
             )
+    return res
+
+
+def check_contractible_edges(state: ScoreResult, zero, rescore: ScoreResult):
+    """``zero``, the contractible edges derived with ``state``, must be
+    :func:`zero_min_cost_edges` of it, exactly and in order; as unordered
+    node pairs, they must be the edges, not label-label, whose ends' root
+    sets meet in every character in ``rescore``, a full rescore of the
+    state's tree."""
+    if zero != zero_min_cost_edges(state):
+        raise ParsicompactError("derived contractible edges differ from a full scan")
+    sc = state.scorer
+    label = state.label
+    want = {
+        frozenset((x, p))
+        for x, p in enumerate(rescore.parent)
+        if p >= 0 and (label[x] is None or label[p] is None)
+        and sc._fold(rescore.vv[x] & rescore.vv[p]).bit_count() == sc.m
+    }
+    if {frozenset(e) for e in zero} != want:
+        raise ParsicompactError("derived contractible edges differ from the full rescore")
 
 
 @contextmanager
@@ -268,17 +291,21 @@ def shadow_rescore():
     :func:`contract_and_update` returns, to the contraction search or to
     any caller that reaches it through that module, is checked by
     :func:`shadow_check` from a root other than the merged node, the
-    edge's parent end.  Yields a namespace whose ``checked`` counts the
-    children checked."""
+    edge's parent end, and its derived contractible edges by
+    :func:`check_contractible_edges` against that rescore.  Yields a
+    namespace whose ``checked`` counts the children checked and whose
+    ``compared`` counts the edge lists compared."""
     derive = parsicompact.contract.contract_and_update
-    hook = SimpleNamespace(checked=0)
+    hook = SimpleNamespace(checked=0, compared=0)
 
-    def checked(state, edge):
-        child = derive(state, edge)
+    def checked(state, edge, zero):
+        child, czero = derive(state, edge, zero)
         u, v = edge
-        shadow_check(child, v if state.parent[u] == v else u)
+        rescore = shadow_check(child, v if state.parent[u] == v else u)
         hook.checked += 1
-        return child
+        check_contractible_edges(child, czero, rescore)
+        hook.compared += 1
+        return child, czero
 
     parsicompact.contract.contract_and_update = checked
     try:

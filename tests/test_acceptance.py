@@ -133,9 +133,10 @@ def test_criterion_6_contraction_cost_laws_on_100_mp_trees():
                 break
             tree = record.incumbents[key]
             state = Scorer(matrix).score(tree)
-            zero = {tuple(sorted(e)) for e in zero_min_cost_edges(state)}
-            for edge in zero_min_cost_edges(state):
-                after = contract_and_update(state, edge)
+            edges = zero_min_cost_edges(state)
+            zero = {tuple(sorted(e)) for e in edges}
+            for edge in edges:
+                after, _ = contract_and_update(state, edge, edges)
                 assert after.mp_cost == state.mp_cost
                 preserved += 1
             for u, v in tree.iter_edges():
@@ -159,10 +160,10 @@ def test_criterion_7_incremental_sets_match_full_rescore():
         matrix = crit5_matrix(seed)
         with shadow_rescore() as hook:
             result = most_compact_pipeline(matrix)
-        assert hook.checked == result.explored_states - result.sources
+        assert hook.checked == hook.compared == result.explored_states - result.sources
         checked += hook.checked
-    print(f"criterion 7: 50/50 pipelines pass shadow rescore of every contraction "
-          f"({checked} built states)")
+    print(f"criterion 7: 50/50 pipelines pass shadow rescore of every contraction, "
+          f"sets and contractible edges ({checked} built states)")
 
 
 def test_criterion_8_contraction_pipeline_is_faster():

@@ -416,6 +416,10 @@ def test_compact_progress_reports_contraction(capsys, fasta, monkeypatch):
     assert reports == sorted(reports)
     assert reports[-1][1] <= want["contractions"]
     assert reports[-1][2] <= want["cubic_mp_trees"]
+    # Each report counts every contraction made before the state it
+    # follows was built, that state's own included.
+    assert reports == [(5, 4, 1), (10, 11, 1), (15, 20, 3), (20, 25, 3),
+                       (25, 36, 4), (30, 45, 6)]
 
 
 def test_deterministic_output_across_runs(capsys, fasta):

@@ -32,6 +32,7 @@ import conftest
 from conftest import (
     add_edge,
     add_node,
+    check_contractible_edges,
     check_the_pipeline_against_the_mixed_search,
     contract_edge,
     every_matrix,
@@ -84,8 +85,9 @@ def test_zero_edges_match_direct_min_cost(seed):
 @given(seed=st.integers(0, 10**6))
 def test_zero_contraction_preserves_cost(seed):
     matrix, tree, state = make_state(seed)
-    for edge in zero_min_cost_edges(state):
-        after = contract_and_update(state, edge)
+    zero = zero_min_cost_edges(state)
+    for edge in zero:
+        after, _ = contract_and_update(state, edge, zero)
         assert after.mp_cost == state.mp_cost
         assert tree_of(after).num_nodes == tree.num_nodes - 1
         assert Scorer(matrix).cost(tree_of(after)) == state.mp_cost
@@ -95,7 +97,8 @@ def test_zero_contraction_preserves_cost(seed):
 @given(seed=st.integers(0, 10**6))
 def test_positive_edge_contraction_strictly_raises_cost(seed):
     matrix, tree, state = make_state(seed)
-    zero = {tuple(sorted(e)) for e in zero_min_cost_edges(state)}
+    edges = zero_min_cost_edges(state)
+    zero = {tuple(sorted(e)) for e in edges}
     for u, v in list(tree.iter_edges()):
         if tuple(sorted((u, v))) in zero:
             continue
@@ -105,7 +108,7 @@ def test_positive_edge_contraction_strictly_raises_cost(seed):
         contract_edge(worse, u, v)
         assert Scorer(matrix).cost(worse) > state.mp_cost
         with pytest.raises(IllegalContractionError):
-            contract_and_update(state, (u, v))
+            contract_and_update(state, (u, v), edges)
 
 
 def test_label_label_edges_are_never_contractible():
@@ -116,7 +119,7 @@ def test_label_label_edges_are_never_contractible():
     assert zero_min_cost_edges(state) == []
     edge = next(iter(tree.iter_edges()))
     with pytest.raises(IllegalContractionError):
-        contract_and_update(state, edge)
+        contract_and_update(state, edge, [])
     # Nor are two nodes that no edge joins, though their root sets meet.
     tree = parse_newick("(a,(b,c));")
     state = Scorer(matrix).score(tree)
@@ -124,7 +127,7 @@ def test_label_label_edges_are_never_contractible():
     hub = tree.adj[tree.species_node("b")][0]
     assert tree.label[hub] is None and hub not in tree.adj[a]
     with pytest.raises(TreeStructureError, match="no edge"):
-        contract_and_update(state, (a, hub))
+        contract_and_update(state, (a, hub), zero_min_cost_edges(state))
     # Nor are ids that are not live slots, refused before any other check:
     # a negative id would read another slot, and -1 is the root's parent.
     matrix = CharacterMatrix.from_rows([(x, "A") for x in "abcd"])
@@ -132,44 +135,56 @@ def test_label_label_edges_are_never_contractible():
     assert state.parent[2] == -1
     for u, v in ((99, 0), (0, 99), (-1, 2), (2, -1)):
         with pytest.raises(TreeStructureError, match=f"no edge \\({u}, {v}\\)"):
-            contract_and_update(state, (u, v))
+            contract_and_update(state, (u, v), zero_min_cost_edges(state))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_oracle_check_mode_agrees(seed):
-    # Every contraction of a random state passes the shadow rescore, with
-    # the edge given in either order.
+    # Every contraction of a random state passes the shadow rescore and
+    # the comparison of its derived edge list, with the edge given in
+    # either order.
     matrix, tree, state = make_state(seed)
     zero = zero_min_cost_edges(state)
     with shadow_rescore() as hook:
         for i, (u, v) in enumerate(zero):
-            parsicompact.contract.contract_and_update(state, (u, v) if i % 2 else (v, u))
-    assert hook.checked == len(zero)
+            parsicompact.contract.contract_and_update(
+                state, (u, v) if i % 2 else (v, u), zero)
+    assert hook.checked == hook.compared == len(zero)
 
 
 def test_oracle_check_rescores_every_built_state(monkeypatch):
     # The shadow rescore sees each state the searcher builds once, with
     # its live merged node, and no start tree; it is gone after the
-    # block; a corrupt root set is refused.
+    # block; a corrupt root set is refused, and so is a derived edge
+    # list that is not the full scan's.
     matrix = evolved_matrix(6, 6, 2, seed=5, mutation_rate=0.05)
     seen = []
 
     def spy(state, w):
         assert state.kids[w] is not None
         seen.append((tuple(state.parent), tuple(state.label)))
-        shadow_check(state, w)
+        return shadow_check(state, w)
 
     monkeypatch.setattr(conftest, "shadow_check", spy)
     with shadow_rescore() as hook:
         result = most_compact_pipeline(matrix)
-    assert len(seen) == len(set(seen)) == hook.checked
+    assert len(seen) == len(set(seen)) == hook.checked == hook.compared
     assert hook.checked == result.explored_states - result.sources > 0
     most_compact_pipeline(matrix)
     assert len(seen) == hook.checked
     state = Scorer(matrix).score(next(iter(enumerate_cubic(matrix).incumbents.values())))
-    u, v = zero_min_cost_edges(state)[0]
-    child = contract_and_update(state, (u, v))
+    zero = zero_min_cost_edges(state)
+    u, v = zero[0]
+    child, czero = contract_and_update(state, (u, v), zero)
+    rescore = shadow_check(child, u)
+    check_contractible_edges(child, czero, rescore)
+    with pytest.raises(ParsicompactError, match="differ from a full scan"):
+        check_contractible_edges(child, czero + [(u, v)], rescore)
+    x, _y = czero[0]
+    rescore.vv[x] = 0
+    with pytest.raises(ParsicompactError, match="differ from the full rescore"):
+        check_contractible_edges(child, czero, rescore)
     child.vv[u] ^= 1
     with pytest.raises(ParsicompactError, match="differs from full rescore"):
         shadow_check(child, u)
@@ -198,7 +213,7 @@ def test_extract_fit_on_contracted_states(seed):
         zero = zero_min_cost_edges(state)
         if not zero:
             break
-        state = contract_and_update(state, rng.choice(zero))
+        state, _ = contract_and_update(state, rng.choice(zero), zero)
 
 
 def test_merged_node_vv_is_the_intersection():
@@ -206,9 +221,10 @@ def test_merged_node_vv_is_the_intersection():
     cubic = enumerate_cubic(matrix)
     tree = next(iter(cubic.incumbents.values()))
     state = Scorer(matrix).score(tree)
-    for u, v in zero_min_cost_edges(state):
+    zero = zero_min_cost_edges(state)
+    for u, v in zero:
         meet = state.vv[u] & state.vv[v]
-        after = contract_and_update(state, (u, v))
+        after, _ = contract_and_update(state, (u, v), zero)
         # the merged node is the parent end u: the child end v is gone
         # and every other node kept its id
         assert state.parent[v] == u
@@ -254,14 +270,15 @@ def check_every_order(state, matrix, tree):
     """
     cases = set()
     before = arrays_of(state)
-    for u, v in zero_min_cost_edges(state):
+    zero = zero_min_cost_edges(state)
+    for u, v in zero:
         if tree.label[v] is not None:
             cases.add("v labelled")
-        child = contract_and_update(state, (u, v))
+        child, _ = contract_and_update(state, (u, v), zero)
         # The child shares the parent's untouched inner lists, so an edit
         # in place that reached one would show here.
         assert arrays_of(state) == before
-        assert arrays_of(contract_and_update(state, (v, u))) == arrays_of(child)
+        assert arrays_of(contract_and_update(state, (v, u), zero)[0]) == arrays_of(child)
         cases.add("edge passed child end first")
         after = tree.copy()
         contract_edge(after, u, v)
@@ -318,17 +335,18 @@ def test_contraction_merges_the_child_end_into_the_parent_end():
         while stack:
             state = stack.pop()
             live = {x for x, ks in enumerate(state.kids) if ks is not None}
-            for u, v in zero_min_cost_edges(state):
+            zero = zero_min_cost_edges(state)
+            for u, v in zero:
                 assert state.parent[v] == u
                 if v < u:
                     cases.add("smaller id is the child end")
                 if state.parent[u] < 0:
                     cases.add("edge at the root")
-                child = contract_and_update(state, (u, v))
+                child, _ = contract_and_update(state, (u, v), zero)
                 assert child.root == state.root
                 assert {x for x, ks in enumerate(child.kids) if ks is not None} == live - {v}
                 assert child.parent[v] == -1
-                assert arrays_of(contract_and_update(state, (v, u))) == arrays_of(child)
+                assert arrays_of(contract_and_update(state, (v, u), zero)[0]) == arrays_of(child)
                 key = tree_of(child).canonical_key()
                 if key not in seen:
                     seen.add(key)
@@ -336,33 +354,57 @@ def test_contraction_merges_the_child_end_into_the_parent_end():
     assert cases == {"smaller id is the child end", "edge at the root"}
 
 
-def zero_edges_shrink(state, seen, tree):
-    """Check, over every state reachable from ``state``, that each
-    contractible edge of a child was contractible in its parent.
+def zero_edges_shrink(state, edges, seen, tree, cases=None):
+    """Check, over every state reachable from ``state``, that the
+    contractible edges each contraction derives are the full scan's, and
+    that each of them was contractible in the parent.
 
-    ``tree`` is the state's tree, carried along by the independent
-    ``contract_edge`` on copies.  Edges come parent end first, and the
-    parent end u took over the child end v's children, so a child edge
-    (u, y) was (u, y) or (v, y) before; every other edge kept its ends.
-    Returns the number of child edges checked.
+    ``edges`` are the state's contractible edges, and the walk goes on
+    from each child with the list the step derived for it.  ``tree`` is
+    the state's tree, carried along by the independent ``contract_edge``
+    on copies.  Edges come parent end first, and the parent end u took
+    over the child end v's children, so a child edge (u, y) was (u, y)
+    or (v, y) before; every other edge kept its ends.  Each edge is also
+    passed child end first, which must derive the same child and list.
+    ``cases``, if given, collects which kinds of parent edge the step
+    dropped or renamed.  Returns the number of child edges checked.
     """
     checks = 0
-    edges = zero_min_cost_edges(state)
     zero = set(edges)
     for u, v in edges:
-        child = contract_and_update(state, (u, v))
+        child, derived = contract_and_update(state, (u, v), edges)
+        assert contract_and_update(state, (v, u), edges)[1] == derived
+        assert derived == zero_min_cost_edges(child)
         after = tree.copy()
         contract_edge(after, u, v)
         check_arrays_match(child, after)
-        for x, y in zero_min_cost_edges(child):
+        for x, y in derived:
             if x == u and state.parent[y] == v:
                 x = v
             assert (x, y) in zero
             checks += 1
+        if cases is not None:
+            kept = set(derived)
+            for x, y in edges:
+                if y == v:
+                    continue
+                if x == v:
+                    if (u, y) in kept:
+                        cases.add("renamed edge kept")
+                    continue
+                if (x, y) in kept:
+                    continue
+                same = [child.vv[z] == state.vv[z] for z in (x, y)]
+                if u not in (x, y):
+                    cases.add("dropped away from u")
+                if u in (x, y) and all(same):
+                    cases.add("dropped at u, no root set changed")
+                if y != u and same[1] and (x == u or not same[0]):
+                    cases.add("dropped at a retested parent end only")
         key = after.canonical_key()
         if key not in seen:
             seen.add(key)
-            checks += zero_edges_shrink(child, seen, after)
+            checks += zero_edges_shrink(child, derived, seen, after, cases)
     return checks
 
 
@@ -370,7 +412,7 @@ def zero_edges_shrink(state, seen, tree):
 @given(seed=st.integers(0, 10**6))
 def test_contraction_never_creates_a_contractible_edge(seed):
     _matrix, tree, state = make_state(seed)
-    zero_edges_shrink(state, set(), tree)
+    zero_edges_shrink(state, zero_min_cost_edges(state), set(), tree)
 
 
 def test_contraction_never_creates_a_contractible_edge_in_mp_trees():
@@ -379,8 +421,28 @@ def test_contraction_never_creates_a_contractible_edge_in_mp_trees():
         matrix = evolved_matrix(6, 6, 2, seed=seed, mutation_rate=0.05)
         for tree in enumerate_cubic(matrix).incumbents.values():
             state = Scorer(matrix).score(tree)
-            checks += zero_edges_shrink(state, set(), tree)
+            checks += zero_edges_shrink(state, zero_min_cost_edges(state), set(), tree)
     assert checks > 1000
+
+
+def test_derived_contractible_edges_are_a_full_scan():
+    # Random mixed X-trees, whose labelled internal nodes make edges at
+    # the merged node turn label-label, on evolved data at several rates,
+    # whose root sets change away from the merged node: every arc of every contraction
+    # order, each edge in both orientations, derives the full scan's list.
+    cases = set()
+    checks = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        matrix = evolved_matrix(rng.randint(4, 8), rng.randint(2, 5), rng.randint(2, 4),
+                                seed=seed, mutation_rate=rng.choice([0.05, 0.1, 0.2, 0.3]))
+        tree = random_mixed_tree(matrix.names, rng)
+        state = Scorer(matrix).score(tree)
+        checks += zero_edges_shrink(state, zero_min_cost_edges(state), set(), tree, cases)
+    assert checks > 1000
+    assert cases == {"renamed edge kept", "dropped away from u",
+                     "dropped at u, no root set changed",
+                     "dropped at a retested parent end only"}
 
 
 def run_both(matrix, **kw):
@@ -429,7 +491,8 @@ def test_pipeline_matches_every_contraction_order():
         if not edges:
             tree = tree_of(state)
             terminals.append((tree.num_nodes, tree.canonical_key()))
-        return sum(1 + walk(contract_and_update(state, e), terminals) for e in edges)
+        return sum(1 + walk(contract_and_update(state, e, edges)[0], terminals)
+                   for e in edges)
 
     # Identical data and the low-divergence fixture add many states
     # reached from more than one cubic tree.

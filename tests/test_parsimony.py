@@ -199,7 +199,8 @@ def test_min_cost_edge_definition(seed):
     if num_edges(tree) == 0:
         return
     state = Scorer(matrix).score(tree)
-    zero = {frozenset(e) for e in zero_min_cost_edges(state)}
+    edges = zero_min_cost_edges(state)
+    zero = {frozenset(e) for e in edges}
     for u, v in tree.iter_edges():
         if tree.label[u] is not None and tree.label[v] is not None:
             continue
@@ -209,7 +210,7 @@ def test_min_cost_edge_definition(seed):
         assert (frozenset((u, v)) in zero) == (disjoint == 0)
         if disjoint:
             with pytest.raises(IllegalContractionError, match=f"min-cost {disjoint},"):
-                contract_and_update(state, (u, v))
+                contract_and_update(state, (u, v), edges)
 
 
 def test_scoring_errors():
