@@ -53,9 +53,8 @@ local cost.  Those arrays are the whole state: it keeps no
 :class:`MixedTree`, and :meth:`MixedTree.from_arrays` builds one only
 for a state with no contractible edge.
 A child's arrays are copies of its parent's, rewired once, with the
-child end's slot dead, and the scorer's bottom-up kernel and the
-top-down rule, written out in the step, recompute only the nodes whose
-inputs may change (:func:`contract_and_update` says which).
+child end's slot dead, and the scorer's own kernels recompute only the
+nodes whose inputs may change (:func:`contract_and_update` says which).
 A node's VU, VL and local cost depend only on its label and its
 children's VU, and its VV only on its parent's VV and its own VU and
 VL, so every node the update skips keeps inputs that did not change:
@@ -171,11 +170,8 @@ def contract_and_update(
         raise IllegalContractionError(f"edge ({u}, {v}) joins two labelled nodes")
     vv = state.vv
     meet = vv[u] & vv[v]
-    carry = sc.carry
-    high = sc.high
-    top = sc.top
     m = sc.m
-    md = m - (((((meet & carry) + carry) | meet) & high) >> top).bit_count()
+    md = m - sc._fold(meet).bit_count()
     if md:
         raise IllegalContractionError(f"edge ({u}, {v}) has min-cost {md}, not 0")
     parent = parent.copy()
@@ -212,26 +208,18 @@ def contract_and_update(
         below[p] = x
         was = vu[p]
         x = p
-    fill = sc.fill
     dirty = {u}  # u, and every node whose VV changed
     stack = [x]  # the topmost recomputed node
     while stack:
         x = stack.pop()
-        p = parent[x]
-        if p < 0:
-            new = vu[x]
-        else:
-            vvp = vv[p]
-            miss = vvp & ~vu[x]
-            ns = (((((miss & carry) + carry) | miss) & high) >> top) * fill
-            new = ((vu[x] | (vvp & vl[x])) & ns) | (vvp & ~ns)
-        if new != vv[x]:
-            vv[x] = new
+        old = vv[x]
+        sc._top_down((x,), parent, vu, vl, vv)
+        if vv[x] != old:
             dirty.add(x)
             stack += kids[x]
         elif below is not None and x in below:
             stack.append(below[x])
-        elif x == u and new != state.vv[v]:
+        elif x == u and vv[u] != state.vv[v]:
             stack += moved
     if vv[u] != meet:
         raise ParsicompactError(
@@ -254,8 +242,7 @@ def contract_and_update(
             continue
         if label[p] is not None and label[x] is not None:
             continue
-        both = vv[p] & vv[x]
-        if (((((both & carry) + carry) | both) & high) >> top).bit_count() == m:
+        if sc._fold(vv[p] & vv[x]).bit_count() == m:
             out.append(e)
     child = ScoreResult(sc, cost, state.root, parent, kids, label, vu, vl, vv, local)
     return child, out
@@ -389,15 +376,7 @@ class CompactSearcher:
                 zero: list[tuple[int, int]]):
         """Depth first from one start tree, building each state not yet
         in the memo; ``sig`` gives each node's signature and ``zero`` the
-        start tree's contractible edges.
-
-        The arc loop counts its contractions and memo hits in locals and
-        adds them to the searcher's counters before each build, which
-        may call the progress hook, before the memo-hit check raises, and
-        at the end."""
-        lookup = self.memo.get
-        store = self._store
-        arcs = hits = 0
+        start tree's contractible edges."""
         stack = [(source, sig, key, zero)]
         while stack:
             state, sig, key, zero = stack.pop()
@@ -406,19 +385,16 @@ class CompactSearcher:
                 u, v = edge
                 merged = sig[u] ^ sig[v]
                 to = key ^ (sig[u] & sig[v])
-                arcs += 1
-                got = lookup(to)
+                self.contractions += 1
+                got = self.memo.get(to)
                 if got is None:
-                    self.contractions += arcs
-                    self.memo_hits += hits
-                    arcs = hits = 0
                     child, czero = contract_and_update(state, edge, zero)
                     csig = sig.copy()
                     csig[u] = merged
-                    store(to, child, csig, czero)
+                    self._store(to, child, csig, czero)
                     stack.append((child, csig, to, czero))
                 else:
-                    hits += 1
+                    self.memo_hits += 1
                     # The check contract_and_update makes on the merged
                     # node.  A dead slot keeps the signature it died with,
                     # which holds the bit of a contracted edge, a split no
@@ -429,13 +405,9 @@ class CompactSearcher:
                     except ValueError:
                         ok = False
                     if not ok:
-                        self.contractions += arcs
-                        self.memo_hits += hits
                         raise ParsicompactError(
                             "merged-node root set differs from the endpoint intersection"
                         )
-        self.contractions += arcs
-        self.memo_hits += hits
 
     def finalize(self) -> CompactResultSet:
         best = min((nodes for nodes, _, _ in self.final), default=None)

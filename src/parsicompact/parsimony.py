@@ -227,8 +227,7 @@ class Scorer:
 
         Adding ``carry`` to a group's g-1 low bits carries into the group's
         top bit exactly when one of them is set, and never past it.  The hot
-        loops inline this, and so do the contraction's edge scan and its
-        derivation of a child's contractible edges.
+        loops inline this, and so does the contraction's edge scan.
         """
         carry = self.carry
         return ((((x & carry) + carry) | x) & self.high) >> self.top
@@ -398,8 +397,7 @@ class Scorer:
 
     def _top_down(self, nodes, parent, vu, vl, vv):
         """Write VV at each of ``nodes`` from its parent's VV and its own
-        VU and VL; ``nodes`` lists parents before children.  The
-        contraction's descent writes this rule out for one node at a time."""
+        VU and VL; ``nodes`` lists parents before children."""
         carry = self.carry
         high = self.high
         top = self.top

@@ -293,18 +293,16 @@ def shadow_rescore():
     :func:`shadow_check` from a root other than the merged node, the
     edge's parent end, and its derived contractible edges by
     :func:`check_contractible_edges` against that rescore.  Yields a
-    namespace whose ``checked`` counts the children checked and whose
-    ``compared`` counts the edge lists compared."""
+    namespace whose ``checked`` counts the children checked."""
     derive = parsicompact.contract.contract_and_update
-    hook = SimpleNamespace(checked=0, compared=0)
+    hook = SimpleNamespace(checked=0)
 
     def checked(state, edge, zero):
         child, czero = derive(state, edge, zero)
         u, v = edge
         rescore = shadow_check(child, v if state.parent[u] == v else u)
-        hook.checked += 1
         check_contractible_edges(child, czero, rescore)
-        hook.compared += 1
+        hook.checked += 1
         return child, czero
 
     parsicompact.contract.contract_and_update = checked
