@@ -10,11 +10,17 @@ and compact also offer `newick`: the trees are printed one per line and
 a short human summary goes to stderr.  TSV and JSON outputs are
 deterministic for a fixed config and seed, except for the *_ms timing
 columns.
+
+``main(argv)`` may be called any number of times in one process.  It
+builds its parser on the first call and reuses it on every later one:
+nothing else is kept between calls, so each call parses its own argv
+from the parser's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -444,7 +450,12 @@ class _Parser(argparse.ArgumentParser):
         raise ParsicompactError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one.  Sharing it is safe: parsing leaves a parser unchanged, every
+    default is immutable, and the commands it binds look up what they
+    call at call time."""
     parser = _Parser(
         prog="parsicompact",
         description="Most compact maximum-parsimony trees over mixed-labelled topologies",

@@ -17,6 +17,7 @@ from parsicompact import (
     Scorer, count_cubic, count_total_mixed, evolved_matrix, parse_fasta, parse_newick,
     random_matrix, write_fasta,
 )
+from parsicompact import cli
 from parsicompact.cli import BENCH_COLUMNS, main
 
 
@@ -536,6 +537,90 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "32" in proc.stdout
+
+
+# What the console script `parsicompact` runs: the wrapper that
+# [project.scripts] generates calls main() with no argv.
+_SCRIPT_WRAPPER = "import sys; from parsicompact.cli import main; sys.exit(main())"
+
+
+def test_console_script_wrapper_reads_sys_argv():
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT_WRAPPER, "count", "--min-n", "4", "--max-n", "4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split("\n")[1].split("\t")[:2] == ["4", "32"]
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT_WRAPPER, "--bogus"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # Importing the module builds no parser.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from parsicompact import cli; print(cli.build_parser.cache_info().misses)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "0\n", proc.stderr
+    built = []
+
+    class SpyParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", SpyParser)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["count", "--min-n", "4", "--max-n", "4"]) == 0
+        assert main(["compact", "--bogus"]) == 1
+        assert main(["count", "--min-n", "3", "--max-n", "3", "--format", "json"]) == 0
+        assert main([]) == 1
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert built.count("parsicompact") == 1
+
+
+def _untimed(out):
+    """stdout less its *_ms values, whether JSON keys or TSV columns."""
+    if out.startswith("{"):
+        return {k: v for k, v in json.loads(out).items() if not k.endswith("_ms")}
+    return strip_timing(out) if "\t" in out else out
+
+
+def test_repeated_main_calls_match_fresh_processes(fasta, monkeypatch):
+    # One process calls main() again and again, with an error and --help
+    # between commands; each call must print what a fresh process prints
+    # for the same argv, so no flag value carries over from a call before.
+    # The help text wraps at the terminal width, pinned here for both.
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["compact", "--input", fasta, "--format", "json", "--order", "diverse"],
+        ["compact", "--input", fasta, "--bogus"],
+        ["--help"],
+        ["compact", "--input", fasta],
+        ["search-mixed", "--input", fasta, "--subset", "3", "--seed", "1",
+         "--format", "json"],
+        ["search-mixed", "--input", fasta, "--format", "json"],
+        # count has no --threads: a value left by the call before would fail it.
+        ["compact", "--input", fasta, "--threads", "0"],
+        ["count", "--min-n", "4", "--max-n", "4"],
+    ]
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "parsicompact.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (code, _untimed(out.getvalue()), err.getvalue()) == (
+            fresh.returncode, _untimed(fresh.stdout), fresh.stderr), argv
 
 
 def _assert_one_error_line(capsys, argv):
