@@ -87,7 +87,6 @@ scan and with that rescore.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import factorial
 
 from .charmatrix import CharacterMatrix
@@ -248,7 +247,6 @@ def contract_and_update(
     return child, out
 
 
-@dataclass
 class CompactResultSet:
     """Most compact trees found, plus bookkeeping of the exploration.
 
@@ -261,19 +259,35 @@ class CompactResultSet:
     already in the memo, so was not built again.  cubic_ms and
     contract_ms are the wall times of :func:`most_compact_pipeline`'s two
     stages.
+
+    Not a dataclass, whose import loads inspect, ast, dis and tokenize at every start-up.
     """
 
-    best_node_count: int | None
-    trees: list[CanonicalKey]
-    explored_states: int
-    mp_cost: int | None = None
-    raw_count: int = 0
-    contractions: int = 0
-    memo_hits: int = 0
-    sources: int = 0
-    cubic_record: SearchRecord | None = None
-    cubic_ms: float = 0.0
-    contract_ms: float = 0.0
+    def __init__(
+        self,
+        best_node_count: int | None,
+        trees: list[CanonicalKey],
+        explored_states: int,
+        mp_cost: int | None = None,
+        raw_count: int = 0,
+        contractions: int = 0,
+        memo_hits: int = 0,
+        sources: int = 0,
+        cubic_record: SearchRecord | None = None,
+        cubic_ms: float = 0.0,
+        contract_ms: float = 0.0,
+    ):
+        self.best_node_count = best_node_count
+        self.trees = trees
+        self.explored_states = explored_states
+        self.mp_cost = mp_cost
+        self.raw_count = raw_count
+        self.contractions = contractions
+        self.memo_hits = memo_hits
+        self.sources = sources
+        self.cubic_record = cubic_record
+        self.cubic_ms = cubic_ms
+        self.contract_ms = contract_ms
 
     @property
     def dedup_count(self) -> int:

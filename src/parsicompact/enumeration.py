@@ -96,7 +96,6 @@ number of distinct canonical keys both equal the recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .charmatrix import CharacterMatrix
 from .errors import EmptyInputError
@@ -191,7 +190,6 @@ def closed_form_estimate(n: int) -> float:
         return math.inf
 
 
-@dataclass
 class SearchRecord:
     """Outcome of one enumeration run.
 
@@ -221,14 +219,25 @@ class SearchRecord:
     from that level down.  An incumbent's adjacency lists keep the order
     of higher-id neighbours that the search's move lists read, not
     necessarily that of lower-id ones.
+
+    Not a dataclass, whose import loads inspect, ast, dis and tokenize at every start-up.
     """
 
-    incumbent_cost: int | None = None
-    incumbents: dict[CanonicalKey, MixedTree] = field(default_factory=dict)
-    visited: int = 0
-    pruned: int = 0
-    generated: int = 0
-    sweeps_by_depth: list[int] = field(default_factory=list)
+    def __init__(
+        self,
+        incumbent_cost: int | None = None,
+        incumbents: dict[CanonicalKey, MixedTree] | None = None,
+        visited: int = 0,
+        pruned: int = 0,
+        generated: int = 0,
+        sweeps_by_depth: list[int] | None = None,
+    ):
+        self.incumbent_cost = incumbent_cost
+        self.incumbents = {} if incumbents is None else incumbents
+        self.visited = visited
+        self.pruned = pruned
+        self.generated = generated
+        self.sweeps_by_depth = [] if sweeps_by_depth is None else sweeps_by_depth
 
     def _offer(self, cost: int, tree: MixedTree):
         if self.incumbent_cost is None or cost < self.incumbent_cost:

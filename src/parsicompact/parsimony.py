@@ -48,7 +48,6 @@ from a :class:`MixedState` (:meth:`Scorer.mixed_state`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .charmatrix import CharacterMatrix
@@ -80,12 +79,15 @@ def unpack_sets(matrix: CharacterMatrix, packed: int) -> tuple[frozenset[int], .
     return tuple(out)
 
 
-@dataclass
 class FitAssignment:
-    """One complete optimal assignment: node id -> per-character states."""
+    """One complete optimal assignment: node id -> per-character states.
 
-    states: dict[int, tuple[int, ...]]
-    total_cost: int
+    Not a dataclass, whose import loads inspect, ast, dis and tokenize at every start-up.
+    """
+
+    def __init__(self, states: dict[int, tuple[int, ...]], total_cost: int):
+        self.states = states
+        self.total_cost = total_cost
 
 
 class ScoreResult:

@@ -19,7 +19,7 @@ one loop over the text with an explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     AlreadyLabelledError,
@@ -30,15 +30,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(namedtuple("CanonicalKey", "data")):
     """Value object identifying a tree up to labelled isomorphism.
 
     Keys sort as their canonical Newick texts do: UTF-8 keeps code-point
     order.
+
+    Not a dataclass, whose import loads inspect, ast, dis and tokenize at every start-up.
     """
 
-    data: bytes
+    __slots__ = ()
 
     def as_text(self) -> str:
         return self.data.decode()

@@ -1,6 +1,8 @@
 """The package's public names, and the source rules its modules keep."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import parsicompact
@@ -183,3 +185,19 @@ def test_a_tree_changes_only_through_its_growth_rules():
         "grow_rule_1", "grow_rule_2", "grow_rule_3", "grow_rule_4",
         "undo_growth", "requeue_edge", "canonical_key", "write_newick",
     }
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which the program
+    # never uses: several ms of every process's start-up.  linecache is
+    # not listed, as 3.13 loads it at start-up.  -I ignores the caller's
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the child's bytecode out of src/.
+    src = Path(parsicompact.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import parsicompact.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

@@ -1,5 +1,6 @@
 """Tree arena, growth/undo bookkeeping, canonical form, Newick round trips."""
 
+import pickle
 import random
 
 import pytest
@@ -255,6 +256,26 @@ def test_blanks_and_quoted_names_round_trip():
     tree = parse_newick(text)
     assert live_labels(tree) == ["", "a'b", "c"]
     assert tree.write_newick() == text
+
+
+def test_canonical_key_is_an_immutable_value_ordered_as_its_text():
+    # One tree written three ways: other child orders, another root.
+    same = [parse_newick(t).canonical_key()
+            for t in ("((a,b)x,c,é);", "(é,c,(b,a)x);", "(a,b,(c,é))x;")]
+    assert same[0] == same[1] == same[2]
+    assert len({hash(k) for k in same}) == 1
+    # UTF-8 bytes sort as code points do, past ASCII and past the BMP.
+    keys = [parse_newick(f"(a,b,{name});").canonical_key()
+            for name in ("z", "é", "Z", "～", "\U0001f600", "a2")]
+    assert [k.as_text() for k in sorted(keys)] == sorted(k.as_text() for k in keys)
+    key = same[0]
+    with pytest.raises(AttributeError):
+        key.data = b"(a,b);"
+    assert repr(key) == "CanonicalKey('((a,b)x,c,é);')"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(key, protocol))
+        assert type(back) is type(key)
+        assert back == key and hash(back) == hash(key) and repr(back) == repr(key)
 
 
 def test_canonical_texts_of_the_peel_edge_cases():
